@@ -11,7 +11,7 @@ from .syntax import (Abort, And, App, AppHole, AbortHole, Bot, Case, CaseHole,
                      ElimContext, Forall, Formula, FVar, Imp, Inj, Lam, Or,
                      Pair, Proj, ProjHole, Term, TyApp, TyAppHole, TyLam, Var,
                      alpha_eq, canonical_key, encode_bot, encode_or, fill,
-                     free_type_vars, free_type_vars_term, free_vars,
+                     formula_size, free_type_vars, free_type_vars_term, free_vars,
                      fresh_name, match_encoded_or, replace_at, subst_term,
                      subst_type_in_formula, subst_type_in_term, subterm_at)
 from .surface import parse_formula, parse_term, print_formula, print_term
@@ -24,7 +24,7 @@ from .translate import (at_term, mk_abort, mk_abort_at, mk_case, mk_case_at,
                         mk_in, rp_env, rp_formula, rp_term)
 from .analysis import (WeightReport, atomic_nf, check_local_confluence,
                        decompose_delta, decompose_eps, expand_rho,
-                       formula_size, search_beta_eta, simulate_step, weight)
+                       search_beta_eta, simulate_step, weight)
 from .diagram import Diagram, at_copy_positions, bridge_script, build_diagram
 
 __version__ = "0.1.0"

@@ -5,7 +5,9 @@ The weight W is computed off the unique typing derivation: a pre-redex is
 an occurrence M C Q or M C with C non-atomic whose head M has the
 sum-encoded (resp. empty-encoded) type in the local environment; its
 contribution is |C| * (1 + W(subterms)). W strictly decreases along every
-fine atomization step, which atomic_nf asserts on each step it takes.
+fine atomization step, which atomic_nf asserts on each step it takes. The
+typed traversal typecheck.Scan computes W's terms in the same walk that
+finds the atomization redexes, and atomic_nf keeps it between steps.
 """
 
 from __future__ import annotations
@@ -16,36 +18,29 @@ from dataclasses import dataclass, field
 from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      StepLimitExceeded, TypingError)
 from .rules import F_BETA_ETA, RuleId, apply_rule, match_rule
-from .syntax import (Abort, And, App, Case, Forall, Formula, FVar, Imp, Inj,
-                     Lam, Pair, Proj, Term, TyApp, TyLam, Var, canonical_key,
-                     encode_bot, match_encoded_or, replace_at, subterm_at,
-                     term_children)
-from .rewriting import (Redex, ReductionTrace, apply_script, find_redexes,
-                        normalize, shift, step)
+from .syntax import (Abort, And, App, Case, Forall, FVar, Imp, Inj, Lam,
+                     Pair, Proj, Term, TyApp, TyLam, Var, canonical_key,
+                     replace_at, subterm_at, term_children)
+from .rewriting import (Redex, ReductionTrace, apply_script, reduce_scan,
+                        shift, step)
 from .translate import rp_env, rp_term
-from .typecheck import Env, SystemId, _enter_binder, typecheck
+from .typecheck import Env, Scan, SystemId, typecheck
 
 ATOMIZATION_RULES = frozenset({RuleId.rho_case, RuleId.rho_abort})
 
 
-# ------------------------------------------------------------ formula size
-
-def formula_size(c: Formula) -> int:
-    """|X|=0, |A->B|=2|B|^2+3|B|+1, |A&B|=1+|A|+|B|, |forall X.A|=1+|A|.
-
-    The implication clause deliberately ignores the antecedent; that is
-    what makes the weight drop across the implication atomization step.
-    """
-    if isinstance(c, FVar):
-        return 0
-    if isinstance(c, Imp):
-        n = formula_size(c.right)
-        return 2 * n * n + 3 * n + 1
-    if isinstance(c, And):
-        return 1 + formula_size(c.left) + formula_size(c.right)
-    if isinstance(c, Forall):
-        return 1 + formula_size(c.body)
-    raise NotTypable(f"not an F/Fat formula: {c!r}")
+def _atomization_scan(env: Env, m: Term) -> Scan:
+    """The typed traversal of m for the atomization rules; NotTypable if m
+    is not an F term in env."""
+    scan = Scan(env, m, ATOMIZATION_RULES)
+    if scan.root.ty is None:
+        try:
+            typecheck(SystemId.F, env, m)
+        except TypingError as e:
+            raise NotTypable(str(e)) from e
+        raise InternalInvariantViolation("the traversal and typecheck disagree "
+                                         "on typability")
+    return scan
 
 
 # ------------------------------------------------------------------ weight
@@ -58,59 +53,11 @@ class WeightReport:
 
 def weight(env: Env, m: Term) -> WeightReport:
     """W(m; env) with one contribution entry per fine pre-redex occurrence."""
-    try:
-        typecheck(SystemId.F, env, m)
-    except TypingError as e:
-        raise NotTypable(str(e)) from e
-
-    contributions = []
-
-    def head_type(t, env):
-        return typecheck(SystemId.F, env, t)
-
-    def go(t, env, pos):
-        if isinstance(t, Var):
-            return 0
-        if isinstance(t, Lam):
-            env2, _, body = _enter_binder(env, t.var, t.ann, t.body)
-            return go(body, env2, pos + (0,))
-        if isinstance(t, Pair):
-            return go(t.fst, env, pos + (0,)) + go(t.snd, env, pos + (1,))
-        if isinstance(t, (Proj, TyLam)):
-            return go(t.body, env, pos + (0,))
-        if isinstance(t, TyApp):
-            sub = go(t.fun, env, pos + (0,))
-            if isinstance(t.arg, FVar):
-                return sub
-            if is_encoded_bot_type(head_type(t.fun, env)):
-                size = formula_size(t.arg)
-                contributions.append((pos, env, size * (1 + sub)))
-                return (size + 1) * sub + size
-            return sub
-        if isinstance(t, App):
-            wn = go(t.arg, env, pos + (1,))
-            fun = t.fun
-            if isinstance(fun, TyApp) and not isinstance(fun.arg, FVar):
-                ft = head_type(fun.fun, env)
-                if match_encoded_or(ft) is not None:
-                    if is_encoded_bot_type(ft):
-                        raise InternalInvariantViolation(
-                            "head typed both as encoded sum and encoded empty type")
-                    wm = go(fun.fun, env, pos + (0, 0))
-                    size = formula_size(fun.arg)
-                    contributions.append((pos, env, size * (1 + wm + wn)))
-                    return (size + 1) * (wm + wn) + size
-            return go(fun, env, pos + (0,)) + wn
-        raise NotTypable(f"not an F term: {t!r}")
-
-    total = go(m, env, ())
-    if total != sum(c for _, _, c in contributions):
+    scan = _atomization_scan(env, m)
+    terms = scan.weight_terms()
+    if scan.root.w != sum(c for _, _, c in terms):
         raise InternalInvariantViolation("weight total differs from contribution sum")
-    return WeightReport(total, tuple(contributions))
-
-
-def is_encoded_bot_type(f: Formula) -> bool:
-    return f == encode_bot()
+    return WeightReport(scan.root.w, tuple(terms))
 
 
 # ------------------------------------------------------------- atomic NF
@@ -120,23 +67,24 @@ def atomic_nf(env: Env, m: Term, strategy="leftmost-outermost", seed=None):
 
     The step budget is the initial weight + 1; exceeding it (or any
     non-decreasing step) is an engine invariant violation, never a user
-    error, because fine atomization terminates on typable terms.
+    error, because fine atomization terminates on typable terms. The
+    trace's `weights` holds W after each step.
     """
-    w = weight(env, m)  # also validates typability
-    state = {"w": w.total}
+    scan = _atomization_scan(env, m)
+    w = scan.root.w
 
-    def check(trace, redex, before, after):
-        wn = weight(env, after).total
-        if wn >= state["w"]:
+    def check(trace, redex, before, after, scan):
+        last = trace.weights[-1] if trace.weights else w
+        wn = scan.root.w
+        if wn >= last:
             raise InternalInvariantViolation(
-                f"weight did not decrease: {state['w']} -> {wn} "
+                f"weight did not decrease: {last} -> {wn} "
                 f"at {list(redex.position)}")
-        state["w"] = wn
+        trace.weights.append(wn)
 
+    trace = ReductionTrace(SystemId.F, env, m)
     try:
-        trace = normalize(SystemId.F, env, m, ATOMIZATION_RULES,
-                          strategy=strategy, max_steps=w.total + 1, seed=seed,
-                          on_step=check)
+        reduce_scan(scan, trace, strategy, w + 1, seed, check)
     except StepLimitExceeded as e:
         raise InternalInvariantViolation(
             "atomization exceeded its weight-derived step budget") from e
@@ -333,12 +281,12 @@ class ConfluenceReport:
         return all(p.joined for p in self.pairs)
 
 
-def _join_search(env, a, b, depth, node_cap=4000):
-    """Common fine atomization reduct of a and b within `depth` steps per
-    side, by level-synchronized expansion with early exit; None if the
-    bounded search finds nothing."""
-    seen_a = {canonical_key(a): a}
-    seen_b = {canonical_key(b): b}
+def _join_search(a: Scan, b: Scan, depth, node_cap=4000):
+    """Common fine atomization reduct of the scanned terms a and b within
+    `depth` steps per side, by level-synchronized expansion with early
+    exit; None if the bounded search finds nothing."""
+    seen_a = {canonical_key(a.root.term): a.root.term}
+    seen_b = {canonical_key(b.root.term): b.root.term}
     frontier_a, frontier_b = [a], [b]
     common = seen_a.keys() & seen_b.keys()
     if common:
@@ -347,16 +295,16 @@ def _join_search(env, a, b, depth, node_cap=4000):
     def expand(frontier, seen, other):
         nxt = []
         for cur in frontier:
-            for r in find_redexes(SystemId.F, env, cur, ATOMIZATION_RULES):
-                if not r.fine:
+            for pos, rule, _, fine in cur.redexes():
+                if not fine:
                     continue
-                new = step(SystemId.F, env, cur, r)
-                key = canonical_key(new)
+                new = cur.after(pos, rule)
+                key = canonical_key(new.root.term)
                 if key in seen:
                     continue
-                seen[key] = new
+                seen[key] = new.root.term
                 if key in other:
-                    return nxt, new
+                    return nxt, new.root.term
                 nxt.append(new)
                 if len(seen) > node_cap:
                     return nxt, None
@@ -380,23 +328,19 @@ def check_local_confluence(env: Env, m: Term, rules=ATOMIZATION_RULES,
                            max_join: int = 16) -> ConfluenceReport:
     """For every pair of distinct fine atomization redexes, contract both
     and search a common fine reduct within max_join steps each side."""
-    try:
-        typecheck(SystemId.F, env, m)
-    except TypingError as e:
-        raise NotTypable(str(e)) from e
+    scan = _atomization_scan(env, m)
     rules = frozenset(RuleId(x) for x in rules)
     if not rules <= ATOMIZATION_RULES:
         raise ValueError("local confluence check covers atomization rules only")
-    redexes = [r for r in find_redexes(SystemId.F, env, m, rules) if r.fine]
+    redexes = [(pos, rule) for pos, rule, _, fine in scan.redexes()
+               if fine and rule in rules]
     report = ConfluenceReport()
     for i in range(len(redexes)):
         for j in range(i + 1, len(redexes)):
             r1, r2 = redexes[i], redexes[j]
-            n1 = step(SystemId.F, env, m, r1)
-            n2 = step(SystemId.F, env, m, r2)
-            witness = _join_search(env, n1, n2, max_join)
-            report.pairs.append(JoinResult((r1.rule.value, r1.position),
-                                           (r2.rule.value, r2.position),
+            witness = _join_search(scan.after(*r1), scan.after(*r2), max_join)
+            report.pairs.append(JoinResult((r1[1].value, r1[0]),
+                                           (r2[1].value, r2[0]),
                                            witness is not None, witness))
     return report
 

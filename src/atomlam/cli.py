@@ -7,8 +7,9 @@ human-readable text or a structured JSON document (--format json); traces
 in either format replay step by step, which --verify re-checks before
 emitting.
 
-Exit codes: 0 ok, 1 type error, 2 parse error, 3 step cap reached,
-4 internal invariant violation.
+Exit codes: 0 ok, 1 type error (including an environment formula outside
+the command's system), 2 parse or usage error (including a step limit that
+is not positive), 3 step cap reached, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import sys
 
 from .analysis import (atomic_nf, simulate_step, weight)
 from .diagram import build_diagram
-from .errors import (AtomlamError, InternalInvariantViolation, ParseError,
-                     StepLimitExceeded, TypingError)
+from .errors import (AtomlamError, InternalInvariantViolation, NotInSystem,
+                     ParseError, StepLimitExceeded, TypingError)
 from .rewriting import ReductionTrace, find_redexes, normalize, replay
 from .rules import RuleId, rules_of_system
 from .surface import parse_formula, parse_term, print_formula, print_term
 from .translate import at_term, rp_term
-from .typecheck import Env, SystemId, typecheck
+from .typecheck import Env, SystemId, formula_in_system, typecheck
 
 EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -65,7 +66,9 @@ def _emit_trace(args, command, source, trace, truncated=False):
     return EXIT_CAP if truncated else EXIT_OK
 
 
-def _load_env(args):
+def _load_env(args, sys_id):
+    """The environment from --env and --env-file; every formula must belong
+    to `sys_id`, the system the command reads its input in."""
     pairs = []
     for binding in args.env or []:
         name, _, text = binding.partition(":")
@@ -80,6 +83,10 @@ def _load_env(args):
                     continue
                 name, _, text = line.partition(":")
                 pairs.append((name.strip(), parse_formula(text)))
+    for name, formula in pairs:
+        if not formula_in_system(formula, sys_id):
+            raise NotInSystem(f"environment formula of {name!r} is not in "
+                              f"{sys_id.value}: {print_formula(formula)}")
     return Env(pairs)
 
 
@@ -115,9 +122,9 @@ def _pick_redex(sys_id, env, term, rule, pos):
 
 
 def cmd_check(args):
-    env = _load_env(args)
-    term, source = _load_term(args)
     sys_id = SystemId.parse(args.sys)
+    env = _load_env(args, sys_id)
+    term, source = _load_term(args)
     formula = typecheck(sys_id, env, term)
     if args.format == "json":
         print(json.dumps({"command": "check", "input": source,
@@ -129,9 +136,9 @@ def cmd_check(args):
 
 
 def cmd_reduce(args):
-    env = _load_env(args)
-    term, source = _load_term(args)
     sys_id = SystemId.parse(args.sys)
+    env = _load_env(args, sys_id)
+    term, source = _load_term(args)
     rules = _parse_rules(args.rules, sys_id)
     try:
         trace = normalize(sys_id, env, term, rules, strategy=args.strategy,
@@ -154,14 +161,14 @@ def cmd_translate(args):
 
 
 def cmd_nf(args):
-    env = _load_env(args)
+    env = _load_env(args, SystemId.F)
     term, source = _load_term(args)
     _, trace = atomic_nf(env, term, strategy=args.strategy, seed=args.seed)
     return _emit_trace(args, "nf", source, trace)
 
 
 def cmd_weight(args):
-    env = _load_env(args)
+    env = _load_env(args, SystemId.F)
     term, source = _load_term(args)
     report = weight(env, term)
     if args.format == "json":
@@ -178,7 +185,7 @@ def cmd_weight(args):
 
 
 def cmd_simulate(args):
-    env = _load_env(args)
+    env = _load_env(args, SystemId.IPC)
     term, source = _load_term(args)
     redex = _pick_redex(SystemId.IPC, env, term, RuleId(args.rule), args.pos)
     trace = simulate_step(env, term, redex)
@@ -186,7 +193,7 @@ def cmd_simulate(args):
 
 
 def cmd_diagram(args):
-    env = _load_env(args)
+    env = _load_env(args, SystemId.IPC)
     term, source = _load_term(args)
     redex = _pick_redex(SystemId.IPC, env, term, RuleId(args.rule), args.pos)
     diagram = build_diagram(env, term, redex)
@@ -215,6 +222,16 @@ def cmd_diagram(args):
             print(f"  note: {note}")
         print("verified" if not problems else "PROBLEMS: " + "; ".join(problems))
     return EXIT_OK if not problems else EXIT_INTERNAL
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _add_common(p, with_system=True):
@@ -248,7 +265,7 @@ def build_parser():
                    choices=("leftmost-outermost", "leftmost-innermost",
                             "random", "lo", "li"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=_positive_int, default=10000)
     p.set_defaults(fn=cmd_reduce)
 
     p = subs.add_parser("translate", help="translate an IPC term")

@@ -5,6 +5,9 @@ branches extend it), so each redex carries the environment in force at its
 position, and the fineness flag of atomization/commuting redexes is
 computed against that local environment. A binder that would shadow a
 declared variable is alpha-renamed on the fly; positions are unaffected.
+Search and normalization are views over one typed traversal
+(typecheck.Scan); normalization keeps its results between steps and
+re-traverses only the contracted subterm.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from dataclasses import dataclass, field
 from .errors import NotFine, StaleRedex, StepLimitExceeded
 from .rules import RuleId, apply_rule, match_rule, rules_of_system
 from .syntax import Case, Lam, Term, replace_at, subterm_at, term_children
-from .typecheck import Env, SystemId, _enter_binder, is_fine_redex
-
-_RULE_ORDER = {r: i for i, r in enumerate(RuleId)}
+from .typecheck import Env, Scan, SystemId, _enter_binder, is_fine_redex
 
 STRATEGIES = ("leftmost-outermost", "leftmost-innermost", "random")
 _STRATEGY_ALIASES = {"lo": "leftmost-outermost", "li": "leftmost-innermost",
@@ -50,6 +51,8 @@ class ReductionTrace:
     base_env: Env
     initial: Term
     steps: list = field(default_factory=list)
+    #: W after each step, where the reduction tracks it (atomic_nf)
+    weights: list = field(default_factory=list)
 
     @property
     def final(self) -> Term:
@@ -77,30 +80,8 @@ def _validate_rules(sys, rules):
 def find_redexes(sys: SystemId, env: Env, m: Term, rules) -> list:
     """All positions where a rule's left-hand side matches, pre-order,
     with local environments and fineness flags."""
-    rules = _validate_rules(sys, rules)
-    out = []
-
-    def visit(t, pos, env):
-        for rule in RuleId:
-            if rule not in rules:
-                continue
-            if match_rule(rule, t) is not None:
-                out.append(Redex(pos, rule, env, is_fine_redex(env, t, rule)))
-        if isinstance(t, Lam):
-            env2, _, body = _enter_binder(env, t.var, t.ann, t.body)
-            visit(body, pos + (0,), env2)
-        elif isinstance(t, Case):
-            visit(t.scrut, pos + (0,), env)
-            envl, _, lbody = _enter_binder(env, t.lvar, t.lann, t.lbody)
-            visit(lbody, pos + (1,), envl)
-            envr, _, rbody = _enter_binder(env, t.rvar, t.rann, t.rbody)
-            visit(rbody, pos + (2,), envr)
-        else:
-            for i, child in enumerate(term_children(t)):
-                visit(child, pos + (i,), env)
-
-    visit(m, (), env)
-    return out
+    scan = Scan(env, m, _validate_rules(sys, rules))
+    return [Redex(*found) for found in scan.redexes()]
 
 
 def step(sys: SystemId, env: Env, m: Term, r: Redex,
@@ -114,19 +95,6 @@ def step(sys: SystemId, env: Env, m: Term, r: Redex,
     return replace_at(m, r.position, apply_rule(r.rule, sub))
 
 
-def _pick(redexes, strategy, rng):
-    key = lambda r: (r.position, _RULE_ORDER[r.rule])
-    if strategy == "leftmost-outermost":
-        return min(redexes, key=key)
-    if strategy == "leftmost-innermost":
-        innermost = [r for r in redexes
-                     if not any(len(o.position) > len(r.position)
-                                and o.position[:len(r.position)] == r.position
-                                for o in redexes)]
-        return min(innermost, key=key)
-    return rng.choice(sorted(redexes, key=key))
-
-
 def normalize(sys: SystemId, env: Env, m: Term, rules, strategy="leftmost-outermost",
               max_steps: int = 10000, seed=None, on_step=None) -> ReductionTrace:
     """Reduce until no fine redex among `rules` remains.
@@ -135,24 +103,50 @@ def normalize(sys: SystemId, env: Env, m: Term, rules, strategy="leftmost-outerm
     `on_step` is called as on_step(trace, redex, before, after) after each
     step; analysis hooks use it to assert engine invariants.
     """
-    strategy = _STRATEGY_ALIASES.get(strategy)
+    strategy = _strategy(strategy)
+    scan = Scan(env, m, _validate_rules(sys, rules))
+    hook = None if on_step is None else (
+        lambda trace, r, before, after, _scan: on_step(trace, r, before, after))
+    return reduce_scan(scan, ReductionTrace(sys, env, m), strategy, max_steps,
+                       seed, hook)
+
+
+def _strategy(name):
+    strategy = _STRATEGY_ALIASES.get(name)
     if strategy is None:
         raise ValueError(f"unknown strategy; expected one of {STRATEGIES}")
+    return strategy
+
+
+def reduce_scan(scan: Scan, trace: ReductionTrace, strategy, max_steps, seed,
+                on_step=None) -> ReductionTrace:
+    """Contract fine redexes of `scan` by `strategy` until none is left,
+    appending each step to `trace` (see normalize); on_step(trace, redex,
+    before, after, scan after the step) runs after each step.
+
+    Leftmost-outermost takes the first fine redex in (position, RuleId)
+    order, leftmost-innermost the first with no fine redex below it, and
+    random a seeded uniform choice among all of them.
+    """
+    strategy = _strategy(strategy)
     rng = random.Random(seed)
-    trace = ReductionTrace(sys, env, m)
-    current = m
-    while True:
-        candidates = [r for r in find_redexes(sys, env, current, rules) if r.fine]
-        if not candidates:
-            return trace
+    current = scan.root.term
+    while scan.root.nfine:
         if len(trace.steps) >= max_steps:
             raise StepLimitExceeded(f"no normal form within {max_steps} steps", trace)
-        r = _pick(candidates, strategy, rng)
-        nxt = step(sys, env, current, r)
-        trace.steps.append(TraceStep(r.rule, r.position, r.local_env, nxt, r.fine))
+        if strategy == "leftmost-innermost":
+            pos, rule, local = scan.innermost_fine_redex()
+        else:
+            k = 0 if strategy == "leftmost-outermost" else rng.choice(
+                range(scan.root.nfine))
+            pos, rule, local = scan.fine_redex(k)
+        scan = scan.after(pos, rule)
+        nxt = scan.root.term
+        trace.steps.append(TraceStep(rule, pos, local, nxt, True))
         if on_step is not None:
-            on_step(trace, r, current, nxt)
+            on_step(trace, Redex(pos, rule, local, True), current, nxt, scan)
         current = nxt
+    return trace
 
 
 def env_at(env: Env, m: Term, pos) -> Env:

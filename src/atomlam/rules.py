@@ -14,6 +14,7 @@ eps_case, eps_abort.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .errors import AtomicInstantiation, ShapeMismatch
 from .syntax import (Abort, And, App, Bot, Case, Forall, FVar, Imp, Inj, Lam,
@@ -516,6 +517,35 @@ _APPLIERS = {
     RuleId.delta: _a_delta,
     RuleId.eps_case: _a_eps_case, RuleId.eps_abort: _a_eps_abort,
 }
+
+
+# Node classes at which each rule's left-hand side can be rooted.
+_ROOTS = {
+    RuleId.beta_imp: (App,), RuleId.beta_and: (Proj,),
+    RuleId.beta_or: (Case,), RuleId.beta_all: (TyApp,),
+    RuleId.eta_imp: (Lam,), RuleId.eta_and: (Pair,),
+    RuleId.eta_or: (Case,), RuleId.eta_all: (TyLam,),
+    RuleId.pi_imp: (App,), RuleId.pi_and: (Proj,),
+    RuleId.pi_or: (Case,), RuleId.pi_bot: (Abort,),
+    RuleId.varpi_imp: (App,), RuleId.varpi_and: (Proj,),
+    RuleId.varpi_or: (Case,), RuleId.varpi_bot: (Abort,),
+    RuleId.rho_case: (App,), RuleId.rho_abort: (TyApp,), RuleId.delta: (App,),
+    RuleId.eps_case: (App, Proj, TyApp), RuleId.eps_abort: (App, Proj, TyApp),
+}
+
+
+@lru_cache(maxsize=64)
+def matchers_by_class(rules: frozenset) -> dict:
+    """{term class: ((rule, matcher, fineness kind), ...)} for the rules in
+    `rules`, in RuleId order: what a traversal tries at a node of a class.
+    The result is shared between callers and must not be mutated."""
+    out = {}
+    for rule in RuleId:
+        if rule in rules:
+            for cls in _ROOTS[rule]:
+                out.setdefault(cls, []).append(
+                    (rule, _MATCHERS[rule], fineness_kind(rule)))
+    return {cls: tuple(entries) for cls, entries in out.items()}
 
 
 def match_rule(rule: RuleId, m: Term):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import AtomlamError
+from .errors import AtomlamError, NotTypable
 
 
 class _Node:
@@ -476,6 +476,25 @@ def match_encoded_or(f: Formula):
 
 def is_encoded_bot(f: Formula) -> bool:
     return isinstance(f, Forall) and isinstance(f.body, FVar) and f.body.name == f.var
+
+
+def formula_size(c: Formula) -> int:
+    """|X|=0, |A->B|=2|B|^2+3|B|+1, |A&B|=1+|A|+|B|, |forall X.A|=1+|A|.
+
+    The measure of an instantiation formula in the weight W. The
+    implication clause deliberately ignores the antecedent; that is what
+    makes the weight drop across the implication atomization step.
+    """
+    if isinstance(c, FVar):
+        return 0
+    if isinstance(c, Imp):
+        n = formula_size(c.right)
+        return 2 * n * n + 3 * n + 1
+    if isinstance(c, And):
+        return 1 + formula_size(c.left) + formula_size(c.right)
+    if isinstance(c, Forall):
+        return 1 + formula_size(c.body)
+    raise NotTypable(f"not an F/Fat formula: {c!r}")
 
 
 # --------------------------------------------------------------- positions

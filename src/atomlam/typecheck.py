@@ -1,5 +1,6 @@
-"""Typecheckers for the three systems, elimination-context typing, and the
-fineness predicate for atomization/commuting redexes.
+"""Typecheckers for the three systems, elimination-context typing, the
+fineness predicate for atomization/commuting redexes, and the typed
+traversal (`Scan`) behind redex search, the weight and normalization.
 
 Typechecking is syntax-directed (binders, injections, case and abort are
 fully annotated), so no unification is needed. Formula equality is
@@ -10,18 +11,23 @@ universal-introduction proviso is checked against the literal binder name.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
 from . import rules as _rules
 from .errors import (DuplicateDeclaration, ForallProvisoViolated,
-                     HoleTypeMismatch, NonAtomicInstantiation, NotARedex,
-                     NotInSystem, TypeMismatch, TypingError, UnboundVariable)
+                     HoleTypeMismatch, InternalInvariantViolation,
+                     NonAtomicInstantiation, NotARedex, NotInSystem,
+                     TypeMismatch, UnboundVariable)
 from .syntax import (Abort, And, App, AppHole, AbortHole, Bot, Case, CaseHole,
                      ElimContext, Forall, Formula, FVar, Imp, Inj, Lam, Or,
                      Pair, Proj, ProjHole, Term, TyApp, TyAppHole, TyLam, Var,
-                     encode_bot, encode_or, free_type_vars, free_vars,
-                     fresh_name, subst_term, subst_type_in_formula)
+                     _with_child, formula_size, free_type_vars,
+                     free_type_vars_term, free_vars, fresh_name,
+                     is_encoded_bot, match_encoded_or, replace_at,
+                     subst_term, subst_type_in_formula, subst_type_in_term,
+                     term_children)
 
 
 class SystemId(Enum):
@@ -223,7 +229,6 @@ def typecheck(sys: SystemId, env: Env, m: Term,
                     raise ForallProvisoViolated(
                         f"type variable {var!r} occurs free in the environment",
                         pos)
-                from .syntax import free_type_vars_term, subst_type_in_term
                 var = fresh_name(var, env.free_type_vars()
                                  | free_type_vars_term(body))
                 body = subst_type_in_term(FVar(var), t.var, body)
@@ -296,13 +301,27 @@ def typecheck_elim_context(sys: SystemId, env: Env, e: ElimContext,
     raise TypeError(f"not an elimination context: {e!r}")
 
 
+def _head_fine(kind: str, head_type, payload) -> bool:
+    """Fineness from the type of a redex's head (None if untypable):
+    'sum' needs the sum encoding of the branch annotations, 'bot' the
+    empty-type encoding."""
+    if head_type is None:
+        return False
+    if kind == "sum":
+        parts = match_encoded_or(head_type)
+        return (parts is not None and parts[0] == payload["lann"]
+                and parts[1] == payload["rann"])
+    return is_encoded_bot(head_type)
+
+
 def is_fine_redex(env: Env, m: Term, rule) -> bool:
     """Fineness of a root redex of `rule` in env.
 
     Atomization/delta/commuting case redexes are fine iff the head has the
     sum-encoded type built from the branch annotations; the abort variants
     are fine iff the head has the empty-type encoding. Detour and eta
-    redexes are always fine, as are the IPC commuting rules.
+    redexes are always fine, as are the IPC commuting rules. The head is
+    typed by the traversal that redex search uses.
     """
     payload = _rules.match_rule(rule, m)
     if payload is None:
@@ -310,11 +329,269 @@ def is_fine_redex(env: Env, m: Term, rule) -> bool:
     kind = _rules.fineness_kind(rule)
     if kind == "always":
         return True
-    head = payload["head"]
-    try:
-        t = typecheck(SystemId.F, env, head)
-    except TypingError:
-        return False
-    if kind == "sum":
-        return t == encode_or(payload["lann"], payload["rann"])
-    return t == encode_bot()
+    return _head_fine(kind, Scan(env, payload["head"], {rule}).root.ty, payload)
+
+
+# ------------------------------------------------------- typed traversal
+
+_NO_RENAMES = {}
+
+
+class _Info:
+    """The traversal's result at one position: the subterm, the
+    environment and binder renaming in force there, the children's
+    results, and (when typing) the subterm's F type, or None if it is
+    untypable, its weight `w` and this node's own weight term `pre` (0 if
+    the node is no pre-redex). `own` lists the (rule, fine) matches at the
+    node in RuleId order; `nfine` counts the fine ones in the subterm."""
+
+    __slots__ = ("term", "env", "ren", "kids", "ty", "w", "pre", "own", "nfine")
+
+
+def _bind(env, ren, var, ann, body):
+    """Environment and renaming map for a binder's body.
+
+    A binder that shadows a declared variable gets the smallest primed
+    variant not declared and not free in the body. That is the name
+    _enter_binder picks after substituting earlier renamings into the
+    body: a free variable such a substitution renames is declared, and so
+    is its new name, so both avoid sets are the same. (The body's free
+    names matter only where it mentions an undeclared variable.)
+    """
+    if var not in env:
+        return env.extend(var, ann), ren
+    new = fresh_name(var, set(env.names()) | free_vars(body))
+    return env.extend(new, ann), {**ren, var: new}
+
+
+def _weight_terms(t, kids):
+    """(W of the subterm, this node's own weight term) from the children.
+
+    A pre-redex is an instantiation M C, C non-atomic, whose head M has
+    the empty-type encoding, or a spine M C Q whose head has a sum
+    encoding; its term is |C| * (1 + W of its subterms).
+    """
+    cls = t.__class__
+    if cls is TyApp:
+        sub = kids[0].w
+        if t.arg.__class__ is not FVar and is_encoded_bot(kids[0].ty):
+            size = formula_size(t.arg)
+            return (size + 1) * sub + size, size * (1 + sub)
+        return sub, 0
+    if cls is App:
+        fun = kids[0]
+        sub = fun.w + kids[1].w
+        if (fun.term.__class__ is TyApp and fun.term.arg.__class__ is not FVar
+                and match_encoded_or(fun.kids[0].ty) is not None):
+            size = formula_size(fun.term.arg)
+            return (size + 1) * sub + size, size * (1 + sub)
+        return sub, 0
+    return sum(k.w for k in kids), 0
+
+
+class Scan:
+    """One bottom-up traversal of a term, with its result kept per position.
+
+    Each node is visited once. The rules of `rules` that fit its node class
+    are matched. When a rule's fineness depends on a head's type (rho_*,
+    delta, eps_*), the walk also types every node in System F from its
+    children's types, reads each match's fineness off its head's type, and
+    combines the weight W (the root's `w`). Otherwise it types nothing.
+    Binders extend the environment as in redex search; positions are
+    those of the term. A Scan is never mutated: `after` returns a new one
+    that shares every result off the contracted redex's ancestor path.
+    """
+
+    def __init__(self, env: Env, m: Term, rules=frozenset(), _ren=_NO_RENAMES):
+        self.env = env
+        self.rules = frozenset(rules)
+        self._match = _rules.matchers_by_class(self.rules)
+        self.typed = any(_rules.fineness_kind(r) != "always" for r in self.rules)
+        self.root = self._build(m, env, _ren)
+
+    def _build(self, t, env, ren):
+        cls = t.__class__
+        build = self._build
+        if cls is App:
+            kids = (build(t.fun, env, ren), build(t.arg, env, ren))
+        elif cls is Var:
+            kids = ()
+        elif cls is Lam:
+            kids = (build(t.body, *_bind(env, ren, t.var, t.ann, t.body)),)
+        elif cls is Case:
+            kids = (build(t.scrut, env, ren),
+                    build(t.lbody, *_bind(env, ren, t.lvar, t.lann, t.lbody)),
+                    build(t.rbody, *_bind(env, ren, t.rvar, t.rann, t.rbody)))
+        else:
+            kids = tuple([build(c, env, ren) for c in term_children(t)])
+        info = _Info()
+        info.term, info.env, info.ren, info.kids = t, env, ren, kids
+        self._finish(info, self._type(info) if self.typed else None)
+        return info
+
+    def _type(self, info):
+        """F type of info's subterm from its children's, as typecheck
+        (SystemId.F) would give it; None where typecheck would raise."""
+        t, kids = info.term, info.kids
+        cls = t.__class__
+        if cls is Var:
+            return info.env.lookup(info.ren.get(t.name, t.name))
+        if cls is App:
+            tf, ta = kids[0].ty, kids[1].ty
+            if isinstance(tf, Imp) and ta is not None and ta == tf.left:
+                return tf.right
+            return None
+        if cls is TyApp:
+            tf = kids[0].ty
+            if not isinstance(tf, Forall) or not formula_in_system(t.arg, SystemId.F):
+                return None
+            return subst_type_in_formula(t.arg, tf.var, tf.body)
+        if cls is Lam:
+            tb = kids[0].ty
+            if tb is None or not formula_in_system(t.ann, SystemId.F):
+                return None
+            return Imp(t.ann, tb)
+        if cls is Pair:
+            tl, tr = kids[0].ty, kids[1].ty
+            return None if tl is None or tr is None else And(tl, tr)
+        if cls is Proj:
+            tb = kids[0].ty
+            if not isinstance(tb, And):
+                return None
+            return tb.left if t.index == 1 else tb.right
+        if cls is TyLam:
+            env_ftv = info.env.free_type_vars()
+            if t.var not in env_ftv:
+                tb = kids[0].ty
+                return None if tb is None else Forall(t.var, tb)
+            # typecheck renames a binder that would capture an environment
+            # variable; type the renamed body the same way
+            var = fresh_name(t.var, env_ftv | free_type_vars_term(t.body))
+            body = subst_type_in_term(FVar(var), t.var, t.body)
+            tb = Scan(info.env, body, self.rules, info.ren).root.ty
+            return None if tb is None else Forall(var, tb)
+        return None  # injection, case and abort are not F terms
+
+    def _finish(self, info, ty):
+        t, kids = info.term, info.kids
+        info.ty = ty
+        info.w, info.pre = (0, 0) if ty is None else _weight_terms(t, kids)
+        own = ()
+        nfine = 0
+        for kid in kids:
+            nfine += kid.nfine
+        for rule, match, kind in self._match.get(t.__class__, ()):
+            payload = match(t)
+            if payload is None:
+                continue
+            fine = True
+            if kind != "always":
+                # heads sit on the spine of first children
+                head = kids[0]
+                while head.term is not payload["head"]:
+                    head = head.kids[0]
+                fine = _head_fine(kind, head.ty, payload)
+            own += ((rule, fine),)
+            nfine += fine
+        info.own, info.nfine = own, nfine
+
+    # ------------------------------------------------------------ views
+
+    def redexes(self) -> list:
+        """(position, rule, local env, fine) of every match, pre-order."""
+        out = []
+
+        def walk(info, pos):
+            for rule, fine in info.own:
+                out.append((pos, rule, info.env, fine))
+            for i, kid in enumerate(info.kids):
+                walk(kid, pos + (i,))
+
+        walk(self.root, ())
+        return out
+
+    def fine_redex(self, k: int):
+        """(position, rule, local env) of the k-th fine redex in pre-order,
+        which is the order of (position, RuleId order)."""
+        info, pos = self.root, ()
+        while True:
+            for rule, fine in info.own:
+                if fine:
+                    if k == 0:
+                        return pos, rule, info.env
+                    k -= 1
+            for i, kid in enumerate(info.kids):
+                if k < kid.nfine:
+                    info, pos = kid, pos + (i,)
+                    break
+                k -= kid.nfine
+            else:
+                raise IndexError("fewer fine redexes than asked for")
+
+    def innermost_fine_redex(self):
+        """(position, rule, local env) of the first fine redex in pre-order
+        with no fine redex strictly below it."""
+        info, pos = self.root, ()
+        while True:
+            for i, kid in enumerate(info.kids):
+                if kid.nfine:
+                    info, pos = kid, pos + (i,)
+                    break
+            else:
+                for rule, fine in info.own:
+                    if fine:
+                        return pos, rule, info.env
+                raise IndexError("no fine redex")
+
+    def weight_terms(self) -> list:
+        """(position, local env, term) of every pre-redex, children first
+        and an application's argument before its function."""
+        out = []
+
+        def walk(info, pos):
+            kids = info.kids
+            order = (1, 0) if info.term.__class__ is App else range(len(kids))
+            for i in order:
+                walk(kids[i], pos + (i,))
+            if info.pre:
+                out.append((pos, info.env, info.pre))
+
+        walk(self.root, ())
+        return out
+
+    # ------------------------------------------------------- one step
+
+    def after(self, pos, rule) -> "Scan":
+        """The scan of the term with the `rule` redex at `pos` contracted.
+
+        Only the contractum is traversed, in the environment in force at
+        `pos`; the ancestors' results are recombined from their children.
+        Their types stay as they were: the contractum must have the
+        redex's type (subject reduction), and InternalInvariantViolation
+        is raised if it does not.
+        """
+        path = [self.root]
+        for i in pos:
+            path.append(path[-1].kids[i])
+        old = path[-1]
+        new = self._build(_rules.apply_rule(rule, old.term), old.env, old.ren)
+        if self.typed and old.ty is not None and new.ty != old.ty:
+            raise InternalInvariantViolation(
+                f"subject reduction failed: {rule.value} at {list(pos)} "
+                f"changed the type")
+        if old.ren and free_vars(new.term) != free_vars(old.term):
+            # a renamed binder above took its name from its body's free
+            # variables, which have changed: traverse the whole term again
+            return Scan(self.env, replace_at(self.root.term, pos, new.term),
+                        self.rules)
+        retype = self.typed and old.ty is None
+        for parent, i in zip(reversed(path[:-1]), reversed(pos)):
+            info = _Info()
+            info.term = _with_child(parent.term, i, new.term)
+            info.env, info.ren = parent.env, parent.ren
+            info.kids = parent.kids[:i] + (new,) + parent.kids[i + 1:]
+            self._finish(info, self._type(info) if retype else parent.ty)
+            new = info
+        out = copy.copy(self)
+        out.root = new
+        return out

@@ -95,6 +95,34 @@ def test_atomic_nf_is_strategy_invariant():
         assert all(alpha_eq(x, results[0]) for x in results)
 
 
+def test_atomic_nf_strategies_choose_their_redexes():
+    # the normal form is the same for any choice of redexes (above), so
+    # check the choices themselves on terms with several fine redexes
+    suite = corpus.f_corpus(131, 80) + [
+        (rp_env(env), rp_term(t)) for env, t in corpus.ipc_corpus(137, 80)]
+    multi = varied = 0
+    for env, t in suite:
+        fine = [r for r in find_redexes(F, env, t, RHO) if r.fine]
+        if len(fine) < 2:
+            continue
+        multi += 1
+        _, lo = atomic_nf(env, t, strategy="leftmost-outermost")
+        assert lo.steps[0].position == min(r.position for r in fine)
+        _, li = atomic_nf(env, t, strategy="leftmost-innermost")
+        first = li.steps[0].position
+        assert first in [r.position for r in fine]
+        assert not any(len(r.position) > len(first)
+                       and r.position[:len(first)] == first for r in fine)
+        orders = []
+        for seed in (3, 7):
+            _, tr = atomic_nf(env, t, strategy="random", seed=seed)
+            assert replay(tr)
+            orders.append([(s.rule, s.position) for s in tr.steps])
+        varied += orders[0] != orders[1]
+        assert replay(lo) and replay(li)
+    assert multi >= 10 and varied >= 1
+
+
 def test_atomic_nf_of_rp_is_at():
     for env, t in corpus.ipc_corpus(71, 100):
         renv = rp_env(env)

@@ -1,7 +1,9 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from atomlam.cli import main
 from atomlam import alpha_eq, parse_term
@@ -130,3 +132,66 @@ def test_golden_traces_replay_bit_exactly():
         assert code == 0, case["name"]
         expected = (GOLDEN / f"{case['name']}.json").read_text()
         assert out == expected, f"golden mismatch: {case['name']}"
+
+
+def run_all(argv):
+    """(exit code, stdout, stderr); argparse usage errors exit through
+    SystemExit, as they do from the shell."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_REDUCE_BOT = ["reduce", "--sys", "f", "--env", "z:forall X.X",
+               "--rules", "rho_abort", "z [(X -> X) & X]"]
+
+# (name, argv, exit code, text expected on stderr)
+EXIT_CASES = [
+    ("max_steps_zero", _REDUCE_BOT + ["--max-steps", "0"], 2, "positive integer"),
+    ("max_steps_negative", _REDUCE_BOT + ["--max-steps", "-1"], 2, "positive integer"),
+    ("max_steps_not_a_number", _REDUCE_BOT + ["--max-steps", "many"], 2,
+     "positive integer"),
+    ("max_steps_one_truncates", _REDUCE_BOT + ["--max-steps", "1"], 3, ""),
+    ("max_steps_enough", _REDUCE_BOT + ["--max-steps", "2"], 0, ""),
+    ("nf_env_sum_not_in_f", ["nf", "--env", "s:X|Y", "s"], 1, "NotInSystem"),
+    ("weight_env_bot_not_in_f", ["weight", "--env", "u:bot", "u"], 1,
+     "NotInSystem"),
+    ("check_f_env_sum", ["check", "--sys", "f", "--env", "s:X|Y", "s"], 1,
+     "'s' is not in f: X | Y"),
+    ("check_fat_env_bot", ["check", "--sys", "fat", "--env", "u:bot", "u"], 1,
+     "NotInSystem"),
+    ("check_ipc_env_forall", ["check", "--sys", "ipc", "--env", "z:forall X.X",
+                              "z"], 1, "NotInSystem"),
+    ("reduce_ipc_env_forall", ["reduce", "--sys", "ipc", "--env", "z:forall X.X",
+                               "--rules", "beta_imp", "z"], 1, "NotInSystem"),
+    ("simulate_env_forall", ["simulate", "--rule", "beta_imp", "--env",
+                             "z:forall X.X", "(fun x:X => x) z"], 1, "NotInSystem"),
+    ("diagram_env_forall", ["diagram", "--rule", "varpi_bot", "--env",
+                            "u:forall X.X", "abort[X] (abort[bot] u)"], 1,
+     "NotInSystem"),
+    ("check_ipc_env_sum", ["check", "--sys", "ipc", "--env", "s:X|Y", "s"], 0, ""),
+    ("check_f_env_forall", ["check", "--sys", "f", "--env", "z:forall X.X",
+                            "z [X]"], 0, ""),
+    ("nf_env_forall", ["nf", "--env", "z:forall X.X", "z [X -> Y]"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr", [c[1:] for c in EXIT_CASES],
+                         ids=[c[0] for c in EXIT_CASES])
+def test_exit_codes(argv, code, stderr):
+    got, _, err = run_all(argv)
+    assert got == code
+    assert stderr in err
+
+
+def test_env_file_formulas_checked_against_system(tmp_path):
+    envf = tmp_path / "env.txt"
+    envf.write_text("s: X | Y\n")
+    code, _, err = run_all(["nf", "--env-file", str(envf), "s"])
+    assert code == 1 and "NotInSystem" in err
+    code, out, _ = run_all(["check", "--sys", "ipc", "--env-file", str(envf), "s"])
+    assert code == 0 and out.strip() == "X | Y"

@@ -1,0 +1,64 @@
+"""Every operation is safe for concurrent use: threads running the engine
+on one shared set of terms get exactly what a sequential run gets."""
+
+import sys
+import threading
+
+from atomlam import (RuleId, SystemId, atomic_nf, check_local_confluence,
+                     normalize, print_formula, print_term, rp_env, rp_term)
+
+import corpus
+
+RHO = {RuleId.rho_case, RuleId.rho_abort}
+
+
+def _suite():
+    # built afresh per call: the threads get terms that no run has touched
+    return corpus.f_corpus(151, 25) + [
+        (rp_env(env), rp_term(t)) for env, t in corpus.ipc_corpus(157, 25)]
+
+
+def _steps(trace):
+    return [(s.rule, s.position, s.fine, print_term(s.result),
+             [(name, print_formula(f)) for name, f in s.local_env.items()])
+            for s in trace.steps]
+
+
+def _work(env, t):
+    _, trace = atomic_nf(env, t, strategy="random", seed=5)
+    inner = normalize(SystemId.F, env, t, RHO, strategy="leftmost-innermost")
+    report = check_local_confluence(env, t)
+    return (_steps(trace), trace.weights, _steps(inner),
+            [(p.left, p.right, p.joined) for p in report.pairs])
+
+
+def test_threads_on_shared_terms_match_a_sequential_run():
+    expected = [_work(env, t) for env, t in _suite()]
+    shared = _suite()
+    results = [[None] * len(shared) for _ in range(4)]
+    errors = []
+
+    def run(k):
+        order = list(range(len(shared)))
+        if k % 2:
+            order.reverse()
+        try:
+            for i in order:
+                results[k][i] = _work(*shared[i])
+        except Exception as e:  # reported below, with the thread's result
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for got in results:
+        assert got == expected

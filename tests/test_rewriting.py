@@ -301,3 +301,121 @@ def test_traces_replay_on_corpus():
         tr = normalize(F, env, t, {RuleId.rho_case, RuleId.rho_abort},
                        strategy="random", seed=rng.randrange(1000))
         assert replay(tr)
+
+
+# ------------------------------------------- the traversal against references
+
+def _collapse(t):
+    """t with every binder and variable renamed to its first letter, so
+    that binders shadow one another and the environment."""
+    from atomlam import (Abort, App, Case, Inj, Lam, Pair, Proj, TyApp,
+                         TyLam)
+    c = _collapse
+    if isinstance(t, Var):
+        return Var(t.name[0])
+    if isinstance(t, Lam):
+        return Lam(t.var[0], t.ann, c(t.body))
+    if isinstance(t, App):
+        return App(c(t.fun), c(t.arg))
+    if isinstance(t, Pair):
+        return Pair(c(t.fst), c(t.snd))
+    if isinstance(t, Proj):
+        return Proj(t.index, c(t.body))
+    if isinstance(t, Inj):
+        return Inj(t.index, c(t.body), t.left, t.right)
+    if isinstance(t, Case):
+        return Case(c(t.scrut), t.lvar[0], t.lann, c(t.lbody),
+                    t.rvar[0], t.rann, c(t.rbody), t.ann)
+    if isinstance(t, Abort):
+        return Abort(c(t.body), t.ann)
+    if isinstance(t, TyLam):
+        return TyLam(t.var, c(t.body))
+    return TyApp(c(t.fun), t.arg)
+
+
+def _reference_env_and_subterm(env, m, pos):
+    """Walk to pos renaming each shadowing binder by substitution into its
+    body (typecheck's binder handling)."""
+    from atomlam import Case, Lam
+    from atomlam.syntax import term_children
+    from atomlam.typecheck import _enter_binder
+    cur = m
+    for i in pos:
+        if isinstance(cur, Lam):
+            env, _, cur = _enter_binder(env, cur.var, cur.ann, cur.body)
+        elif isinstance(cur, Case) and i:
+            var, ann, body = ((cur.lvar, cur.lann, cur.lbody) if i == 1
+                              else (cur.rvar, cur.rann, cur.rbody))
+            env, _, cur = _enter_binder(env, var, ann, body)
+        else:
+            cur = term_children(cur)[i]
+    return env, cur
+
+
+def _reference_fine(env, sub, rule):
+    from atomlam.rules import fineness_kind
+    payload = match_rule(rule, sub)
+    kind = fineness_kind(rule)
+    if kind == "always":
+        return True
+    try:
+        head = typecheck(F, env, payload["head"])
+    except TypingError:
+        return False
+    if kind == "sum":
+        return head == encode_or(payload["lann"], payload["rann"])
+    return head == encode_bot()
+
+
+def test_redex_search_matches_substituting_binder_walk():
+    # the traversal renames shadowing binders through a map; the printed
+    # local environments and the fineness flags must be those of renaming
+    # by substitution, primed names included. The binder u below shadows
+    # the environment's u, and its body mentions the undeclared u', which
+    # the new name must avoid too.
+    from atomlam import Lam, Pair
+    rules = rules_of_system(F)
+    renamed = 0
+    for env, t in corpus.f_corpus(41, 60) + [
+            (e, t) for e, t, _ in corpus.f_redex_corpus(43, 60, rules)]:
+        for term in (t, _collapse(t),
+                     Lam("u", FVar("X"), Pair(_collapse(t), Var("u'")))):
+            for r in find_redexes(F, env, term, rules):
+                ref_env, sub = _reference_env_and_subterm(env, term, r.position)
+                assert list(r.local_env.items()) == list(ref_env.items())
+                assert r.fine == _reference_fine(ref_env, sub, r.rule)
+                renamed += any("'" in name for name in r.local_env.names())
+    assert renamed > 100
+
+
+def test_rule_roots_cover_every_match():
+    from atomlam.rules import _ROOTS
+    from atomlam.syntax import term_children
+
+    def nodes(t):
+        yield t
+        for child in term_children(t):
+            yield from nodes(child)
+
+    terms = ([t for _, t, _ in corpus.ipc_redex_corpus(47, 80)]
+             + [t for _, t, _ in corpus.f_redex_corpus(
+                 53, 80, rules_of_system(F))])
+    matched = set()
+    for t in terms:
+        for node in nodes(t):
+            for rule in RuleId:
+                if match_rule(rule, node) is not None:
+                    assert type(node) in _ROOTS[rule], (rule, node)
+                    matched.add(rule)
+    assert matched == set(RuleId)
+
+
+def test_renamed_binder_follows_the_free_names_of_its_body():
+    # the shadowing binder y is renamed away from the undeclared y' in its
+    # body; once a step drops y', later steps see it renamed to y'
+    env = Env([("y", FVar("X"))])
+    t = pt("fun y:X => <(fun v:Y => y) y', (fun w:X => w) y>")
+    tr = normalize(IPC, env, t, {RuleId.beta_imp})
+    assert [(s.position, list(s.local_env.names())) for s in tr.steps] == \
+        [((0, 0), ["y", "y''"]), ((0, 1), ["y", "y'"])]
+    assert replay(tr)
