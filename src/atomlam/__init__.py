@@ -12,8 +12,9 @@ from .syntax import (Abort, And, App, AppHole, AbortHole, Bot, Case, CaseHole,
                      Pair, Proj, ProjHole, Term, TyApp, TyAppHole, TyLam, Var,
                      alpha_eq, canonical_key, encode_bot, encode_or, fill,
                      formula_size, free_type_vars, free_type_vars_term, free_vars,
-                     fresh_name, match_encoded_or, replace_at, subst_term,
-                     subst_type_in_formula, subst_type_in_term, subterm_at)
+                     fresh_name, hole_result, match_encoded_or, replace_at,
+                     split, subst_term, subst_type_in_formula,
+                     subst_type_in_term, subterm_at)
 from .surface import parse_formula, parse_term, print_formula, print_term
 from .typecheck import (Env, SystemId, is_fine_redex, system_of_formula,
                         typecheck, typecheck_elim_context)

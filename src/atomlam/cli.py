@@ -9,7 +9,8 @@ emitting.
 
 Exit codes: 0 ok, 1 type error (including an environment formula outside
 the command's system), 2 parse or usage error (including a step limit that
-is not positive), 3 step cap reached, 4 internal invariant violation.
+is not positive), 3 step cap reached, 4 internal invariant violation,
+5 input nested too deeply for the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .surface import parse_formula, parse_term, print_formula, print_term
 from .translate import at_term, rp_term
 from .typecheck import Env, SystemId, formula_in_system, typecheck
 
-EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_CAP, EXIT_INTERNAL, EXIT_DEEP = range(6)
 
 
 def _env_to_json(env):
@@ -321,6 +322,9 @@ def main(argv=None):
     except AtomlamError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_TYPE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_DEEP
 
 
 if __name__ == "__main__":

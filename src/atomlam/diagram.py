@@ -64,26 +64,17 @@ _ADMIN_LEGS = ("m_at->q1", "n_at->q2")
 # Positions of the scrutinee / branch payloads / abort body inside the
 # atomic translation's unfolding of a case or abort at result formula c.
 
-def _abort_holes(c):
+def _unfold_holes(c, base):
+    """Positions of the abort body (base (0,)) or the case scrutinee (base
+    (0, 0)) in the unfolding at c: one per conjunct, under each level."""
     if isinstance(c, FVar):
-        return [(0,)]
+        return [base]
     if isinstance(c, Imp):
-        return [(0,) + p for p in _abort_holes(c.right)]
+        return [(0,) + p for p in _unfold_holes(c.right, base)]
     if isinstance(c, And):
-        return ([(0,) + p for p in _abort_holes(c.left)]
-                + [(1,) + p for p in _abort_holes(c.right)])
-    return [(0,) + p for p in _abort_holes(c.body)]
-
-
-def _case_scrut_holes(c):
-    if isinstance(c, FVar):
-        return [(0, 0)]
-    if isinstance(c, Imp):
-        return [(0,) + p for p in _case_scrut_holes(c.right)]
-    if isinstance(c, And):
-        return ([(0,) + p for p in _case_scrut_holes(c.left)]
-                + [(1,) + p for p in _case_scrut_holes(c.right)])
-    return [(0,) + p for p in _case_scrut_holes(c.body)]
+        return ([(0,) + p for p in _unfold_holes(c.left, base)]
+                + [(1,) + p for p in _unfold_holes(c.right, base)])
+    return [(0,) + p for p in _unfold_holes(c.body, base)]
 
 
 def _payload_holes(c, j):
@@ -114,10 +105,10 @@ def at_copy_positions(m: Term, path):
     elif isinstance(m, Inj):
         heads = [(0, 0, 1)]
     elif isinstance(m, Abort):
-        heads = _abort_holes(rp_formula(m.ann))
+        heads = _unfold_holes(rp_formula(m.ann), (0,))
     elif isinstance(m, Case):
         c = rp_formula(m.ann)
-        heads = _case_scrut_holes(c) if i == 0 else _payload_holes(c, i)
+        heads = _unfold_holes(c, (0, 0)) if i == 0 else _payload_holes(c, i)
     else:
         raise NotARedex(f"no context mapping through {type(m).__name__}")
     return [h + q for h in heads for q in tails]
@@ -129,28 +120,17 @@ def at_copy_positions(m: Term, path):
 # the atomic one, mirroring the per-constructor unfoldings (children first,
 # then this node's case/abort unfolding). `frozen` skips one subtree.
 
-def _unfold_case(c):
+def _unfold(rule, c):
+    """The atomization steps (rho_case or rho_abort) that unfold a case or
+    abort at result formula c, outermost first."""
     if isinstance(c, FVar):
         return []
     if isinstance(c, Imp):
-        return [(RuleId.rho_case, ())] + shift(_unfold_case(c.right), (0,))
+        return [(rule, ())] + shift(_unfold(rule, c.right), (0,))
     if isinstance(c, And):
-        return ([(RuleId.rho_case, ())]
-                + shift(_unfold_case(c.left), (0,))
-                + shift(_unfold_case(c.right), (1,)))
-    return [(RuleId.rho_case, ())] + shift(_unfold_case(c.body), (0,))
-
-
-def _unfold_abort(c):
-    if isinstance(c, FVar):
-        return []
-    if isinstance(c, Imp):
-        return [(RuleId.rho_abort, ())] + shift(_unfold_abort(c.right), (0,))
-    if isinstance(c, And):
-        return ([(RuleId.rho_abort, ())]
-                + shift(_unfold_abort(c.left), (0,))
-                + shift(_unfold_abort(c.right), (1,)))
-    return [(RuleId.rho_abort, ())] + shift(_unfold_abort(c.body), (0,))
+        return ([(rule, ())] + shift(_unfold(rule, c.left), (0,))
+                + shift(_unfold(rule, c.right), (1,)))
+    return [(rule, ())] + shift(_unfold(rule, c.body), (0,))
 
 
 def bridge_script(m: Term, frozen=None):
@@ -180,19 +160,21 @@ def bridge_script(m: Term, frozen=None):
         return shift(bridge_script(m.body, sub(0)), (0, 0, 1))
     if isinstance(m, Abort):
         return (shift(bridge_script(m.body, sub(0)), (0,))
-                + _unfold_abort(rp_formula(m.ann)))
+                + _unfold(RuleId.rho_abort, rp_formula(m.ann)))
     if isinstance(m, Case):
         return (shift(bridge_script(m.scrut, sub(0)), (0, 0))
                 + shift(bridge_script(m.lbody, sub(1)), (1, 0, 0))
                 + shift(bridge_script(m.rbody, sub(2)), (1, 1, 0))
-                + _unfold_case(rp_formula(m.ann)))
+                + _unfold(RuleId.rho_case, rp_formula(m.ann)))
     raise NotARedex(f"cannot bridge through {type(m).__name__}")
 
 
 # --------------------------------------------- nested-rule constructions
 #
-# Per-copy scripts for the nested commuting rules, by recursion on the
-# result formula. Each level contributes:
+# Per-copy scripts for the nested commuting rules pi_or and pi_bot, by one
+# recursion on the result formula; they differ only in the commuting step
+# that pushes each level into the branches (eps_case, eps_abort) and in the
+# scripts at an atomic formula. Each level contributes:
 #   lhs:   detour steps  at(M) ->> q2          (not administrative)
 #   admin: detour steps  at(N) ->> q2          (administrative)
 #   rhsp:  one atomization step + commuting steps + component bridges,
@@ -210,97 +192,64 @@ def _admin_at(rule, level_holes):
     return [(rule, p, True) for p in level_holes]
 
 
-def _pi_or_scripts(c, bm, bp1, bp2, bq1, bq2, counts):
+def _nested_scripts(c, eps, leaf, counts, below=()):
+    """The scripts at result formula c; `eps` is the commuting step that
+    pushes each new level into the branches, and leaf(below) gives the
+    scripts at an atomic formula reached through the levels `below`."""
     if isinstance(c, FVar):
-        rhsp = (shift(bm, (0, 0))
+        return leaf(below)
+    if isinstance(c, And):
+        parts, admin, kind = ((0, c.left), (1, c.right)), RuleId.beta_and, "and"
+    elif isinstance(c, Imp):
+        parts, admin, kind = ((0, c.right),), RuleId.beta_imp, "imp"
+    elif isinstance(c, Forall):
+        parts, admin, kind = ((0, c.body),), RuleId.beta_all, "forall"
+    else:
+        raise NotARedex(f"no construction for result formula {c!r}")
+    subs = [(i, _nested_scripts(ci, eps, leaf, counts, below + (0,)))
+            for i, ci in parts]
+    holes = [(i,) + p for i, ci in parts for j in (1, 2)
+             for p in _payload_holes(ci, j)]
+    counts.append((kind, len(holes), 2 * len(parts)))
+    lhs, admins = [], _admin_at(admin, holes)
+    rhsp = [(RuleId.rho_case, ())] + [(eps, (i, 1, j, 0)) for i, _ in parts
+                                      for j in (0, 1)]
+    for i, sub in subs:
+        lhs += shift(sub.lhs, (i,))
+        admins += shift(sub.admin, (i,))
+        rhsp += shift(sub.rhsp, (i,))
+    return _MidpointScripts(lhs, admins, rhsp)
+
+
+def _commuted_scripts(rule, sub, counts):
+    """The scripts of the pi_or or pi_bot redex `sub`: at an atomic result
+    formula, a detour on the left and the bridges of the parts on the
+    right, under the outer case (pi_or) or abort (pi_bot)."""
+    inner = sub.scrut if rule is RuleId.pi_or else sub.body
+    bm, bp1, bp2 = (bridge_script(t)
+                    for t in (inner.scrut, inner.lbody, inner.rbody))
+    if rule is RuleId.pi_or:
+        bq1, bq2 = bridge_script(sub.lbody), bridge_script(sub.rbody)
+
+        def leaf(below):
+            return _MidpointScripts(
+                [(RuleId.beta_all, (0,)), (RuleId.beta_imp, ())], [],
+                shift(bm, (0, 0))
                 + shift(bp1, (1, 0, 0, 0, 0))
-                + shift(bq1, (1, 0, 0, 1, 0, 0))
-                + shift(bq2, (1, 0, 0, 1, 1, 0))
+                + shift(bq1, (1, 0, 0, 1, 0, 0) + below)
+                + shift(bq2, (1, 0, 0, 1, 1, 0) + below)
                 + shift(bp2, (1, 1, 0, 0, 0))
-                + shift(bq1, (1, 1, 0, 1, 0, 0))
-                + shift(bq2, (1, 1, 0, 1, 1, 0)))
-        return _MidpointScripts([(RuleId.beta_all, (0,)), (RuleId.beta_imp, ())],
-                             [], rhsp)
-    if isinstance(c, Imp):
-        sub = _pi_or_scripts(c.right, bm, bp1, bp2,
-                           shift(bq1, (0,)), shift(bq2, (0,)), counts)
-        holes = [(0,) + p for j in (1, 2) for p in _payload_holes(c.right, j)]
-        counts.append(("imp", len(holes), 2))
-        return _MidpointScripts(
-            shift(sub.lhs, (0,)),
-            _admin_at(RuleId.beta_imp, holes) + shift(sub.admin, (0,)),
-            [(RuleId.rho_case, ()),
-             (RuleId.eps_case, (0, 1, 0, 0)), (RuleId.eps_case, (0, 1, 1, 0))]
-            + shift(sub.rhsp, (0,)))
-    if isinstance(c, And):
-        sub1 = _pi_or_scripts(c.left, bm, bp1, bp2,
-                            shift(bq1, (0,)), shift(bq2, (0,)), counts)
-        sub2 = _pi_or_scripts(c.right, bm, bp1, bp2,
-                            shift(bq1, (0,)), shift(bq2, (0,)), counts)
-        holes = [(i,) + p for i, ci in ((0, c.left), (1, c.right))
-                 for j in (1, 2) for p in _payload_holes(ci, j)]
-        counts.append(("and", len(holes), 4))
-        return _MidpointScripts(
-            shift(sub1.lhs, (0,)) + shift(sub2.lhs, (1,)),
-            _admin_at(RuleId.beta_and, holes)
-            + shift(sub1.admin, (0,)) + shift(sub2.admin, (1,)),
-            [(RuleId.rho_case, ())]
-            + [(RuleId.eps_case, (i, 1, j, 0)) for i in (0, 1) for j in (0, 1)]
-            + shift(sub1.rhsp, (0,)) + shift(sub2.rhsp, (1,)))
-    if isinstance(c, Forall):
-        sub = _pi_or_scripts(c.body, bm, bp1, bp2,
-                           shift(bq1, (0,)), shift(bq2, (0,)), counts)
-        holes = [(0,) + p for j in (1, 2) for p in _payload_holes(c.body, j)]
-        counts.append(("forall", len(holes), 2))
-        return _MidpointScripts(
-            shift(sub.lhs, (0,)),
-            _admin_at(RuleId.beta_all, holes) + shift(sub.admin, (0,)),
-            [(RuleId.rho_case, ()),
-             (RuleId.eps_case, (0, 1, 0, 0)), (RuleId.eps_case, (0, 1, 1, 0))]
-            + shift(sub.rhsp, (0,)))
-    raise NotARedex(f"no construction for result formula {c!r}")
-
-
-def _pi_bot_scripts(c, bm, bp1, bp2, counts):
-    if isinstance(c, FVar):
-        rhsp = (shift(bm, (0, 0))
-                + shift(bp1, (1, 0, 0, 0))
+                + shift(bq1, (1, 1, 0, 1, 0, 0) + below)
+                + shift(bq2, (1, 1, 0, 1, 1, 0) + below))
+        eps = RuleId.eps_case
+    else:
+        def leaf(below):
+            return _MidpointScripts(
+                [(RuleId.beta_all, ())], [],
+                shift(bm, (0, 0)) + shift(bp1, (1, 0, 0, 0))
                 + shift(bp2, (1, 1, 0, 0)))
-        return _MidpointScripts([(RuleId.beta_all, ())], [], rhsp)
-    if isinstance(c, Imp):
-        sub = _pi_bot_scripts(c.right, bm, bp1, bp2, counts)
-        holes = [(0,) + p for j in (1, 2) for p in _payload_holes(c.right, j)]
-        counts.append(("imp", len(holes), 2))
-        return _MidpointScripts(
-            shift(sub.lhs, (0,)),
-            _admin_at(RuleId.beta_imp, holes) + shift(sub.admin, (0,)),
-            [(RuleId.rho_case, ()),
-             (RuleId.eps_abort, (0, 1, 0, 0)), (RuleId.eps_abort, (0, 1, 1, 0))]
-            + shift(sub.rhsp, (0,)))
-    if isinstance(c, And):
-        sub1 = _pi_bot_scripts(c.left, bm, bp1, bp2, counts)
-        sub2 = _pi_bot_scripts(c.right, bm, bp1, bp2, counts)
-        holes = [(i,) + p for i, ci in ((0, c.left), (1, c.right))
-                 for j in (1, 2) for p in _payload_holes(ci, j)]
-        counts.append(("and", len(holes), 4))
-        return _MidpointScripts(
-            shift(sub1.lhs, (0,)) + shift(sub2.lhs, (1,)),
-            _admin_at(RuleId.beta_and, holes)
-            + shift(sub1.admin, (0,)) + shift(sub2.admin, (1,)),
-            [(RuleId.rho_case, ())]
-            + [(RuleId.eps_abort, (i, 1, j, 0)) for i in (0, 1) for j in (0, 1)]
-            + shift(sub1.rhsp, (0,)) + shift(sub2.rhsp, (1,)))
-    if isinstance(c, Forall):
-        sub = _pi_bot_scripts(c.body, bm, bp1, bp2, counts)
-        holes = [(0,) + p for j in (1, 2) for p in _payload_holes(c.body, j)]
-        counts.append(("forall", len(holes), 2))
-        return _MidpointScripts(
-            shift(sub.lhs, (0,)),
-            _admin_at(RuleId.beta_all, holes) + shift(sub.admin, (0,)),
-            [(RuleId.rho_case, ()),
-             (RuleId.eps_abort, (0, 1, 0, 0)), (RuleId.eps_abort, (0, 1, 1, 0))]
-            + shift(sub.rhsp, (0,)))
-    raise NotARedex(f"no construction for result formula {c!r}")
+        eps = RuleId.eps_abort
+    return _nested_scripts(rp_formula(sub.ann), eps, leaf, counts)
 
 
 # ----------------------------------------------------------------- diagram
@@ -433,20 +382,7 @@ def build_diagram(env: Env, m: Term, r: Redex) -> Diagram:
             raise InternalInvariantViolation("sum-eta diagram corners mismatch")
     elif rule in (RuleId.pi_or, RuleId.pi_bot):
         counts = []
-        if rule is RuleId.pi_or:
-            inner = sub.scrut
-            scripts = _pi_or_scripts(rp_formula(sub.ann),
-                                     bridge_script(inner.scrut),
-                                     bridge_script(inner.lbody),
-                                     bridge_script(inner.rbody),
-                                     bridge_script(sub.lbody),
-                                     bridge_script(sub.rbody), counts)
-        else:
-            inner = sub.body
-            scripts = _pi_bot_scripts(rp_formula(sub.ann),
-                                      bridge_script(inner.scrut),
-                                      bridge_script(inner.lbody),
-                                      bridge_script(inner.rbody), counts)
+        scripts = _commuted_scripts(rule, sub, counts)
         q1 = m_at
         legs["m_at->q1"] = _empty_trace(renv, m_at)
         legs["m_rp->q1"] = bridge_m

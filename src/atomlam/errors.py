@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: ParseError -> 2, TypingError -> 1,
-StepLimitExceeded -> 3, InternalInvariantViolation -> 4.
+StepLimitExceeded -> 3, InternalInvariantViolation -> 4, and Python's
+RecursionError (input nested too deeply) -> 5.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .errors import NotFine, StaleRedex, StepLimitExceeded
 from .rules import RuleId, apply_rule, match_rule, rules_of_system
 from .syntax import Case, Lam, Term, replace_at, subterm_at, term_children
-from .typecheck import Env, Scan, SystemId, _enter_binder, is_fine_redex
+from .typecheck import (_NO_RENAMES, Env, Scan, SystemId, _bind,
+                        is_fine_redex)
 
 STRATEGIES = ("leftmost-outermost", "leftmost-innermost", "random")
 _STRATEGY_ALIASES = {"lo": "leftmost-outermost", "li": "leftmost-innermost",
@@ -149,19 +150,26 @@ def reduce_scan(scan: Scan, trace: ReductionTrace, strategy, max_steps, seed,
     return trace
 
 
-def env_at(env: Env, m: Term, pos) -> Env:
-    """Environment in force at `pos` inside m (binders extend it)."""
+def _scope_at(env: Env, m: Term, pos):
+    """Environment and binder renaming in force at `pos` inside m, as the
+    typed traversal has them: a shadowing binder is renamed through the
+    map, not by substitution, so the subterm at `pos` keeps its names."""
+    ren = _NO_RENAMES
     cur = m
     for i in pos:
         if isinstance(cur, Lam):
-            env, _, cur = _enter_binder(env, cur.var, cur.ann, cur.body)
-        elif isinstance(cur, Case) and i in (1, 2):
+            env, ren = _bind(env, ren, cur.var, cur.ann, cur.body)
+        elif isinstance(cur, Case) and i:
             var, ann, body = ((cur.lvar, cur.lann, cur.lbody) if i == 1
                               else (cur.rvar, cur.rann, cur.rbody))
-            env, _, cur = _enter_binder(env, var, ann, body)
-        else:
-            cur = term_children(cur)[i]
-    return env
+            env, ren = _bind(env, ren, var, ann, body)
+        cur = term_children(cur)[i]
+    return env, ren
+
+
+def env_at(env: Env, m: Term, pos) -> Env:
+    """Environment in force at `pos` inside m (binders extend it)."""
+    return _scope_at(env, m, pos)[0]
 
 
 def apply_script(sys: SystemId, env: Env, m: Term, script,
@@ -170,7 +178,7 @@ def apply_script(sys: SystemId, env: Env, m: Term, script,
 
     Used by the simulation and diagram builders, whose step sequences are
     known in advance; each step's local environment and fineness flag are
-    computed on the fly.
+    computed on the fly, as redex search would give them.
     """
     trace = ReductionTrace(sys, env, m)
     current = m
@@ -180,8 +188,8 @@ def apply_script(sys: SystemId, env: Env, m: Term, script,
         sub = subterm_at(current, pos)
         if match_rule(rule, sub) is None:
             raise StaleRedex(f"no {rule.value} redex at {list(pos)}")
-        local = env_at(env, current, pos)
-        fine = is_fine_redex(local, sub, rule)
+        local, ren = _scope_at(env, current, pos)
+        fine = is_fine_redex(local, sub, rule, ren)
         if require_fine and not fine:
             raise NotFine(f"{rule.value} step at {list(pos)} is not fine")
         current = replace_at(current, pos, apply_rule(rule, sub))

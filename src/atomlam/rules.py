@@ -5,6 +5,11 @@ applier producing the contractum with deterministic fresh names: the
 smallest primed variant of the rule's suggested name not free in scope.
 Appliers are pure functions of the redex up to alpha-equivalence.
 
+The commuting conversions are one rule per principal term (case, abort,
+encoded case, encoded abort) over the elimination context around it: the
+context is pushed into the principal when it eliminates the connective of
+the principal's result formula, and the rule id names the context kind.
+
 ASCII ids (used in CLI and traces): beta_imp, beta_and, beta_or, beta_all,
 eta_imp, eta_and, eta_or, eta_all, pi_imp, pi_and, pi_or, pi_bot,
 varpi_imp, varpi_and, varpi_or, varpi_bot, rho_case, rho_abort, delta,
@@ -18,9 +23,11 @@ from functools import lru_cache
 
 from .errors import AtomicInstantiation, ShapeMismatch
 from .syntax import (Abort, And, App, Bot, Case, Forall, FVar, Imp, Inj, Lam,
-                     Or, Pair, Proj, Term, TyApp, TyLam, Var, free_type_vars,
-                     free_type_vars_term, free_vars, fresh_name, subst_term,
-                     subst_type_in_formula, subst_type_in_term)
+                     Or, Pair, Proj, Term, TyApp, TyLam, Var,
+                     context_free_vars, fill, free_type_vars,
+                     free_type_vars_term, free_vars, fresh_name, hole_result,
+                     split, subst_term, subst_type_in_formula,
+                     subst_type_in_term, term_children)
 
 
 class RuleId(str, Enum):
@@ -80,6 +87,21 @@ def fineness_kind(rule: RuleId) -> str:
     if rule in (RuleId.rho_abort, RuleId.eps_abort):
         return "bot"
     return "always"
+
+
+# Node classes at which each rule's left-hand side can be rooted.
+_ROOTS = {
+    RuleId.beta_imp: (App,), RuleId.beta_and: (Proj,),
+    RuleId.beta_or: (Case,), RuleId.beta_all: (TyApp,),
+    RuleId.eta_imp: (Lam,), RuleId.eta_and: (Pair,),
+    RuleId.eta_or: (Case,), RuleId.eta_all: (TyLam,),
+    RuleId.pi_imp: (App,), RuleId.pi_and: (Proj,),
+    RuleId.pi_or: (Case,), RuleId.pi_bot: (Abort,),
+    RuleId.varpi_imp: (App,), RuleId.varpi_and: (Proj,),
+    RuleId.varpi_or: (Case,), RuleId.varpi_bot: (Abort,),
+    RuleId.rho_case: (App,), RuleId.rho_abort: (TyApp,), RuleId.delta: (App,),
+    RuleId.eps_case: (App, Proj, TyApp), RuleId.eps_abort: (App, Proj, TyApp),
+}
 
 
 def _is_atomic(f):
@@ -162,62 +184,6 @@ def _m_eta_all(t):
     return None
 
 
-def _m_pi_imp(t):
-    if (isinstance(t, App) and isinstance(t.fun, Case)
-            and isinstance(t.fun.ann, Imp)):
-        return {}
-    return None
-
-
-def _m_pi_and(t):
-    if (isinstance(t, Proj) and isinstance(t.body, Case)
-            and isinstance(t.body.ann, And)):
-        return {}
-    return None
-
-
-def _m_pi_or(t):
-    if (isinstance(t, Case) and isinstance(t.scrut, Case)
-            and isinstance(t.scrut.ann, Or)):
-        return {}
-    return None
-
-
-def _m_pi_bot(t):
-    if (isinstance(t, Abort) and isinstance(t.body, Case)
-            and isinstance(t.body.ann, Bot)):
-        return {}
-    return None
-
-
-def _m_varpi_imp(t):
-    if (isinstance(t, App) and isinstance(t.fun, Abort)
-            and isinstance(t.fun.ann, Imp)):
-        return {}
-    return None
-
-
-def _m_varpi_and(t):
-    if (isinstance(t, Proj) and isinstance(t.body, Abort)
-            and isinstance(t.body.ann, And)):
-        return {}
-    return None
-
-
-def _m_varpi_or(t):
-    if (isinstance(t, Case) and isinstance(t.scrut, Abort)
-            and isinstance(t.scrut.ann, Or)):
-        return {}
-    return None
-
-
-def _m_varpi_bot(t):
-    if (isinstance(t, Abort) and isinstance(t.body, Abort)
-            and isinstance(t.body.ann, Bot)):
-        return {}
-    return None
-
-
 def _m_rho_case(t):
     spine = _case_spine(t)
     if spine is None:
@@ -253,41 +219,6 @@ def _m_delta(t):
         if isinstance(bl.body, TyLam) and isinstance(br.body, TyLam):
             return {"head": head, "lann": bl.ann, "rann": br.ann}
         return None
-    return None
-
-
-def _m_eps_case(t):
-    if isinstance(t, App):
-        spine = _case_spine(t.fun)
-        if spine is not None and isinstance(spine[1], Imp):
-            head, _, bl, br = spine
-            return {"head": head, "lann": bl.ann, "rann": br.ann}
-        return None
-    if isinstance(t, Proj):
-        spine = _case_spine(t.body)
-        if spine is not None and isinstance(spine[1], And):
-            head, _, bl, br = spine
-            return {"head": head, "lann": bl.ann, "rann": br.ann}
-        return None
-    if isinstance(t, TyApp):
-        spine = _case_spine(t.fun)
-        if spine is not None and isinstance(spine[1], Forall):
-            head, _, bl, br = spine
-            return {"head": head, "lann": bl.ann, "rann": br.ann}
-        return None
-    return None
-
-
-def _m_eps_abort(t):
-    if isinstance(t, App) and isinstance(t.fun, TyApp) \
-            and isinstance(t.fun.arg, Imp):
-        return {"head": t.fun.fun}
-    if isinstance(t, Proj) and isinstance(t.body, TyApp) \
-            and isinstance(t.body.arg, And):
-        return {"head": t.body.fun}
-    if isinstance(t, TyApp) and isinstance(t.fun, TyApp) \
-            and isinstance(t.fun.arg, Forall):
-        return {"head": t.fun.fun}
     return None
 
 
@@ -334,56 +265,6 @@ def _a_eta_or(t):
 
 def _a_eta_all(t):
     return t.body.fun
-
-
-def _a_pi_imp(t):
-    case, n = t.fun, t.arg
-    avoid = free_vars(n)
-    lv, lb = _rename_branch(case.lvar, case.lbody, avoid)
-    rv, rb = _rename_branch(case.rvar, case.rbody, avoid)
-    return Case(case.scrut, lv, case.lann, App(lb, n),
-                rv, case.rann, App(rb, n), case.ann.right)
-
-
-def _a_pi_and(t):
-    case = t.body
-    ann = case.ann.left if t.index == 1 else case.ann.right
-    return Case(case.scrut, case.lvar, case.lann, Proj(t.index, case.lbody),
-                case.rvar, case.rann, Proj(t.index, case.rbody), ann)
-
-
-def _a_pi_or(t):
-    inner = t.scrut
-    avoid = (free_vars(t.lbody) - {t.lvar}) | (free_vars(t.rbody) - {t.rvar})
-    lv, lb = _rename_branch(inner.lvar, inner.lbody, avoid)
-    rv, rb = _rename_branch(inner.rvar, inner.rbody, avoid)
-    wrap = lambda b: Case(b, t.lvar, t.lann, t.lbody,
-                          t.rvar, t.rann, t.rbody, t.ann)
-    return Case(inner.scrut, lv, inner.lann, wrap(lb),
-                rv, inner.rann, wrap(rb), t.ann)
-
-
-def _a_pi_bot(t):
-    case = t.body
-    return Case(case.scrut, case.lvar, case.lann, Abort(case.lbody, t.ann),
-                case.rvar, case.rann, Abort(case.rbody, t.ann), t.ann)
-
-
-def _a_varpi_imp(t):
-    return Abort(t.fun.body, t.fun.ann.right)
-
-
-def _a_varpi_and(t):
-    ab = t.body
-    return Abort(ab.body, ab.ann.left if t.index == 1 else ab.ann.right)
-
-
-def _a_varpi_or(t):
-    return Abort(t.scrut.body, t.ann)
-
-
-def _a_varpi_bot(t):
-    return Abort(t.body.body, t.ann)
 
 
 def _spine_parts(t):
@@ -460,48 +341,96 @@ def _a_delta(t):
     raise ShapeMismatch(f"no delta case for {c!r}")
 
 
+# -------------------------------------------------- commuting conversions
+#
+# pi_*, varpi_*, eps_case and eps_abort push the elimination context E at
+# the root into its main premiss, the principal: a case, an abort, an
+# encoded case spine M C <fun x:A => P, fun y:B => Q> or an encoded abort
+# M C. A principal gives its result formula (its annotation, or C); the
+# rule applies when E eliminates that formula's connective, and E's kind,
+# the class of the root, names the rule.
+
+def _case_principal(p):
+    return (p.ann, {}) if isinstance(p, Case) else None
+
+
+def _abort_principal(p):
+    return (p.ann, {}) if isinstance(p, Abort) else None
+
+
+def _encoded_case_principal(p):
+    spine = _case_spine(p)
+    if spine is None:
+        return None
+    head, c, bl, br = spine
+    return c, {"head": head, "lann": bl.ann, "rann": br.ann}
+
+
+def _encoded_abort_principal(p):
+    return (p.arg, {"head": p.fun}) if isinstance(p, TyApp) else None
+
+
+def _pushes_into(rule, principal):
+    """Matcher of a commuting rule: a root of one of the rule's context
+    kinds whose main premiss (its first term child) `principal` accepts,
+    with a result formula the root eliminates."""
+    roots = _ROOTS[rule]
+
+    def match(t):
+        if t.__class__ not in roots:
+            return None
+        found = principal(term_children(t)[0])
+        if found is None or hole_result(t, found[0]) is None:
+            return None
+        return found[1]
+
+    return match
+
+
+def _a_pi(t):
+    e, case = split(t)
+    avoid = context_free_vars(e)
+    lv, lb = _rename_branch(case.lvar, case.lbody, avoid)
+    rv, rb = _rename_branch(case.rvar, case.rbody, avoid)
+    return Case(case.scrut, lv, case.lann, fill(e, lb),
+                rv, case.rann, fill(e, rb), hole_result(e, case.ann))
+
+
+def _a_varpi(t):
+    e, abort = split(t)
+    return Abort(abort.body, hole_result(e, abort.ann))
+
+
 def _a_eps_case(t):
-    if isinstance(t, App):
-        head, c, x, la, p, y, ra, q = _spine_parts(t.fun)
-        n = t.arg
-        avoid = free_vars(n)
-        x, p = _rename_branch(x, p, avoid)
-        y, q = _rename_branch(y, q, avoid)
-        return App(TyApp(head, c.right), Pair(Lam(x, la, App(p, n)),
-                                              Lam(y, ra, App(q, n))))
-    if isinstance(t, Proj):
-        head, c, x, la, p, y, ra, q = _spine_parts(t.body)
-        ci = c.left if t.index == 1 else c.right
-        return App(TyApp(head, ci), Pair(Lam(x, la, Proj(t.index, p)),
-                                         Lam(y, ra, Proj(t.index, q))))
-    head, c, x, la, p, y, ra, q = _spine_parts(t.fun)
-    inst = subst_type_in_formula(t.arg, c.var, c.body)
-    return App(TyApp(head, inst), Pair(Lam(x, la, TyApp(p, t.arg)),
-                                       Lam(y, ra, TyApp(q, t.arg))))
+    e, principal = split(t)
+    head, c, bl, br = _case_spine(principal)
+    avoid = context_free_vars(e)
+    x, p = _rename_branch(bl.var, bl.body, avoid)
+    y, q = _rename_branch(br.var, br.body, avoid)
+    return App(TyApp(head, hole_result(e, c)),
+               Pair(Lam(x, bl.ann, fill(e, p)), Lam(y, br.ann, fill(e, q))))
 
 
 def _a_eps_abort(t):
-    if isinstance(t, App):
-        return TyApp(t.fun.fun, t.fun.arg.right)
-    if isinstance(t, Proj):
-        c = t.body.arg
-        return TyApp(t.body.fun, c.left if t.index == 1 else c.right)
-    c = t.fun.arg
-    return TyApp(t.fun.fun, subst_type_in_formula(t.arg, c.var, c.body))
+    e, inst = split(t)
+    return TyApp(inst.fun, hole_result(e, inst.arg))
 
+
+_PI = (RuleId.pi_imp, RuleId.pi_and, RuleId.pi_or, RuleId.pi_bot)
+_VARPI = (RuleId.varpi_imp, RuleId.varpi_and, RuleId.varpi_or,
+          RuleId.varpi_bot)
 
 _MATCHERS = {
     RuleId.beta_imp: _m_beta_imp, RuleId.beta_and: _m_beta_and,
     RuleId.beta_or: _m_beta_or, RuleId.beta_all: _m_beta_all,
     RuleId.eta_imp: _m_eta_imp, RuleId.eta_and: _m_eta_and,
     RuleId.eta_or: _m_eta_or, RuleId.eta_all: _m_eta_all,
-    RuleId.pi_imp: _m_pi_imp, RuleId.pi_and: _m_pi_and,
-    RuleId.pi_or: _m_pi_or, RuleId.pi_bot: _m_pi_bot,
-    RuleId.varpi_imp: _m_varpi_imp, RuleId.varpi_and: _m_varpi_and,
-    RuleId.varpi_or: _m_varpi_or, RuleId.varpi_bot: _m_varpi_bot,
     RuleId.rho_case: _m_rho_case, RuleId.rho_abort: _m_rho_abort,
     RuleId.delta: _m_delta,
-    RuleId.eps_case: _m_eps_case, RuleId.eps_abort: _m_eps_abort,
+    **{rule: _pushes_into(rule, _case_principal) for rule in _PI},
+    **{rule: _pushes_into(rule, _abort_principal) for rule in _VARPI},
+    RuleId.eps_case: _pushes_into(RuleId.eps_case, _encoded_case_principal),
+    RuleId.eps_abort: _pushes_into(RuleId.eps_abort, _encoded_abort_principal),
 }
 
 _APPLIERS = {
@@ -509,28 +438,10 @@ _APPLIERS = {
     RuleId.beta_or: _a_beta_or, RuleId.beta_all: _a_beta_all,
     RuleId.eta_imp: _a_eta_imp, RuleId.eta_and: _a_eta_and,
     RuleId.eta_or: _a_eta_or, RuleId.eta_all: _a_eta_all,
-    RuleId.pi_imp: _a_pi_imp, RuleId.pi_and: _a_pi_and,
-    RuleId.pi_or: _a_pi_or, RuleId.pi_bot: _a_pi_bot,
-    RuleId.varpi_imp: _a_varpi_imp, RuleId.varpi_and: _a_varpi_and,
-    RuleId.varpi_or: _a_varpi_or, RuleId.varpi_bot: _a_varpi_bot,
     RuleId.rho_case: _a_rho_case, RuleId.rho_abort: _a_rho_abort,
     RuleId.delta: _a_delta,
+    **dict.fromkeys(_PI, _a_pi), **dict.fromkeys(_VARPI, _a_varpi),
     RuleId.eps_case: _a_eps_case, RuleId.eps_abort: _a_eps_abort,
-}
-
-
-# Node classes at which each rule's left-hand side can be rooted.
-_ROOTS = {
-    RuleId.beta_imp: (App,), RuleId.beta_and: (Proj,),
-    RuleId.beta_or: (Case,), RuleId.beta_all: (TyApp,),
-    RuleId.eta_imp: (Lam,), RuleId.eta_and: (Pair,),
-    RuleId.eta_or: (Case,), RuleId.eta_all: (TyLam,),
-    RuleId.pi_imp: (App,), RuleId.pi_and: (Proj,),
-    RuleId.pi_or: (Case,), RuleId.pi_bot: (Abort,),
-    RuleId.varpi_imp: (App,), RuleId.varpi_and: (Proj,),
-    RuleId.varpi_or: (Case,), RuleId.varpi_bot: (Abort,),
-    RuleId.rho_case: (App,), RuleId.rho_abort: (TyApp,), RuleId.delta: (App,),
-    RuleId.eps_case: (App, Proj, TyApp), RuleId.eps_abort: (App, Proj, TyApp),
 }
 
 

@@ -615,8 +615,16 @@ class TyAppHole(ElimContext):
     arg: Formula
 
 
+_HOLE = Var("\x00hole")
+
+
 def _ctx_key(e):
-    return _key(fill(e, Var("\x00hole")))
+    return _key(fill(e, _HOLE))
+
+
+def context_free_vars(e: ElimContext) -> frozenset:
+    """Free term variables of e's side premisses (the hole binds nothing)."""
+    return free_vars(fill(e, _HOLE)) - {_HOLE.name}
 
 
 def fill(e: ElimContext, m: Term) -> Term:
@@ -632,3 +640,45 @@ def fill(e: ElimContext, m: Term) -> Term:
     if isinstance(e, TyAppHole):
         return TyApp(m, e.arg)
     raise AtomlamError(f"unknown context node {e!r}")
+
+
+def split(t: Term):
+    """(E, M) with fill(E, M) == t, M the main premiss of the elimination
+    at t's root; None if t is not an App, Proj, Case, Abort or TyApp."""
+    if isinstance(t, App):
+        return AppHole(t.arg), t.fun
+    if isinstance(t, Proj):
+        return ProjHole(t.index), t.body
+    if isinstance(t, Case):
+        return CaseHole(t.lvar, t.lann, t.lbody, t.rvar, t.rann, t.rbody,
+                        t.ann), t.scrut
+    if isinstance(t, Abort):
+        return AbortHole(t.ann), t.body
+    if isinstance(t, TyApp):
+        return TyAppHole(t.arg), t.fun
+    return None
+
+
+def hole_result(e, a: Formula):
+    """The formula e yields when its hole has type a, or None when a's
+    main connective is not the one e eliminates.
+
+    `e` is an elimination context, or an elimination root standing for the
+    context around its main premiss (the two carry the same fields), so a
+    matcher can ask without building the context.
+    """
+    if isinstance(e, (AppHole, App)):
+        return a.right if isinstance(a, Imp) else None
+    if isinstance(e, (ProjHole, Proj)):
+        if not isinstance(a, And):
+            return None
+        return a.left if e.index == 1 else a.right
+    if isinstance(e, (CaseHole, Case)):
+        return e.ann if isinstance(a, Or) else None
+    if isinstance(e, (AbortHole, Abort)):
+        return e.ann if isinstance(a, Bot) else None
+    if isinstance(e, (TyAppHole, TyApp)):
+        if not isinstance(a, Forall):
+            return None
+        return subst_type_in_formula(e.arg, a.var, a.body)
+    raise AtomlamError(f"not an elimination: {e!r}")

@@ -22,9 +22,9 @@ from .errors import (DuplicateDeclaration, ForallProvisoViolated,
                      TypeMismatch, UnboundVariable)
 from .syntax import (Abort, And, App, AppHole, AbortHole, Bot, Case, CaseHole,
                      ElimContext, Forall, Formula, FVar, Imp, Inj, Lam, Or,
-                     Pair, Proj, ProjHole, Term, TyApp, TyAppHole, TyLam, Var,
+                     Pair, Proj, Term, TyApp, TyAppHole, TyLam, Var,
                      _with_child, formula_size, free_type_vars,
-                     free_type_vars_term, free_vars, fresh_name,
+                     free_type_vars_term, free_vars, fresh_name, hole_result,
                      is_encoded_bot, match_encoded_or, replace_at,
                      subst_term, subst_type_in_formula, subst_type_in_term,
                      term_children)
@@ -102,26 +102,26 @@ class FormulaClass:
         return not self.has_or_bot
 
 
-def system_of_formula(f: Formula) -> FormulaClass:
-    if isinstance(f, FVar):
-        return FormulaClass(False, False)
-    if isinstance(f, Bot):
-        return FormulaClass(True, False)
-    if isinstance(f, Or):
-        l, r = system_of_formula(f.left), system_of_formula(f.right)
-        return FormulaClass(True, l.has_forall or r.has_forall)
-    if isinstance(f, (Imp, And)):
-        l, r = system_of_formula(f.left), system_of_formula(f.right)
-        return FormulaClass(l.has_or_bot or r.has_or_bot, l.has_forall or r.has_forall)
+def _uses(f: Formula, connectives) -> bool:
+    """Whether a connective among the classes `connectives` occurs in f."""
+    if isinstance(f, connectives):
+        return True
+    if isinstance(f, (Imp, And, Or)):
+        return _uses(f.left, connectives) or _uses(f.right, connectives)
     if isinstance(f, Forall):
-        inner = system_of_formula(f.body)
-        return FormulaClass(inner.has_or_bot, True)
+        return _uses(f.body, connectives)
+    if isinstance(f, (FVar, Bot)):
+        return False
     raise TypeError(f"not a formula: {f!r}")
 
 
+def system_of_formula(f: Formula) -> FormulaClass:
+    return FormulaClass(_uses(f, (Or, Bot)), _uses(f, Forall))
+
+
 def formula_in_system(f: Formula, sys: SystemId) -> bool:
-    cls = system_of_formula(f)
-    return cls.in_ipc if sys is SystemId.IPC else cls.in_f
+    """IPC formulas have no universal, F and Fat ones no sum or empty type."""
+    return not _uses(f, Forall if sys is SystemId.IPC else (Or, Bot))
 
 
 def _check_formula(f, sys, pos):
@@ -253,23 +253,24 @@ def typecheck(sys: SystemId, env: Env, m: Term,
 def typecheck_elim_context(sys: SystemId, env: Env, e: ElimContext,
                            hole_type: Formula) -> Formula:
     """Return B such that env | hole_type |- e : B."""
+    if isinstance(e, (CaseHole, AbortHole)) and sys is not SystemId.IPC:
+        raise NotInSystem(f"{type(e).__name__} not in {sys.value}", ())
+    if isinstance(e, TyAppHole):
+        if sys is SystemId.IPC:
+            raise NotInSystem("instantiation context not in ipc", ())
+        if sys is SystemId.FAT and not isinstance(e.arg, FVar):
+            raise NonAtomicInstantiation(
+                f"instantiation with non-atomic formula {e.arg!r}", ())
+    result = hole_result(e, hole_type)
+    if result is None:
+        raise HoleTypeMismatch(
+            f"{type(e).__name__} does not eliminate {hole_type!r}", ())
     if isinstance(e, AppHole):
-        if not isinstance(hole_type, Imp):
-            raise HoleTypeMismatch("hole type is not an implication", ())
         ta = typecheck(sys, env, e.arg)
         if ta != hole_type.left:
             raise TypeMismatch("context argument type mismatch", (),
                                expected=hole_type.left, found=ta)
-        return hole_type.right
-    if isinstance(e, ProjHole):
-        if not isinstance(hole_type, And):
-            raise HoleTypeMismatch("hole type is not a conjunction", ())
-        return hole_type.left if e.index == 1 else hole_type.right
     if isinstance(e, CaseHole):
-        if sys is not SystemId.IPC:
-            raise NotInSystem(f"case context not in {sys.value}", ())
-        if not isinstance(hole_type, Or):
-            raise HoleTypeMismatch("hole type is not a disjunction", ())
         if hole_type.left != e.lann or hole_type.right != e.rann:
             raise HoleTypeMismatch("context branch annotations do not match hole type", ())
         envl, _, lbody = _enter_binder(env, e.lvar, e.lann, e.lbody)
@@ -282,23 +283,7 @@ def typecheck_elim_context(sys: SystemId, env: Env, e: ElimContext,
         if tr != e.ann:
             raise TypeMismatch("right branch type mismatch", (2,),
                                expected=e.ann, found=tr)
-        return e.ann
-    if isinstance(e, AbortHole):
-        if sys is not SystemId.IPC:
-            raise NotInSystem(f"abort context not in {sys.value}", ())
-        if not isinstance(hole_type, Bot):
-            raise HoleTypeMismatch("hole type is not the empty type", ())
-        return e.ann
-    if isinstance(e, TyAppHole):
-        if sys is SystemId.IPC:
-            raise NotInSystem("instantiation context not in ipc", ())
-        if sys is SystemId.FAT and not isinstance(e.arg, FVar):
-            raise NonAtomicInstantiation(
-                f"instantiation with non-atomic formula {e.arg!r}", ())
-        if not isinstance(hole_type, Forall):
-            raise HoleTypeMismatch("hole type is not universal", ())
-        return subst_type_in_formula(e.arg, hole_type.var, hole_type.body)
-    raise TypeError(f"not an elimination context: {e!r}")
+    return result
 
 
 def _head_fine(kind: str, head_type, payload) -> bool:
@@ -314,14 +299,18 @@ def _head_fine(kind: str, head_type, payload) -> bool:
     return is_encoded_bot(head_type)
 
 
-def is_fine_redex(env: Env, m: Term, rule) -> bool:
+_NO_RENAMES = {}
+
+
+def is_fine_redex(env: Env, m: Term, rule, _ren=_NO_RENAMES) -> bool:
     """Fineness of a root redex of `rule` in env.
 
     Atomization/delta/commuting case redexes are fine iff the head has the
     sum-encoded type built from the branch annotations; the abort variants
     are fine iff the head has the empty-type encoding. Detour and eta
     redexes are always fine, as are the IPC commuting rules. The head is
-    typed by the traversal that redex search uses.
+    typed by the traversal that redex search uses; `_ren` maps the names
+    of shadowing binders above m to their names in env.
     """
     payload = _rules.match_rule(rule, m)
     if payload is None:
@@ -329,13 +318,11 @@ def is_fine_redex(env: Env, m: Term, rule) -> bool:
     kind = _rules.fineness_kind(rule)
     if kind == "always":
         return True
-    return _head_fine(kind, Scan(env, payload["head"], {rule}).root.ty, payload)
+    return _head_fine(kind, Scan(env, payload["head"], {rule}, _ren).root.ty,
+                      payload)
 
 
 # ------------------------------------------------------- typed traversal
-
-_NO_RENAMES = {}
-
 
 class _Info:
     """The traversal's result at one position: the subterm, the

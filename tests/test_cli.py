@@ -177,6 +177,11 @@ EXIT_CASES = [
     ("check_f_env_forall", ["check", "--sys", "f", "--env", "z:forall X.X",
                             "z [X]"], 0, ""),
     ("nf_env_forall", ["nf", "--env", "z:forall X.X", "z [X -> Y]"], 0, ""),
+    ("deep_nested_funs", ["check", "--sys", "ipc", "fun x:X => " * 2000 + "x"],
+     5, "error: input nested too deeply"),
+    ("deep_env_formula", ["check", "--sys", "ipc", "--env",
+                          "x:" + "X -> " * 3000 + "X", "x"],
+     5, "error: input nested too deeply"),
 ]
 
 

@@ -147,6 +147,56 @@ def test_eps_abort_rules():
     apply_eq(RuleId.eps_abort, "(m [forall Y. Y -> Y]) [Z]", "m [Z -> Z]")
 
 
+_COMMUTING = frozenset(r for r in RuleId
+                       if r.value.startswith(("pi_", "varpi_", "eps_")))
+
+# (rule, redex, contractum as printed, fresh names included): one redex
+# per commuting shape, then three where a branch binder must be renamed
+# away from a name free in the context pushed under it.
+COMMUTING_SHAPES = [
+    ("pi_imp", "(case m of { x:X => p ; y:Y => q } : A -> B) n",
+     "case m of { x:X => p n ; y:Y => q n } : B"),
+    ("pi_and", "(case m of { x:X => p ; y:Y => q } : A & B).2",
+     "case m of { x:X => p.2 ; y:Y => q.2 } : B"),
+    ("pi_or", "case (case m of { x:X => p ; y:Y => q } : C | D) of"
+     " { l:C => r ; k:D => s } : E",
+     "case m of { x:X => case p of { l:C => r ; k:D => s } : E"
+     " ; y:Y => case q of { l:C => r ; k:D => s } : E } : E"),
+    ("pi_bot", "abort[E] (case m of { x:X => p ; y:Y => q } : bot)",
+     "case m of { x:X => abort[E] p ; y:Y => abort[E] q } : E"),
+    ("varpi_imp", "(abort[A -> B] u) n", "abort[B] u"),
+    ("varpi_and", "(abort[A & B] u).1", "abort[A] u"),
+    ("varpi_or", "case (abort[C | D] u) of { l:C => r ; k:D => s } : E",
+     "abort[E] u"),
+    ("varpi_bot", "abort[E] (abort[bot] u)", "abort[E] u"),
+    ("eps_case", "h [A -> B] <fun x:X => p, fun y:Y => q> n",
+     "h [B] <fun x:X => p n, fun y:Y => q n>"),
+    ("eps_case", "(h [A & B] <fun x:X => p, fun y:Y => q>).2",
+     "h [B] <fun x:X => p.2, fun y:Y => q.2>"),
+    ("eps_case", "h [forall Z. Z -> A] <fun x:X => p, fun y:Y => q> [B]",
+     "h [B -> A] <fun x:X => p [B], fun y:Y => q [B]>"),
+    ("eps_abort", "h [A -> B] n", "h [B]"),
+    ("eps_abort", "(h [A & B]).1", "h [A]"),
+    ("eps_abort", "h [forall Z. Z -> A] [B]", "h [B -> A]"),
+    ("pi_imp", "(case m of { x:X => p x ; y:Y => q } : A -> B) x",
+     "case m of { x':X => p x' x ; y:Y => q x } : B"),
+    ("pi_or", "case (case m of { x:X => p x ; y:Y => q } : C | D) of"
+     " { l:C => r x ; k:D => s } : E",
+     "case m of { x':X => case p x' of { l:C => r x ; k:D => s } : E"
+     " ; y:Y => case q of { l:C => r x ; k:D => s } : E } : E"),
+    ("eps_case", "h [A -> B] <fun x:X => p x, fun y:Y => q> x",
+     "h [B] <fun x':X => p x' x, fun y:Y => q x>"),
+]
+
+
+@pytest.mark.parametrize("rule, src, expect", COMMUTING_SHAPES)
+def test_commuting_shapes_contract_exactly(rule, src, expect):
+    from atomlam import print_term
+    t = pt(src)
+    assert print_term(apply_rule(RuleId(rule), t)) == expect
+    assert {r for r in _COMMUTING if match_rule(r, t) is not None} == {rule}
+
+
 def test_capture_avoidance_in_rules():
     # pi_imp pushes n under the branch binders; x free in n forces a rename
     out = apply_rule(RuleId.pi_imp,
@@ -386,6 +436,38 @@ def test_redex_search_matches_substituting_binder_walk():
                 assert r.fine == _reference_fine(ref_env, sub, r.rule)
                 renamed += any("'" in name for name in r.local_env.names())
     assert renamed > 100
+
+
+def test_scripted_step_under_a_shadowing_binder_is_not_fine():
+    # the binder z shadows the environment's z:forall X.X, so the head of
+    # z [X & X] has type X -> X and the atomization step is not fine
+    from atomlam import apply_script
+    env = Env([("z", encode_bot())])
+    t = pt("fun z:X -> X => z [X & X]")
+    with pytest.raises(NotFine):
+        apply_script(F, env, t, [(RuleId.rho_abort, (0,))], require_fine=True)
+    [s] = apply_script(F, env, t, [(RuleId.rho_abort, (0,))]).steps
+    assert not s.fine and list(s.local_env.names()) == ["z", "z'"]
+
+
+def test_scripted_steps_agree_with_redex_search():
+    # apply_script must give each step the local environment and fineness
+    # that find_redexes gives the same redex, also where binders shadow the
+    # heads u and s of the environment with other types
+    from atomlam import Lam, Pair, apply_script
+    rules = rules_of_system(F)
+    shadowed = 0
+    for env, t in corpus.f_corpus(41, 60) + [
+            (e, t) for e, t, _ in corpus.f_redex_corpus(43, 60, rules)]:
+        for term in (t, _collapse(t),
+                     Lam("u", FVar("X"), Lam("s", FVar("Y"), t)),
+                     Lam("u", FVar("X"), Pair(_collapse(t), Var("u'")))):
+            for r in find_redexes(F, env, term, rules):
+                [s] = apply_script(F, env, term, [(r.rule, r.position)]).steps
+                assert s.fine == r.fine, (term, r)
+                assert list(s.local_env.items()) == list(r.local_env.items())
+                shadowed += any("'" in name for name in r.local_env.names())
+    assert shadowed > 100
 
 
 def test_rule_roots_cover_every_match():

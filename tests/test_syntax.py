@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from atomlam import (Abort, And, App, AppHole, Bot, Case, Forall, FVar, Imp,
                      Inj, Lam, Or, Pair, Proj, ProjHole, TyApp, TyAppHole,
                      TyLam, Var, alpha_eq, encode_bot, encode_or, fill,
-                     free_vars, match_encoded_or, parse_formula, parse_term,
-                     subst_term, subst_type_in_formula, subst_type_in_term)
+                     free_vars, hole_result, match_encoded_or, parse_formula,
+                     parse_term, split, subst_term, subst_type_in_formula,
+                     subst_type_in_term)
 
 pf, pt = parse_formula, parse_term
 
@@ -227,6 +228,23 @@ def test_fill():
     assert fill(AppHole(n), m) == App(m, n)
     assert fill(ProjHole(1), m) == Proj(1, m)
     assert fill(TyAppHole(FVar("B")), m) == TyApp(m, FVar("B"))
+
+
+def test_split_inverts_fill_and_hole_result_follows_the_connective():
+    # (term, hole type, what the context yields, a hole type it rejects)
+    cases = [("m n", "A -> B", "B", "A & B"),
+             ("m.2", "A & B", "B", "A -> B"),
+             ("case m of { x:A => p ; y:B => q } : C", "A | B", "C", "bot"),
+             ("abort[C] m", "bot", "C", "A | B"),
+             ("m [A -> A]", "forall X. X & B", "(A -> A) & B", "A")]
+    for src, hole, yields, wrong in cases:
+        t = pt(src)
+        e, principal = split(t)
+        assert principal == Var("m") and fill(e, principal) == t
+        assert hole_result(e, pf(hole)) == pf(yields)
+        assert hole_result(t, pf(hole)) == pf(yields)
+        assert hole_result(e, pf(wrong)) is None
+    assert split(pt("fun x:A => m")) is None
 
 
 # ------------------------------------------------------------- round trip
