@@ -21,8 +21,8 @@ from .typecheck import (Env, SystemId, is_fine_redex, system_of_formula,
 from .rules import RuleId, apply_rule, match_rule, rules_of_system
 from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
                         env_at, find_redexes, normalize, replay, step)
-from .translate import (at_term, mk_abort, mk_abort_at, mk_case, mk_case_at,
-                        mk_in, rp_env, rp_formula, rp_term)
+from .translate import (RP_CHILD, at_term, mk_abort, mk_abort_at, mk_case,
+                        mk_case_at, mk_in, rp_env, rp_formula, rp_term)
 from .analysis import (WeightReport, atomic_nf, check_local_confluence,
                        decompose_delta, decompose_eps, expand_rho,
                        search_beta_eta, simulate_step, weight)

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      StepLimitExceeded, TypingError)
 from .rules import F_BETA_ETA, RuleId, apply_rule, match_rule
-from .syntax import (Abort, And, App, Case, Forall, FVar, Imp, Inj, Lam,
-                     Pair, Proj, Term, TyApp, TyLam, Var, canonical_key,
-                     replace_at, subterm_at, term_children)
+from .syntax import (And, App, Forall, FVar, Imp, Lam, Pair, Proj, Term,
+                     TyApp, TyLam, Var, canonical_key, replace_at, subterm_at,
+                     term_children)
 from .rewriting import (Redex, ReductionTrace, apply_script, reduce_scan,
                         shift, step)
-from .translate import rp_env, rp_term
+from .translate import RP_CHILD, rp_env, rp_term
 from .typecheck import Env, Scan, SystemId, typecheck
 
 ATOMIZATION_RULES = frozenset({RuleId.rho_case, RuleId.rho_abort})
@@ -219,23 +219,13 @@ _ROOT_SIM = {
     RuleId.varpi_bot: [(RuleId.eps_abort, ())],
 }
 
-_RP_CHILD = {
-    Lam: {0: (0,)},
-    App: {0: (0,), 1: (1,)},
-    Pair: {0: (0,), 1: (1,)},
-    Proj: {0: (0,)},
-    Inj: {0: (0, 0, 1)},
-    Case: {0: (0, 0), 1: (1, 0, 0), 2: (1, 1, 0)},
-    Abort: {0: (0,)},
-}
-
 
 def rp_position(m: Term, pos) -> tuple:
     """Image of a source position under the homomorphic translation into F."""
     out = ()
     cur = m
     for i in pos:
-        out += _RP_CHILD[type(cur)][i]
+        out += RP_CHILD[type(cur)][i]
         cur = term_children(cur)[i]
     return out
 

@@ -10,7 +10,9 @@ emitting.
 Exit codes: 0 ok, 1 type error (including an environment formula outside
 the command's system), 2 parse or usage error (including a step limit that
 is not positive), 3 step cap reached, 4 internal invariant violation,
-5 input nested too deeply for the interpreter's recursion limit.
+5 input nested too deeply for the interpreter's recursion limit, 6 input
+outside a command's domain (a term or formula that is not IPC, a rule the
+command does not cover, or no redex of the requested rule).
 """
 
 from __future__ import annotations
@@ -21,15 +23,17 @@ import sys
 
 from .analysis import (atomic_nf, simulate_step, weight)
 from .diagram import build_diagram
-from .errors import (AtomlamError, InternalInvariantViolation, NotInSystem,
-                     ParseError, StepLimitExceeded, TypingError)
+from .errors import (AtomlamError, InternalInvariantViolation, NotARedex,
+                     NotInSystem, NotIPCFormula, NotIPCTerm, ParseError,
+                     RuleNotApplicable, StepLimitExceeded, TypingError)
 from .rewriting import ReductionTrace, find_redexes, normalize, replay
 from .rules import RuleId, rules_of_system
 from .surface import parse_formula, parse_term, print_formula, print_term
 from .translate import at_term, rp_term
 from .typecheck import Env, SystemId, formula_in_system, typecheck
 
-EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_CAP, EXIT_INTERNAL, EXIT_DEEP = range(6)
+(EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_CAP, EXIT_INTERNAL, EXIT_DEEP,
+ EXIT_DOMAIN) = range(7)
 
 
 def _env_to_json(env):
@@ -118,7 +122,7 @@ def _pick_redex(sys_id, env, term, rule, pos):
         wanted = tuple(int(x) for x in pos.split(",")) if pos else ()
         candidates = [r for r in candidates if r.position == wanted]
     if not candidates:
-        raise ParseError(f"no {rule.value} redex found")
+        raise NotARedex(f"no {rule.value} redex found")
     return min(candidates, key=lambda r: r.position)
 
 
@@ -319,6 +323,9 @@ def main(argv=None):
     except InternalInvariantViolation as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except (NotIPCTerm, NotIPCFormula, RuleNotApplicable, NotARedex) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_DOMAIN
     except AtomlamError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_TYPE

@@ -14,10 +14,12 @@ Fat midpoints q1, q2, wired by:
                (admin beta)     (eps rho)
 
 For the detour and one-step commuting rules the midpoints collapse
-(q1 = mAt, q2 = nAt) and q1 ->> q2 is found by a bounded search. For the
-sum eta rule and the two nested commuting rules the midpoints and legs
-are built by the recursive constructions on the result formula, with the
-administrative detour steps tagged. Copies: the atomic translation
+(q1 = mAt, q2 = nAt) and q1 ->> q2 is a detour script constructed by
+recursion on the result formula. For the sum eta rule and the two nested
+commuting rules the midpoints and legs are built by recursive
+constructions too, with the administrative detour steps tagged. Every leg
+is built, never searched; one that does not reach its corner is an
+internal invariant violation. Copies: the atomic translation
 duplicates subterms under conjunctive annotations, so every per-redex
 script is replayed once per copy position.
 """
@@ -29,12 +31,14 @@ from dataclasses import dataclass, field
 from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      RuleNotApplicable, TypingError)
 from .rules import RuleId, match_rule
-from .syntax import (Abort, And, App, Case, Forall, FVar, Imp, Inj, Lam, Pair,
-                     Proj, Term, Var, subterm_at, term_children)
-from .rewriting import Redex, ReductionTrace, apply_script, shift, step
-from .translate import at_term, rp_env, rp_formula, rp_term
+from .syntax import (Abort, And, Case, Forall, FVar, Imp, Term, subterm_at,
+                     term_children)
+from .rewriting import Redex, apply_script, shift, step
+from .translate import RP_CHILD, at_term, rp_env, rp_formula, rp_term
 from .typecheck import Env, SystemId, typecheck
-from .analysis import search_beta_eta, simulate_step
+from .analysis import simulate_step
+# No leg is searched; the name stays bound here for perfbench/selftest.py.
+from .analysis import search_beta_eta  # noqa: F401
 
 OR_BOT_RULES = frozenset({RuleId.beta_or, RuleId.eta_or, RuleId.pi_imp,
                           RuleId.pi_and, RuleId.pi_or, RuleId.pi_bot,
@@ -61,33 +65,32 @@ _ADMIN_LEGS = ("m_at->q1", "n_at->q2")
 
 # ------------------------------------------------ translation hole algebra
 #
-# Positions of the scrutinee / branch payloads / abort body inside the
-# atomic translation's unfolding of a case or abort at result formula c.
+# The atomic translation unfolds a case or abort at result formula c one
+# level per connective; `_parts` gives each level's components with the
+# index of the subterm that carries them.
 
-def _unfold_holes(c, base):
-    """Positions of the abort body (base (0,)) or the case scrutinee (base
-    (0, 0)) in the unfolding at c: one per conjunct, under each level."""
+# The detour and eta rule that take apart and put back one level, by the
+# connective of its result formula.
+_LEVEL = {And: (RuleId.beta_and, RuleId.eta_and),
+          Imp: (RuleId.beta_imp, RuleId.eta_imp),
+          Forall: (RuleId.beta_all, RuleId.eta_all)}
+
+
+def _parts(c):
+    if isinstance(c, And):
+        return ((0, c.left), (1, c.right))
+    return ((0, c.right if isinstance(c, Imp) else c.body),)
+
+
+def _unfold_holes(c, base, wrap=()):
+    """Positions of a child of a case or abort in its atomic unfolding at
+    c, given the child's position `base` at an atomic formula: one per
+    conjunct, under each level. A branch payload (wrap (0,)) also sits
+    under one elimination per level."""
     if isinstance(c, FVar):
         return [base]
-    if isinstance(c, Imp):
-        return [(0,) + p for p in _unfold_holes(c.right, base)]
-    if isinstance(c, And):
-        return ([(0,) + p for p in _unfold_holes(c.left, base)]
-                + [(1,) + p for p in _unfold_holes(c.right, base)])
-    return [(0,) + p for p in _unfold_holes(c.body, base)]
-
-
-def _payload_holes(c, j):
-    """Positions of branch payload j (1 or 2) in the case unfolding at c;
-    several under conjunctions, and wrapped one level per unfolding step."""
-    if isinstance(c, FVar):
-        return [(1, j - 1, 0)]
-    if isinstance(c, Imp):
-        return [(0,) + p + (0,) for p in _payload_holes(c.right, j)]
-    if isinstance(c, And):
-        return ([(0,) + p + (0,) for p in _payload_holes(c.left, j)]
-                + [(1,) + p + (0,) for p in _payload_holes(c.right, j)])
-    return [(0,) + p + (0,) for p in _payload_holes(c.body, j)]
+    return [(i,) + p + wrap for i, ci in _parts(c)
+            for p in _unfold_holes(ci, base, wrap)]
 
 
 def at_copy_positions(m: Term, path):
@@ -95,22 +98,15 @@ def at_copy_positions(m: Term, path):
     subterm at `path` occurs (one per duplication by the context)."""
     if not path:
         return [()]
-    i, rest = path[0], tuple(path[1:])
-    child = term_children(m)[i]
-    tails = at_copy_positions(child, rest)
-    if isinstance(m, (App, Pair)):
-        heads = [(i,)]
-    elif isinstance(m, (Lam, Proj)):
-        heads = [(0,)]
-    elif isinstance(m, Inj):
-        heads = [(0, 0, 1)]
-    elif isinstance(m, Abort):
-        heads = _unfold_holes(rp_formula(m.ann), (0,))
-    elif isinstance(m, Case):
-        c = rp_formula(m.ann)
-        heads = _unfold_holes(c, (0, 0)) if i == 0 else _payload_holes(c, i)
-    else:
+    if type(m) not in RP_CHILD:
         raise NotARedex(f"no context mapping through {type(m).__name__}")
+    i, rest = path[0], tuple(path[1:])
+    tails = at_copy_positions(term_children(m)[i], rest)
+    head = RP_CHILD[type(m)][i]
+    if isinstance(m, (Case, Abort)):
+        heads = _unfold_holes(rp_formula(m.ann), head, () if i == 0 else (0,))
+    else:
+        heads = [head]
     return [h + q for h in heads for q in tails]
 
 
@@ -125,12 +121,8 @@ def _unfold(rule, c):
     abort at result formula c, outermost first."""
     if isinstance(c, FVar):
         return []
-    if isinstance(c, Imp):
-        return [(rule, ())] + shift(_unfold(rule, c.right), (0,))
-    if isinstance(c, And):
-        return ([(rule, ())] + shift(_unfold(rule, c.left), (0,))
-                + shift(_unfold(rule, c.right), (1,)))
-    return [(rule, ())] + shift(_unfold(rule, c.body), (0,))
+    return [(rule, ())] + [s for i, ci in _parts(c)
+                           for s in shift(_unfold(rule, ci), (i,))]
 
 
 def bridge_script(m: Term, frozen=None):
@@ -138,35 +130,17 @@ def bridge_script(m: Term, frozen=None):
     leaves that subtree untouched, still in full-instantiation form."""
     if frozen is not None and len(frozen) == 0:
         return []
-
-    def sub(i):
-        if frozen is not None and frozen[0] == i:
-            return tuple(frozen[1:])
-        return None
-
-    if isinstance(m, Var):
-        return []
-    if isinstance(m, Lam):
-        return shift(bridge_script(m.body, sub(0)), (0,))
-    if isinstance(m, App):
-        return (shift(bridge_script(m.fun, sub(0)), (0,))
-                + shift(bridge_script(m.arg, sub(1)), (1,)))
-    if isinstance(m, Pair):
-        return (shift(bridge_script(m.fst, sub(0)), (0,))
-                + shift(bridge_script(m.snd, sub(1)), (1,)))
-    if isinstance(m, Proj):
-        return shift(bridge_script(m.body, sub(0)), (0,))
-    if isinstance(m, Inj):
-        return shift(bridge_script(m.body, sub(0)), (0, 0, 1))
-    if isinstance(m, Abort):
-        return (shift(bridge_script(m.body, sub(0)), (0,))
-                + _unfold(RuleId.rho_abort, rp_formula(m.ann)))
+    if type(m) not in RP_CHILD:
+        raise NotARedex(f"cannot bridge through {type(m).__name__}")
+    script = []
+    for i, child in enumerate(term_children(m)):
+        below = tuple(frozen[1:]) if frozen and frozen[0] == i else None
+        script += shift(bridge_script(child, below), RP_CHILD[type(m)][i])
     if isinstance(m, Case):
-        return (shift(bridge_script(m.scrut, sub(0)), (0, 0))
-                + shift(bridge_script(m.lbody, sub(1)), (1, 0, 0))
-                + shift(bridge_script(m.rbody, sub(2)), (1, 1, 0))
-                + _unfold(RuleId.rho_case, rp_formula(m.ann)))
-    raise NotARedex(f"cannot bridge through {type(m).__name__}")
+        script += _unfold(RuleId.rho_case, rp_formula(m.ann))
+    elif isinstance(m, Abort):
+        script += _unfold(RuleId.rho_abort, rp_formula(m.ann))
+    return script
 
 
 # --------------------------------------------- nested-rule constructions
@@ -175,56 +149,36 @@ def bridge_script(m: Term, frozen=None):
 # recursion on the result formula; they differ only in the commuting step
 # that pushes each level into the branches (eps_case, eps_abort) and in the
 # scripts at an atomic formula. Each level contributes:
-#   lhs:   detour steps  at(M) ->> q2          (not administrative)
 #   admin: detour steps  at(N) ->> q2          (administrative)
 #   rhsp:  one atomization step + commuting steps + component bridges,
 #          rp(N-subterm) ->> q2
 # `counts` records (connective, faithful admin count, nominal count).
 
-@dataclass(frozen=True)
-class _MidpointScripts:
-    lhs: list
-    admin: list
-    rhsp: list
-
-
-def _admin_at(rule, level_holes):
-    return [(rule, p, True) for p in level_holes]
-
-
 def _nested_scripts(c, eps, leaf, counts, below=()):
-    """The scripts at result formula c; `eps` is the commuting step that
-    pushes each new level into the branches, and leaf(below) gives the
-    scripts at an atomic formula reached through the levels `below`."""
+    """The scripts (admin, rhsp) at result formula c; `eps` is the commuting
+    step that pushes each new level into the branches, and leaf(below) gives
+    rhsp at an atomic formula reached through the levels `below`."""
     if isinstance(c, FVar):
-        return leaf(below)
-    if isinstance(c, And):
-        parts, admin, kind = ((0, c.left), (1, c.right)), RuleId.beta_and, "and"
-    elif isinstance(c, Imp):
-        parts, admin, kind = ((0, c.right),), RuleId.beta_imp, "imp"
-    elif isinstance(c, Forall):
-        parts, admin, kind = ((0, c.body),), RuleId.beta_all, "forall"
-    else:
-        raise NotARedex(f"no construction for result formula {c!r}")
-    subs = [(i, _nested_scripts(ci, eps, leaf, counts, below + (0,)))
-            for i, ci in parts]
+        return [], leaf(below)
+    parts = _parts(c)
     holes = [(i,) + p for i, ci in parts for j in (1, 2)
-             for p in _payload_holes(ci, j)]
-    counts.append((kind, len(holes), 2 * len(parts)))
-    lhs, admins = [], _admin_at(admin, holes)
+             for p in _unfold_holes(ci, RP_CHILD[Case][j], (0,))]
+    counts.append((type(c).__name__.lower(), len(holes), 2 * len(parts)))
+    admins = [(_LEVEL[type(c)][0], p, True) for p in holes]
     rhsp = [(RuleId.rho_case, ())] + [(eps, (i, 1, j, 0)) for i, _ in parts
                                       for j in (0, 1)]
-    for i, sub in subs:
-        lhs += shift(sub.lhs, (i,))
-        admins += shift(sub.admin, (i,))
-        rhsp += shift(sub.rhsp, (i,))
-    return _MidpointScripts(lhs, admins, rhsp)
+    for i, ci in parts:
+        below_admins, below_rhsp = _nested_scripts(ci, eps, leaf, counts,
+                                                   below + (0,))
+        admins += shift(below_admins, (i,))
+        rhsp += shift(below_rhsp, (i,))
+    return admins, rhsp
 
 
 def _commuted_scripts(rule, sub, counts):
-    """The scripts of the pi_or or pi_bot redex `sub`: at an atomic result
-    formula, a detour on the left and the bridges of the parts on the
-    right, under the outer case (pi_or) or abort (pi_bot)."""
+    """The scripts of the pi_or or pi_bot redex `sub`; at an atomic result
+    formula, rhsp bridges the parts under the outer case (pi_or) or abort
+    (pi_bot)."""
     inner = sub.scrut if rule is RuleId.pi_or else sub.body
     bm, bp1, bp2 = (bridge_script(t)
                     for t in (inner.scrut, inner.lbody, inner.rbody))
@@ -232,24 +186,58 @@ def _commuted_scripts(rule, sub, counts):
         bq1, bq2 = bridge_script(sub.lbody), bridge_script(sub.rbody)
 
         def leaf(below):
-            return _MidpointScripts(
-                [(RuleId.beta_all, (0,)), (RuleId.beta_imp, ())], [],
-                shift(bm, (0, 0))
-                + shift(bp1, (1, 0, 0, 0, 0))
-                + shift(bq1, (1, 0, 0, 1, 0, 0) + below)
-                + shift(bq2, (1, 0, 0, 1, 1, 0) + below)
-                + shift(bp2, (1, 1, 0, 0, 0))
-                + shift(bq1, (1, 1, 0, 1, 0, 0) + below)
-                + shift(bq2, (1, 1, 0, 1, 1, 0) + below))
+            return (shift(bm, (0, 0))
+                    + shift(bp1, (1, 0, 0, 0, 0))
+                    + shift(bq1, (1, 0, 0, 1, 0, 0) + below)
+                    + shift(bq2, (1, 0, 0, 1, 1, 0) + below)
+                    + shift(bp2, (1, 1, 0, 0, 0))
+                    + shift(bq1, (1, 1, 0, 1, 0, 0) + below)
+                    + shift(bq2, (1, 1, 0, 1, 1, 0) + below))
         eps = RuleId.eps_case
     else:
         def leaf(below):
-            return _MidpointScripts(
-                [(RuleId.beta_all, ())], [],
-                shift(bm, (0, 0)) + shift(bp1, (1, 0, 0, 0))
-                + shift(bp2, (1, 1, 0, 0)))
+            return (shift(bm, (0, 0)) + shift(bp1, (1, 0, 0, 0))
+                    + shift(bp2, (1, 1, 0, 0)))
         eps = RuleId.eps_abort
     return _nested_scripts(rp_formula(sub.ann), eps, leaf, counts)
+
+
+# ------------------------------------------------------- detour legs
+#
+# Except for the sum eta rule, q1 = mAt and q1 ->> q2 is per copy one
+# detour step at the root (the commuting rules at an implication or
+# conjunction), or a detour script at every leaf of the unfolding at the
+# result formula (pi_or and pi_bot as varpi_or and varpi_bot); the sum
+# detour then closes each level by its eta step.
+
+_AT_ROOT = {RuleId.pi_imp: [(RuleId.beta_imp, ())],
+            RuleId.varpi_imp: [(RuleId.beta_imp, ())],
+            RuleId.pi_and: [(RuleId.beta_and, ())],
+            RuleId.varpi_and: [(RuleId.beta_and, ())]}
+_AT_LEAVES = {RuleId.beta_or: [(RuleId.beta_all, (0,)), (RuleId.beta_imp, ()),
+                               (RuleId.beta_and, (0,)), (RuleId.beta_imp, ())],
+              RuleId.varpi_or: [(RuleId.beta_all, (0,)), (RuleId.beta_imp, ())],
+              RuleId.varpi_bot: [(RuleId.beta_all, ())]}
+_AT_LEAVES[RuleId.pi_or] = _AT_LEAVES[RuleId.varpi_or]
+_AT_LEAVES[RuleId.pi_bot] = _AT_LEAVES[RuleId.varpi_bot]
+
+
+def _detour_script(c, leaf, eta):
+    """`leaf` at every leaf of the unfolding at c, each level followed by
+    its eta step if `eta`."""
+    if isinstance(c, FVar):
+        return leaf
+    script = [s for i, ci in _parts(c)
+              for s in shift(_detour_script(ci, leaf, eta), (i,))]
+    return script + [(_LEVEL[type(c)][1], ())] if eta else script
+
+
+def _detour_leg(rule, sub):
+    """The per-copy script q1 ->> q2 of the redex `sub`."""
+    if rule in _AT_ROOT:
+        return _AT_ROOT[rule]
+    return _detour_script(rp_formula(sub.ann), _AT_LEAVES[rule],
+                          rule is RuleId.beta_or)
 
 
 # ----------------------------------------------------------------- diagram
@@ -268,35 +256,29 @@ class Diagram:
     q2: Term
     legs: dict
     notes: list = field(default_factory=list)
-    search_failed: bool = False
 
     def corner(self, name):
-        return {"m_rp": self.m_rp, "n_rp": self.n_rp, "m_at": self.m_at,
-                "n_at": self.n_at, "q1": self.q1, "q2": self.q2}[name]
+        return getattr(self, name)
 
     def verify(self):
         """Replay every leg and check endpoints, rule classes and the
         placement of administrative tags; returns a list of problems."""
         from .rewriting import replay
         problems = []
-        wiring = {"m_rp->m_at": ("m_rp", "m_at"), "n_rp->n_at": ("n_rp", "n_at"),
-                  "m_rp->n_rp": ("m_rp", "n_rp"), "m_rp->q1": ("m_rp", "q1"),
-                  "n_rp->q2": ("n_rp", "q2"), "m_at->q1": ("m_at", "q1"),
-                  "n_at->q2": ("n_at", "q2"), "q1->q2": ("q1", "q2")}
-        for name, (src, dst) in wiring.items():
+        for name, rules in _LEG_RULES.items():
+            src, dst = name.split("->")
             leg = self.legs[name]
             if not replay(leg):
                 problems.append(f"{name}: does not replay")
                 continue
             if leg.initial != self.corner(src):
                 problems.append(f"{name}: start is not corner {src}")
-            if not (self.search_failed and name == "q1->q2") \
-                    and leg.final != self.corner(dst):
+            if leg.final != self.corner(dst):
                 problems.append(f"{name}: end is not corner {dst}")
             used = {s.rule for s in leg.steps}
-            if not used <= _LEG_RULES[name]:
+            if not used <= rules:
                 problems.append(f"{name}: unexpected rules "
-                                f"{sorted(r.value for r in used - _LEG_RULES[name])}")
+                                f"{sorted(r.value for r in used - rules)}")
             for s in leg.steps:
                 if s.admin and name not in _ADMIN_LEGS:
                     problems.append(f"{name}: administrative tag outside "
@@ -306,20 +288,7 @@ class Diagram:
             problems.append("q1 = m_at but the m_rp->q1 leg is not the bridge")
         if self.q2 == self.n_at and self.legs["n_rp->q2"] is not self.legs["n_rp->n_at"]:
             problems.append("q2 = n_at but the n_rp->q2 leg is not the bridge")
-        if self.search_failed:
-            problems.append("q1->q2: bounded search failed")
         return problems
-
-
-def _empty_trace(env, t):
-    return ReductionTrace(SystemId.F, env, t)
-
-
-def _per_copy(copies, script):
-    out = []
-    for cp in copies:
-        out += shift(script, cp)
-    return out
 
 
 _ETA_OR_ADMIN = [(RuleId.beta_all, (0, 0, 1, 0, 0, 0), True),
@@ -349,82 +318,60 @@ def build_diagram(env: Env, m: Term, r: Redex) -> Diagram:
     renv = rp_env(env)
     m_rp, n_rp = rp_term(m), rp_term(n)
     m_at, n_at = at_term(m), at_term(n)
+    copies = sorted(at_copy_positions(m, r.position))
+
+    def run(t, script):
+        return apply_script(SystemId.F, renv, t, script)
+
+    def per_copy(script):
+        return [s for cp in copies for s in shift(script, cp)]
 
     legs = {}
-    bridge_m = apply_script(SystemId.F, renv, m_rp, bridge_script(m))
-    bridge_n = apply_script(SystemId.F, renv, n_rp, bridge_script(n))
+    bridge_m = run(m_rp, bridge_script(m))
+    bridge_n = run(n_rp, bridge_script(n))
     if bridge_m.final != m_at or bridge_n.final != n_at:
         raise InternalInvariantViolation("bridge endpoint is not the atomic image")
     legs["m_rp->m_at"] = bridge_m
     legs["n_rp->n_at"] = bridge_n
     legs["m_rp->n_rp"] = simulate_step(env, m, r)
-
     notes = []
-    search_failed = False
-    copies = sorted(at_copy_positions(m, r.position))
 
     if rule is RuleId.eta_or:
-        legs["m_at->q1"] = apply_script(SystemId.F, renv, m_at,
-                                        _per_copy(copies, _ETA_OR_ADMIN))
-        q1 = legs["m_at->q1"].final
-        q2 = n_at
-        legs["n_at->q2"] = _empty_trace(renv, n_at)
-        legs["q1->q2"] = apply_script(SystemId.F, renv, q1,
-                                      _per_copy(copies, _ETA_OR_ETAS))
+        legs["m_at->q1"] = run(m_at, per_copy(_ETA_OR_ADMIN))
+        q1, q2 = legs["m_at->q1"].final, n_at
+        legs["n_at->q2"] = run(n_at, [])
+        legs["q1->q2"] = run(q1, per_copy(_ETA_OR_ETAS))
         scrut_bridge = bridge_script(sub.scrut)
         script = bridge_script(m, frozen=r.position)
         for cp in copies:
             script += shift(scrut_bridge, cp + (0, 0))
             script += [(RuleId.delta, cp), (RuleId.delta, cp + (0,))]
-        legs["m_rp->q1"] = apply_script(SystemId.F, renv, m_rp, script)
+        legs["m_rp->q1"] = run(m_rp, script)
         legs["n_rp->q2"] = bridge_n
         if legs["q1->q2"].final != n_at or legs["m_rp->q1"].final != q1:
             raise InternalInvariantViolation("sum-eta diagram corners mismatch")
-    elif rule in (RuleId.pi_or, RuleId.pi_bot):
+    else:
         counts = []
-        scripts = _commuted_scripts(rule, sub, counts)
-        q1 = m_at
-        legs["m_at->q1"] = _empty_trace(renv, m_at)
+        admins, rhsp = (_commuted_scripts(rule, sub, counts)
+                        if rule in (RuleId.pi_or, RuleId.pi_bot) else ([], []))
+        admin = run(n_at, per_copy(admins))
+        q1, q2 = m_at, admin.final
         legs["m_rp->q1"] = bridge_m
-        legs["n_at->q2"] = apply_script(SystemId.F, renv, n_at,
-                                        _per_copy(copies, scripts.admin))
-        q2 = legs["n_at->q2"].final
-        legs["q1->q2"] = apply_script(SystemId.F, renv, m_at,
-                                      _per_copy(copies, scripts.lhs))
-        if q2 == n_at:
-            # atomic result formula: the midpoint collapses onto the atomic
-            # image, and the leg from the full-instantiation image is the
-            # bridge itself
-            legs["n_rp->q2"] = bridge_n
-        else:
-            script = (bridge_script(n, frozen=r.position)
-                      + _per_copy(copies, scripts.rhsp))
-            legs["n_rp->q2"] = apply_script(SystemId.F, renv, n_rp, script)
+        # without administrative steps the midpoint is the atomic image, and
+        # the leg from the full-instantiation image is the bridge itself
+        legs["n_rp->q2"] = (run(n_rp, bridge_script(n, frozen=r.position)
+                                + per_copy(rhsp))
+                            if admins else bridge_n)
+        legs["m_at->q1"] = run(m_at, [])
+        legs["n_at->q2"] = admin
+        legs["q1->q2"] = run(m_at, per_copy(_detour_leg(rule, sub)))
         if legs["q1->q2"].final != q2 or legs["n_rp->q2"].final != q2:
-            raise InternalInvariantViolation("commuting diagram corners mismatch")
+            raise InternalInvariantViolation("diagram legs do not meet at q2")
         for kind, actual, nominal in counts:
             if actual != nominal:
                 notes.append(
                     f"administrative steps at a {kind} level: faithful replay "
                     f"contracts {actual} copies (nominal per-level count {nominal})")
-    else:
-        q1, q2 = m_at, n_at
-        legs["m_rp->q1"] = bridge_m
-        legs["n_rp->q2"] = bridge_n
-        legs["m_at->q1"] = _empty_trace(renv, m_at)
-        legs["n_at->q2"] = _empty_trace(renv, n_at)
-        script = []
-        for cp in copies:
-            path = search_beta_eta(subterm_at(m_at, cp), subterm_at(n_at, cp))
-            if path is None:
-                search_failed = True
-                notes.append(f"no detour/eta path found at copy {list(cp)} "
-                             "within the search bound")
-                break
-            script += shift(path, cp)
-        legs["q1->q2"] = apply_script(SystemId.F, renv, m_at, script)
-        if not search_failed and legs["q1->q2"].final != n_at:
-            raise InternalInvariantViolation("midpoint search endpoint mismatch")
 
     return Diagram(rule, r.position, m, n, m_rp, n_rp, m_at, n_at, q1, q2,
-                   legs, notes, search_failed)
+                   legs, notes)

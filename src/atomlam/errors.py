@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: ParseError -> 2, TypingError -> 1,
-StepLimitExceeded -> 3, InternalInvariantViolation -> 4, and Python's
-RecursionError (input nested too deeply) -> 5.
+StepLimitExceeded -> 3, InternalInvariantViolation -> 4, Python's
+RecursionError (input nested too deeply) -> 5, and NotIPCTerm, NotIPCFormula,
+RuleNotApplicable and NotARedex (input outside a command's domain) -> 6.
 """
 
 from __future__ import annotations

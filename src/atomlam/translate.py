@@ -99,6 +99,22 @@ def mk_abort_at(m: Term, a: Formula) -> Term:
     raise NotIPCFormula(f"no abort constructor for result formula {a!r}")
 
 
+# Where rp_term puts the image of child i of a node of each IPC class,
+# relative to the node's image: RP_CHILD[type(m)][i]. at_term agrees except
+# under a case or abort at a non-atomic result formula, whose unfolding
+# copies its children once per level.
+RP_CHILD = {
+    Var: (),
+    Lam: ((0,),),
+    App: ((0,), (1,)),
+    Pair: ((0,), (1,)),
+    Proj: ((0,),),
+    Inj: ((0, 0, 1),),
+    Case: ((0, 0), (1, 0, 0), (1, 1, 0)),
+    Abort: ((0,),),
+}
+
+
 def _translate(m: Term, case_fn, abort_fn) -> Term:
     def go(t):
         if isinstance(t, Var):

@@ -182,6 +182,18 @@ EXIT_CASES = [
     ("deep_env_formula", ["check", "--sys", "ipc", "--env",
                           "x:" + "X -> " * 3000 + "X", "x"],
      5, "error: input nested too deeply"),
+    ("translate_not_ipc", ["translate", "--target", "rp", "tfun X => x"], 6,
+     "NotIPCTerm"),
+    ("translate_formula_not_ipc", ["translate", "--target", "at",
+                                   "fun x:forall X.X => x"], 6, "NotIPCFormula"),
+    ("diagram_rule_not_applicable", ["diagram", "--rule", "beta_imp", "--env",
+                                     "y:X", "(fun x:X => x) y"], 6,
+     "RuleNotApplicable"),
+    ("simulate_no_such_redex", ["simulate", "--rule", "beta_or", "--env", "y:X",
+                                "(fun x:X => x) y"], 6, "no beta_or redex found"),
+    ("diagram_no_redex_at_pos", ["diagram", "--rule", "varpi_bot", "--pos", "0",
+                                 "--env", "u:bot", "abort[X] (abort[bot] u)"], 6,
+     "no varpi_bot redex found"),
 ]
 
 

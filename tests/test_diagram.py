@@ -133,3 +133,129 @@ def test_all_rules_on_nested_corpus():
         for name in ("m_rp->m_at", "n_rp->n_at", "m_rp->n_rp",
                      "m_rp->q1", "n_rp->q2"):
             assert all(s.fine for s in d.legs[name].steps), name
+
+
+# ------------------------------------------------- constructed detour legs
+
+RESULTS = ("X", "X -> Y", "X & Y", "X | Y", "bot")
+_CANON = {"X": "a", "X -> Y": "f", "X & Y": "p", "X | Y": "s", "bot": "u"}
+_BOT = "case s of { c:X => u ; d:Y => u } : bot"
+
+
+def _nested(t, a):
+    return f"case s of {{ c:X => {t} ; d:Y => {t} }} : {a}"
+
+
+def _redex_text(rule, c):
+    """A root redex of `rule` whose type is c, with a nested case in a
+    branch payload (or in the abort body)."""
+    k, c = _CANON[c], f"({c})"
+    return {
+        "beta_or": f"case in1[X|Y] a of {{ x:X => {_nested(k, c)} ; "
+                   f"y:Y => {k} }} : {c}",
+        "varpi_or": f"case abort[X|Y] ({_BOT}) of {{ x:X => {_nested(k, c)} ; "
+                    f"y:Y => {k} }} : {c}",
+        "varpi_bot": f"abort[{c}] (abort[bot] ({_BOT}))",
+        "pi_imp": f"(case s of {{ x:X => {_nested('fun z:X => ' + k, 'X -> ' + c)} ; "
+                  f"y:Y => fun z:X => {k} }} : X -> {c}) a",
+        "pi_and": f"(case s of {{ x:X => {_nested(f'<{k}, a>', c + ' & X')} ; "
+                  f"y:Y => <{k}, a> }} : {c} & X).1",
+        "varpi_imp": f"(abort[X -> {c}] ({_BOT})) a",
+        "varpi_and": f"(abort[{c} & X] ({_BOT})).1",
+    }[rule]
+
+
+# Leaves of the atomic case/abort unfolding at each result formula, and
+# the eta steps that close its levels, innermost first.
+_LEAVES = {"X": [()], "X -> Y": [(0,)], "X & Y": [(0,), (1,)],
+           "X | Y": [(0, 0)], "bot": [(0,)]}
+_ETAS = {"X": [], "X -> Y": [("eta_imp", ())], "X & Y": [("eta_and", ())],
+         "X | Y": [("eta_imp", (0,)), ("eta_all", ())], "bot": [("eta_all", ())]}
+_LEAF_SCRIPTS = {
+    "beta_or": [("beta_all", (0,)), ("beta_imp", ()), ("beta_and", (0,)),
+                ("beta_imp", ())],
+    "varpi_or": [("beta_all", (0,)), ("beta_imp", ())],
+    "varpi_bot": [("beta_all", ())],
+}
+_ROOT_SCRIPTS = {"pi_imp": [("beta_imp", ())], "varpi_imp": [("beta_imp", ())],
+                 "pi_and": [("beta_and", ())], "varpi_and": [("beta_and", ())]}
+
+
+def _expected_leg(rule, c):
+    if rule in _ROOT_SCRIPTS:
+        return _ROOT_SCRIPTS[rule]
+    out = [(name, leaf + pos) for leaf in _LEAVES[c]
+           for name, pos in _LEAF_SCRIPTS[rule]]
+    return out + (_ETAS[c] if rule == "beta_or" else [])
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    import atomlam.analysis
+    import atomlam.diagram
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a diagram leg was searched")
+
+    for module in (atomlam, atomlam.analysis, atomlam.diagram):
+        monkeypatch.setattr(module, "search_beta_eta", boom)
+
+
+@pytest.mark.parametrize("c", RESULTS)
+@pytest.mark.parametrize("rule", sorted(SIMPLE, key=lambda r: r.value),
+                         ids=lambda r: r.value)
+def test_detour_leg_is_constructed(no_search, rule, c):
+    env = corpus.IPC_BASE
+    t = pt(_redex_text(rule.value, c))
+    assert typecheck(IPC, env, t) == pf(c)
+    [r] = [x for x in find_redexes(IPC, env, t, {rule}) if x.position == ()]
+    d = build_diagram(env, t, r)
+    assert d.verify() == []
+    got = [(s.rule.value, s.position) for s in d.legs["q1->q2"].steps]
+    assert got == _expected_leg(rule.value, c)
+
+
+def test_beta_or_leg_at_a_conjunction(no_search):
+    # 4 detour steps per conjunct, then one eta step; a breadth-first
+    # search for this leg took seconds
+    env = corpus.IPC_BASE
+    t = pt("case in1[X|Y] a of { x:X => case s of { c:X => <x, c> ; "
+           "d:Y => abort[X & X] u } : X & X ; y:Y => <a, a> } : X & X")
+    [r] = find_redexes(IPC, env, t, {RuleId.beta_or})
+    d = build_diagram(env, t, r)
+    assert d.verify() == []
+    rules = [s.rule.value for s in d.legs["q1->q2"].steps]
+    assert rules == ["beta_all", "beta_imp", "beta_and", "beta_imp"] * 2 + ["eta_and"]
+
+
+def test_nested_corpus_builds_without_search(no_search):
+    for env, t, r in corpus.ipc_redex_corpus(
+            103, 80, rules=sorted(OR_BOT_RULES, key=lambda x: x.value)):
+        assert build_diagram(env, t, r).verify() == [], r.rule
+
+
+def test_diagram_has_no_search_state():
+    from dataclasses import fields
+    from atomlam.diagram import Diagram
+    assert "search_failed" not in {f.name for f in fields(Diagram)}
+
+
+def test_constructed_legs_are_as_short_as_the_search():
+    # the bounded search is the oracle: on every copy, the constructed leg
+    # has the length of its shortest detour/eta path
+    from atomlam.analysis import search_beta_eta
+    suite = corpus.ipc_redex_corpus(
+        261, 510, rules=sorted(OR_BOT_RULES, key=lambda x: x.value))
+    checked = 0
+    for env, t, r in suite[::3]:
+        if r.rule not in SIMPLE:
+            continue
+        d = build_diagram(env, t, r)
+        for cp in at_copy_positions(t, r.position):
+            mine = [s for s in d.legs["q1->q2"].steps
+                    if s.position[:len(cp)] == cp]
+            path = search_beta_eta(subterm_at(d.m_at, cp),
+                                   subterm_at(d.n_at, cp))
+            assert path is not None and len(path) == len(mine), (r.rule, cp)
+            checked += 1
+    assert checked >= 100

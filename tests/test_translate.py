@@ -135,3 +135,29 @@ def test_at_output_is_fat_and_atomization_normal():
                                         {RuleId.rho_case, RuleId.rho_abort})
                 if r.fine]
         assert fine == []
+
+
+@pytest.mark.parametrize("text", [
+    "fun x:X => a",
+    "f a",
+    "<a, b>",
+    "p.1",
+    "in1[X|Y] a",
+    "case s of { x:X => a ; y:Y => b } : X",
+    "case s of { x:X => a ; y:Y => b } : X & Y",
+    "abort[X] u",
+    "abort[X -> Y] u",
+])
+def test_layout_table_locates_each_child(text):
+    from atomlam import RP_CHILD
+    from atomlam.diagram import at_copy_positions
+    from atomlam.syntax import subterm_at, term_children
+    m = pt(text)
+    children = term_children(m)
+    assert len({str(c) for c in children}) == len(children)
+    assert len(RP_CHILD[type(m)]) == len(children)
+    for i, child in enumerate(children):
+        assert subterm_at(rp_term(m), RP_CHILD[type(m)][i]) == rp_term(child)
+        # the atomic translation puts the child's image at every copy
+        for cp in at_copy_positions(m, (i,)):
+            assert subterm_at(at_term(m), cp) == at_term(child)
