@@ -8,12 +8,16 @@ contribution is |C| * (1 + W(subterms)). W strictly decreases along every
 fine atomization step, which atomic_nf asserts on each step it takes. The
 typed traversal typecheck.Scan computes W's terms in the same walk that
 finds the atomization redexes, and atomic_nf keeps it between steps.
+The local-confluence check constructs each pair's join from residuals
+(each redex, then every copy of the other that its contraction makes)
+and never searches for one.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      StepLimitExceeded, TypingError)
@@ -21,8 +25,8 @@ from .rules import F_BETA_ETA, RuleId, apply_rule, match_rule
 from .syntax import (And, App, Forall, FVar, Imp, Lam, Pair, Proj, Term,
                      TyApp, TyLam, Var, canonical_key, replace_at, subterm_at,
                      term_children)
-from .rewriting import (Redex, ReductionTrace, apply_script, reduce_scan,
-                        shift, step)
+from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
+                        reduce_scan, shift, step)
 from .translate import RP_CHILD, rp_env, rp_term
 from .typecheck import Env, Scan, SystemId, typecheck
 
@@ -260,6 +264,8 @@ class JoinResult:
     right: tuple
     joined: bool
     witness: Term | None
+    #: the two legs: left's redex then right's residuals, and vice versa
+    legs: tuple = ()
 
 
 @dataclass
@@ -271,67 +277,70 @@ class ConfluenceReport:
         return all(p.joined for p in self.pairs)
 
 
-def _join_search(a: Scan, b: Scan, depth, node_cap=4000):
-    """Common fine atomization reduct of the scanned terms a and b within
-    `depth` steps per side, by level-synchronized expansion with early
-    exit; None if the bounded search finds nothing."""
-    seen_a = {canonical_key(a.root.term): a.root.term}
-    seen_b = {canonical_key(b.root.term): b.root.term}
-    frontier_a, frontier_b = [a], [b]
-    common = seen_a.keys() & seen_b.keys()
-    if common:
-        return seen_a[next(iter(common))]
-
-    def expand(frontier, seen, other):
-        nxt = []
-        for cur in frontier:
-            for pos, rule, _, fine in cur.redexes():
-                if not fine:
-                    continue
-                new = cur.after(pos, rule)
-                key = canonical_key(new.root.term)
-                if key in seen:
-                    continue
-                seen[key] = new.root.term
-                if key in other:
-                    return nxt, new.root.term
-                nxt.append(new)
-                if len(seen) > node_cap:
-                    return nxt, None
-        return nxt, None
-
-    for _ in range(depth):
-        if not frontier_a and not frontier_b:
-            break
-        frontier_a, hit = expand(frontier_a, seen_a, seen_b)
-        if hit is not None:
-            return hit
-        frontier_b, hit = expand(frontier_b, seen_b, seen_a)
-        if hit is not None:
-            return hit
-        if len(seen_a) > node_cap or len(seen_b) > node_cap:
-            break
-    return None
+_MARK = Var("\0residual")  # a name neither the parser nor fresh_name makes
 
 
-def check_local_confluence(env: Env, m: Term, rules=ATOMIZATION_RULES,
-                           max_join: int = 16) -> ConfluenceReport:
-    """For every pair of distinct fine atomization redexes, contract both
-    and search a common fine reduct within max_join steps each side."""
+def residuals(m: Term, p1, rule1: RuleId, p2) -> list:
+    """Positions of the copies (residuals) of m's subterm at p2 once the
+    rule1 redex at p1 is contracted, found by contracting with a marker in
+    its place: rho_* at a conjunction makes two, the other shapes one."""
+    k = len(p1)
+    if len(p2) <= k or p2[:k] != p1:
+        return [p2]
+    marked = apply_rule(rule1, replace_at(subterm_at(m, p1), p2[k:], _MARK))
+
+    def marks(t, pos):
+        if t.__class__ is Var and t.name == _MARK.name:
+            return [pos]
+        return [q for i, c in enumerate(term_children(t))
+                for q in marks(c, pos + (i,))]
+
+    return marks(marked, p1)
+
+
+def _leg(env, m, first, scan, other) -> ReductionTrace:
+    """The fine redex `first` of m (contracted, it gives `scan`), then
+    every residual of the redex `other`, each fine where it lands."""
+    (p1, rule1, local), (p2, rule2, _) = first, other
+    trace = ReductionTrace(SystemId.F, env, m,
+                           [TraceStep(rule1, p1, local, scan.root.term)])
+    for pos in residuals(m, p1, rule1, p2):
+        info = scan.root
+        for i in pos:
+            info = info.kids[i]
+        if (rule2, True) not in info.own:
+            raise InternalInvariantViolation(
+                f"residual {rule2.value} at {list(pos)} is not a fine redex")
+        scan = scan.after(pos, rule2)
+        trace.steps.append(TraceStep(rule2, pos, info.env, scan.root.term))
+    return trace
+
+
+def check_local_confluence(env: Env, m: Term,
+                           rules=ATOMIZATION_RULES) -> ConfluenceReport:
+    """For every pair of distinct fine atomization redexes, build the join:
+    each redex, then every residual of the other. Legs that do not meet
+    raise InternalInvariantViolation."""
     scan = _atomization_scan(env, m)
     rules = frozenset(RuleId(x) for x in rules)
     if not rules <= ATOMIZATION_RULES:
         raise ValueError("local confluence check covers atomization rules only")
-    redexes = [(pos, rule) for pos, rule, _, fine in scan.redexes()
+    redexes = [(pos, rule, local) for pos, rule, local, fine in scan.redexes()
                if fine and rule in rules]
+    contracted = [scan.after(pos, rule) for pos, rule, _ in redexes] \
+        if len(redexes) > 1 else []
     report = ConfluenceReport()
-    for i in range(len(redexes)):
-        for j in range(i + 1, len(redexes)):
-            r1, r2 = redexes[i], redexes[j]
-            witness = _join_search(scan.after(*r1), scan.after(*r2), max_join)
-            report.pairs.append(JoinResult((r1[1].value, r1[0]),
-                                           (r2[1].value, r2[0]),
-                                           witness is not None, witness))
+    for i, j in combinations(range(len(redexes)), 2):
+        r1, r2 = redexes[i], redexes[j]
+        a = _leg(env, m, r1, contracted[i], r2)
+        b = _leg(env, m, r2, contracted[j], r1)
+        if a.final != b.final:
+            raise InternalInvariantViolation(
+                f"{r1[1].value} at {list(r1[0])} and {r2[1].value} at "
+                f"{list(r2[0])} do not join by residuals")
+        report.pairs.append(JoinResult((r1[1].value, r1[0]),
+                                       (r2[1].value, r2[0]),
+                                       True, a.final, (a, b)))
     return report
 
 

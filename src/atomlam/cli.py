@@ -9,10 +9,11 @@ emitting.
 
 Exit codes: 0 ok, 1 type error (including an environment formula outside
 the command's system), 2 parse or usage error (including a step limit that
-is not positive), 3 step cap reached, 4 internal invariant violation,
-5 input nested too deeply for the interpreter's recursion limit, 6 input
-outside a command's domain (a term or formula that is not IPC, a rule the
-command does not cover, or no redex of the requested rule).
+is not positive and a --file or --env-file that cannot be read), 3 step cap
+reached, 4 internal invariant violation, 5 input nested too deeply for the
+interpreter's recursion limit, 6 input outside a command's domain (a term
+or formula that is not IPC, a rule the command does not cover, or no redex
+of the requested rule).
 """
 
 from __future__ import annotations
@@ -71,6 +72,18 @@ def _emit_trace(args, command, source, trace, truncated=False):
     return EXIT_CAP if truncated else EXIT_OK
 
 
+class _Unreadable(Exception):
+    """An input file that cannot be read (a usage error)."""
+
+
+def _read(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise _Unreadable(f"cannot read {path!r}: {e.strerror or e}") from e
+
+
 def _load_env(args, sys_id):
     """The environment from --env and --env-file; every formula must belong
     to `sys_id`, the system the command reads its input in."""
@@ -81,13 +94,12 @@ def _load_env(args, sys_id):
             raise ParseError(f"environment binding needs 'name : formula': {binding!r}")
         pairs.append((name.strip(), parse_formula(text)))
     if getattr(args, "env_file", None):
-        with open(args.env_file, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                name, _, text = line.partition(":")
-                pairs.append((name.strip(), parse_formula(text)))
+        for line in _read(args.env_file).splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            name, _, text = line.partition(":")
+            pairs.append((name.strip(), parse_formula(text)))
     for name, formula in pairs:
         if not formula_in_system(formula, sys_id):
             raise NotInSystem(f"environment formula of {name!r} is not in "
@@ -99,11 +111,7 @@ def _load_term(args):
     sources = [s for s in (args.term, args.file) if s]
     if len(sources) != 1:
         raise ParseError("provide exactly one input: an inline term or --file")
-    if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = args.term
+    text = _read(args.file) if args.file else args.term
     return parse_term(text), text.strip()
 
 
@@ -312,6 +320,9 @@ def main(argv=None):
         return args.fn(args)
     except (ParseError, ValueError) as e:
         print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except _Unreadable as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except TypingError as e:
         pos = list(getattr(e, "position", ()) or ())

@@ -461,13 +461,13 @@ def matchers_by_class(rules: frozenset) -> dict:
 
 def match_rule(rule: RuleId, m: Term):
     """Payload dict if m is a root redex of `rule`, else None."""
-    return _MATCHERS[RuleId(rule)](m)
+    return _MATCHERS[rule if rule.__class__ is RuleId else RuleId(rule)](m)
 
 
 def apply_rule(rule: RuleId, m: Term) -> Term:
     """Contract a root redex of `rule`; ShapeMismatch / AtomicInstantiation
     when m does not match."""
-    rule = RuleId(rule)
+    rule = rule if rule.__class__ is RuleId else RuleId(rule)
     if match_rule(rule, m) is None:
         if rule is RuleId.rho_case:
             spine = _case_spine(m)

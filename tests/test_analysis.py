@@ -8,7 +8,9 @@ from atomlam import (Env, FVar, RuleId, SystemId, Var, alpha_eq, apply_rule,
                      expand_rho, find_redexes, formula_size, parse_formula,
                      parse_term, replace_at, replay, rp_env, rp_term,
                      simulate_step, step, subterm_at, typecheck, weight)
-from atomlam.errors import NotTypable
+import atomlam.analysis
+from atomlam.analysis import residuals
+from atomlam.errors import InternalInvariantViolation, NotTypable
 from atomlam.rules import rules_of_system
 
 import corpus
@@ -276,8 +278,105 @@ def test_single_redex_vacuously_confluent():
 
 
 def test_local_confluence_on_corpus():
+    # beside the legs meeting, an oracle independent of the residuals: the
+    # join stays in the class of m's unique atomic normal form
+    pairs = 0
     for env, t in corpus.f_corpus(101, 50):
-        assert check_local_confluence(env, t).all_joined
+        report = check_local_confluence(env, t)
+        assert report.all_joined
+        nf = atomic_nf(env, t)[0]
+        for pair in report.pairs:
+            pairs += 1
+            assert atomic_nf(env, pair.witness)[0] == nf
+            for leg, own in zip(pair.legs, (pair.left, pair.right)):
+                assert (leg.steps[0].rule.value, leg.steps[0].position) == own
+                assert leg.initial is t and leg.final == pair.witness
+                assert replay(leg)
+    assert pairs > 0
+
+
+_RES_ENV = Env([("a", FVar("X")), ("b", FVar("Y")), ("u", encode_bot()),
+                ("s", encode_or(FVar("X"), FVar("Y"))), ("f", pf("X -> Y")),
+                ("g", pf("forall Z. Z -> Z"))])
+_SUM = "forall X'. (X -> X') & (Y -> X') -> X'"
+# branch bodies of each conclusion C, under x:X and under y:Y
+_BRANCHES = {"X -> Y": ("f", "fun w:X => y"), "X & Y": ("<x, b>", "<a, y>"),
+             "forall Z. Z -> Z": ("g", "g")}
+
+
+def _case(head, c, left=None, right=None):
+    bl, br = _BRANCHES[c]
+    return (f"{head} [{c}] <fun x:X => {left or bl},"
+            f" fun y:Y => {right or br}>")
+
+
+_IMP, _AND, _ALL = _BRANCHES
+_ROOT_ABORT, _ROOT_CASE = ((), RuleId.rho_abort), ((), RuleId.rho_case)
+_HEAD_ABORT = ((0,), RuleId.rho_abort)
+_SPINE_ABORT = ((0, 0), RuleId.rho_abort)
+_LEFT_ABORT = ((1, 0, 0), RuleId.rho_abort)
+_RIGHT_ABORT = ((1, 1, 0), RuleId.rho_abort)
+
+# (name, term, outer redex, inner redex, residuals of the inner redex once
+# the outer one is contracted): both rho rules at each conclusion kind,
+# with the inner fine redex in the head and, for rho_case, in each branch
+RESIDUAL_CASES = [
+    ("abort_head_imp", f"u [forall Y. Y] [{_IMP}]", _ROOT_ABORT, _HEAD_ABORT,
+     [(0, 0)]),
+    ("abort_head_and", f"u [forall Y. Y] [{_AND}]", _ROOT_ABORT, _HEAD_ABORT,
+     [(0, 0), (1, 0)]),
+    ("abort_head_all", f"u [forall Y. Y] [{_ALL}]", _ROOT_ABORT, _HEAD_ABORT,
+     [(0, 0)]),
+    ("case_head_imp", _case(f"u [{_SUM}]", _IMP), _ROOT_CASE, _SPINE_ABORT,
+     [(0, 0, 0)]),
+    ("case_head_and", _case(f"u [{_SUM}]", _AND), _ROOT_CASE, _SPINE_ABORT,
+     [(0, 0, 0), (1, 0, 0)]),
+    ("case_head_all", _case(f"u [{_SUM}]", _ALL), _ROOT_CASE, _SPINE_ABORT,
+     [(0, 0, 0)]),
+    ("case_left_imp", _case("s", _IMP, left=f"u [{_IMP}]"), _ROOT_CASE,
+     _LEFT_ABORT, [(0, 1, 0, 0, 0)]),
+    ("case_left_and", _case("s", _AND, left=f"u [{_AND}]"), _ROOT_CASE,
+     _LEFT_ABORT, [(0, 1, 0, 0, 0), (1, 1, 0, 0, 0)]),
+    ("case_left_all", _case("s", _ALL, left=f"u [{_ALL}]"), _ROOT_CASE,
+     _LEFT_ABORT, [(0, 1, 0, 0, 0)]),
+    ("case_right_imp", _case("s", _IMP, right=f"u [{_IMP}]"), _ROOT_CASE,
+     _RIGHT_ABORT, [(0, 1, 1, 0, 0)]),
+    ("case_right_and", _case("s", _AND, right=f"u [{_AND}]"), _ROOT_CASE,
+     _RIGHT_ABORT, [(0, 1, 1, 0, 0), (1, 1, 1, 0, 0)]),
+    ("case_right_all", _case("s", _ALL, right=f"u [{_ALL}]"), _ROOT_CASE,
+     _RIGHT_ABORT, [(0, 1, 1, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("src, outer, inner, copies",
+                         [c[1:] for c in RESIDUAL_CASES],
+                         ids=[c[0] for c in RESIDUAL_CASES])
+def test_residuals_of_each_rho_shape(src, outer, inner, copies):
+    t = pt(src)
+    assert residuals(t, *outer, inner[0]) == copies
+    # the outer redex is not below the inner one: it is its own residual
+    assert residuals(t, *inner, outer[0]) == [outer[0]]
+    report = check_local_confluence(_RES_ENV, t)
+    [pair] = report.pairs
+    assert (pair.left, pair.right) == ((outer[1].value, outer[0]),
+                                       (inner[1].value, inner[0]))
+    a, b = pair.legs
+    assert [(s.rule, s.position) for s in a.steps] == \
+        [outer[::-1]] + [(inner[1], p) for p in copies]
+    assert [(s.rule, s.position) for s in b.steps] == [inner[::-1], outer[::-1]]
+    for leg in pair.legs:
+        assert leg.initial is t and leg.final == pair.witness
+        assert all(s.fine for s in leg.steps)
+        assert replay(leg)
+
+
+def test_a_missing_residual_is_an_invariant_violation(monkeypatch):
+    full = residuals
+    monkeypatch.setattr(atomlam.analysis, "residuals",
+                        lambda *args: full(*args)[:1])
+    t = pt(_case(f"u [{_SUM}]", _AND))
+    with pytest.raises(InternalInvariantViolation):
+        check_local_confluence(_RES_ENV, t)
 
 
 # ------------------------------------------------------- assorted invariants

@@ -148,6 +148,8 @@ def run_all(argv):
 
 _REDUCE_BOT = ["reduce", "--sys", "f", "--env", "z:forall X.X",
                "--rules", "rho_abort", "z [(X -> X) & X]"]
+_MISSING = str(GOLDEN / "no-such-file")
+_FOLDER = str(GOLDEN)
 
 # (name, argv, exit code, text expected on stderr)
 EXIT_CASES = [
@@ -194,6 +196,14 @@ EXIT_CASES = [
     ("diagram_no_redex_at_pos", ["diagram", "--rule", "varpi_bot", "--pos", "0",
                                  "--env", "u:bot", "abort[X] (abort[bot] u)"], 6,
      "no varpi_bot redex found"),
+    ("file_missing", ["check", "--file", _MISSING], 2,
+     f"error: cannot read {_MISSING!r}: No such file or directory"),
+    ("file_is_a_directory", ["check", "--file", _FOLDER], 2,
+     f"error: cannot read {_FOLDER!r}: Is a directory"),
+    ("env_file_missing", ["check", "--env-file", _MISSING, "x"], 2,
+     f"error: cannot read {_MISSING!r}: No such file or directory"),
+    ("env_file_is_a_directory", ["check", "--env-file", _FOLDER, "x"], 2,
+     f"error: cannot read {_FOLDER!r}: Is a directory"),
 ]
 
 

@@ -102,6 +102,17 @@ def test_atomization_refuses_atomic():
         apply_rule(RuleId.rho_abort, pt("z y"))
 
 
+def test_rules_by_name():
+    # a rule's name works wherever its RuleId does; an unknown name does not
+    t = pt("z [X -> Y]")
+    assert match_rule("rho_abort", t) == match_rule(RuleId.rho_abort, t)
+    assert match_rule("beta_imp", t) is None
+    assert apply_rule("rho_abort", t) == apply_rule(RuleId.rho_abort, t)
+    for call in (match_rule, apply_rule):
+        with pytest.raises(ValueError):
+            call("no_such_rule", t)
+
+
 def test_delta_rules():
     apply_eq(RuleId.delta,
              "m [C1 -> C2] <fun x:A => fun z:C1 => p, fun y:B => fun z:C1 => q>",
