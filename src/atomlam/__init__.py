@@ -16,8 +16,8 @@ from .syntax import (Abort, And, App, AppHole, AbortHole, Bot, Case, CaseHole,
                      split, subst_term, subst_type_in_formula,
                      subst_type_in_term, subterm_at)
 from .surface import parse_formula, parse_term, print_formula, print_term
-from .typecheck import (Env, SystemId, is_fine_redex, system_of_formula,
-                        typecheck, typecheck_elim_context)
+from .typecheck import (Env, SystemId, is_fine_redex, typecheck,
+                        typecheck_elim_context)
 from .rules import RuleId, apply_rule, match_rule, rules_of_system
 from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
                         env_at, find_redexes, normalize, replay, step)

@@ -23,7 +23,8 @@ from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      StepLimitExceeded, TypingError)
 from .rules import F_BETA_ETA, RuleId, apply_rule, match_rule
 from .syntax import (And, App, Forall, FVar, Imp, Lam, Pair, Proj, Term,
-                     TyApp, TyLam, Var, canonical_key, replace_at, subterm_at,
+                     TyApp, TyLam, Var, canonical_key, free_type_vars_term,
+                     free_vars, fresh_name, replace_at, subterm_at,
                      term_children)
 from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
                         reduce_scan, shift, step)
@@ -38,12 +39,8 @@ def _atomization_scan(env: Env, m: Term) -> Scan:
     is not an F term in env."""
     scan = Scan(env, m, ATOMIZATION_RULES)
     if scan.root.ty is None:
-        try:
-            typecheck(SystemId.F, env, m)
-        except TypingError as e:
-            raise NotTypable(str(e)) from e
-        raise InternalInvariantViolation("the traversal and typecheck disagree "
-                                         "on typability")
+        err = scan.error()
+        raise NotTypable(str(err)) from err
     return scan
 
 
@@ -156,7 +153,6 @@ def expand_rho(env: Env, m: Term, r: Redex):
     the executable form of the inclusion of atomization equality in
     commuting/eta equality.
     """
-    from .syntax import free_type_vars_term, free_vars, fresh_name
     sub = _redex_subterm(m, r, {RuleId.rho_case, RuleId.rho_abort})
     p = r.position
     if r.rule == RuleId.rho_case:
@@ -187,8 +183,7 @@ def expand_rho(env: Env, m: Term, r: Redex):
             expanded = Pair(Proj(1, sub), Proj(2, sub))
             script = [(RuleId.eps_abort, p + (0,)), (RuleId.eps_abort, p + (1,))]
         else:
-            from .syntax import free_type_vars_term as ftv
-            v = fresh_name(c.var, ftv(sub))
+            v = fresh_name(c.var, free_type_vars_term(sub))
             expanded = TyLam(v, TyApp(sub, FVar(v)))
             script = [(RuleId.eps_abort, p + (0,))]
     expansion = replace_at(m, p, expanded)

@@ -1,18 +1,21 @@
-"""Typecheckers for the three systems, elimination-context typing, the
-fineness predicate for atomization/commuting redexes, and the typed
-traversal (`Scan`) behind redex search, the weight and normalization.
+"""The typed traversal (`Scan`) of IPC, F and Fat terms, and its views:
+typechecking, elimination-context typing, and the fineness predicate for
+atomization/commuting redexes; redex search, the weight and normalization
+read the same traversal.
 
 Typechecking is syntax-directed (binders, injections, case and abort are
 fully annotated), so no unification is needed. Formula equality is
 alpha-equivalence throughout. A term binder that would shadow a declared
-variable is silently alpha-renamed; type binders are not, so the
-universal-introduction proviso is checked against the literal binder name.
+variable is silently alpha-renamed through a renaming map, so subterms
+keep their names and positions. A type binder that would capture a type
+variable free in the environment is renamed by substitution into its body,
+unless the universal-introduction proviso is checked literally
+(strict_proviso), which rejects it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from enum import Enum
 
 from . import rules as _rules
@@ -20,14 +23,13 @@ from .errors import (DuplicateDeclaration, ForallProvisoViolated,
                      HoleTypeMismatch, InternalInvariantViolation,
                      NonAtomicInstantiation, NotARedex, NotInSystem,
                      TypeMismatch, UnboundVariable)
-from .syntax import (Abort, And, App, AppHole, AbortHole, Bot, Case, CaseHole,
-                     ElimContext, Forall, Formula, FVar, Imp, Inj, Lam, Or,
-                     Pair, Proj, Term, TyApp, TyAppHole, TyLam, Var,
-                     _with_child, formula_size, free_type_vars,
-                     free_type_vars_term, free_vars, fresh_name, hole_result,
-                     is_encoded_bot, match_encoded_or, replace_at,
-                     subst_term, subst_type_in_formula, subst_type_in_term,
-                     term_children)
+from .syntax import (Abort, And, App, Bot, Case, ElimContext, Forall, Formula,
+                     FVar, Imp, Inj, Lam, Or, Pair, Proj, Term, TyApp, TyLam,
+                     Var, _with_child, context_free_vars, fill, formula_size,
+                     free_type_vars, free_type_vars_term, free_vars,
+                     fresh_name, hole_result, is_encoded_bot,
+                     match_encoded_or, replace_at, subst_type_in_formula,
+                     subst_type_in_term, term_children)
 
 
 class SystemId(Enum):
@@ -43,10 +45,11 @@ class SystemId(Enum):
 class Env:
     """Ordered map from term variables to formulas; duplicates rejected."""
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_ftv")
 
     def __init__(self, bindings=()):
         self._map = {}
+        self._ftv = None
         for name, formula in (bindings.items() if isinstance(bindings, dict) else bindings):
             if name in self._map:
                 raise DuplicateDeclaration(f"variable {name!r} declared twice")
@@ -76,30 +79,14 @@ class Env:
         return self._map.items()
 
     def free_type_vars(self) -> frozenset:
-        out = frozenset()
-        for f in self._map.values():
-            out |= free_type_vars(f)
-        return out
+        if self._ftv is None:  # asked at every type binder: keep it
+            self._ftv = frozenset().union(*map(free_type_vars,
+                                               self._map.values()))
+        return self._ftv
 
     def __repr__(self):
         inner = ", ".join(f"{k}: {v!r}" for k, v in self._map.items())
         return f"Env({{{inner}}})"
-
-
-@dataclass(frozen=True)
-class FormulaClass:
-    """Connective usage of a formula: which systems it belongs to."""
-
-    has_or_bot: bool
-    has_forall: bool
-
-    @property
-    def in_ipc(self) -> bool:
-        return not self.has_forall
-
-    @property
-    def in_f(self) -> bool:
-        return not self.has_or_bot
 
 
 def _uses(f: Formula, connectives) -> bool:
@@ -115,175 +102,37 @@ def _uses(f: Formula, connectives) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def system_of_formula(f: Formula) -> FormulaClass:
-    return FormulaClass(_uses(f, (Or, Bot)), _uses(f, Forall))
-
-
 def formula_in_system(f: Formula, sys: SystemId) -> bool:
     """IPC formulas have no universal, F and Fat ones no sum or empty type."""
     return not _uses(f, Forall if sys is SystemId.IPC else (Or, Bot))
 
 
-def _check_formula(f, sys, pos):
-    if not formula_in_system(f, sys):
-        raise NotInSystem(f"formula not in {sys.value}: {f!r}", pos)
-
-
-def _enter_binder(env, var, ann, body):
-    """Extend env with var:ann, alpha-renaming the binder if it shadows."""
-    if var not in env:
-        return env.extend(var, ann), var, body
-    new = fresh_name(var, set(env.names()) | free_vars(body))
-    return env.extend(new, ann), new, subst_term(Var(new), var, body)
-
-
 def typecheck(sys: SystemId, env: Env, m: Term,
               strict_proviso: bool = False) -> Formula:
-    """Return the unique formula A with env |- m : A in system `sys`.
+    """Return the unique formula A with env |- m : A in system `sys`, or
+    raise the first TypingError met checking top-down and left to right,
+    a node's annotations before its bodies.
 
-    A type binder that collides with a type variable free in the
-    environment is silently alpha-renamed, exactly like a shadowing term
-    binder; the universal-introduction proviso is thereby discharged by
-    the renaming convention. Pass strict_proviso=True to instead reject
-    such a binder with ForallProvisoViolated (the literal on-demand check
-    against the environment's free type variables).
+    A type binder that would capture a type variable free in the
+    environment is alpha-renamed, like a shadowing term binder, which
+    discharges the universal-introduction proviso; strict_proviso=True
+    rejects it with ForallProvisoViolated instead.
     """
-
-    def go(t, env, pos):
-        if isinstance(t, Var):
-            f = env.lookup(t.name)
-            if f is None:
-                raise UnboundVariable(f"unbound variable {t.name!r}", pos)
-            return f
-        if isinstance(t, Lam):
-            _check_formula(t.ann, sys, pos)
-            env2, _, body = _enter_binder(env, t.var, t.ann, t.body)
-            return Imp(t.ann, go(body, env2, pos + (0,)))
-        if isinstance(t, App):
-            tf = go(t.fun, env, pos + (0,))
-            ta = go(t.arg, env, pos + (1,))
-            if not isinstance(tf, Imp):
-                raise TypeMismatch("applied term is not an implication",
-                                   pos + (0,), expected=None, found=tf)
-            if ta != tf.left:
-                raise TypeMismatch("argument type mismatch", pos + (1,),
-                                   expected=tf.left, found=ta)
-            return tf.right
-        if isinstance(t, Pair):
-            return And(go(t.fst, env, pos + (0,)), go(t.snd, env, pos + (1,)))
-        if isinstance(t, Proj):
-            tb = go(t.body, env, pos + (0,))
-            if not isinstance(tb, And):
-                raise TypeMismatch("projected term is not a conjunction",
-                                   pos + (0,), expected=None, found=tb)
-            return tb.left if t.index == 1 else tb.right
-        if isinstance(t, Inj):
-            if sys is not SystemId.IPC:
-                raise NotInSystem(f"injection not in {sys.value}", pos)
-            _check_formula(t.left, sys, pos)
-            _check_formula(t.right, sys, pos)
-            tb = go(t.body, env, pos + (0,))
-            want = t.left if t.index == 1 else t.right
-            if tb != want:
-                raise TypeMismatch("injected term type mismatch", pos + (0,),
-                                   expected=want, found=tb)
-            return Or(t.left, t.right)
-        if isinstance(t, Case):
-            if sys is not SystemId.IPC:
-                raise NotInSystem(f"case not in {sys.value}", pos)
-            for f in (t.lann, t.rann, t.ann):
-                _check_formula(f, sys, pos)
-            ts = go(t.scrut, env, pos + (0,))
-            if not isinstance(ts, Or):
-                raise TypeMismatch("case scrutinee is not a disjunction",
-                                   pos + (0,), expected=None, found=ts)
-            if ts.left != t.lann or ts.right != t.rann:
-                raise TypeMismatch("case branch annotations do not match scrutinee",
-                                   pos, expected=Or(t.lann, t.rann), found=ts)
-            envl, _, lbody = _enter_binder(env, t.lvar, t.lann, t.lbody)
-            tl = go(lbody, envl, pos + (1,))
-            if tl != t.ann:
-                raise TypeMismatch("left branch type mismatch", pos + (1,),
-                                   expected=t.ann, found=tl)
-            envr, _, rbody = _enter_binder(env, t.rvar, t.rann, t.rbody)
-            tr = go(rbody, envr, pos + (2,))
-            if tr != t.ann:
-                raise TypeMismatch("right branch type mismatch", pos + (2,),
-                                   expected=t.ann, found=tr)
-            return t.ann
-        if isinstance(t, Abort):
-            if sys is not SystemId.IPC:
-                raise NotInSystem(f"abort not in {sys.value}", pos)
-            _check_formula(t.ann, sys, pos)
-            tb = go(t.body, env, pos + (0,))
-            if not isinstance(tb, Bot):
-                raise TypeMismatch("aborted term is not of the empty type",
-                                   pos + (0,), expected=Bot(), found=tb)
-            return t.ann
-        if isinstance(t, TyLam):
-            if sys is SystemId.IPC:
-                raise NotInSystem("type abstraction not in ipc", pos)
-            var, body = t.var, t.body
-            if var in env.free_type_vars():
-                if strict_proviso:
-                    raise ForallProvisoViolated(
-                        f"type variable {var!r} occurs free in the environment",
-                        pos)
-                var = fresh_name(var, env.free_type_vars()
-                                 | free_type_vars_term(body))
-                body = subst_type_in_term(FVar(var), t.var, body)
-            return Forall(var, go(body, env, pos + (0,)))
-        if isinstance(t, TyApp):
-            if sys is SystemId.IPC:
-                raise NotInSystem("universal instantiation not in ipc", pos)
-            if sys is SystemId.FAT and not isinstance(t.arg, FVar):
-                raise NonAtomicInstantiation(
-                    f"instantiation with non-atomic formula {t.arg!r}", pos)
-            _check_formula(t.arg, sys, pos)
-            tf = go(t.fun, env, pos + (0,))
-            if not isinstance(tf, Forall):
-                raise TypeMismatch("instantiated term is not universal",
-                                   pos + (0,), expected=None, found=tf)
-            return subst_type_in_formula(t.arg, tf.var, tf.body)
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(m, env, ())
+    scan = Scan(env, m, system=sys, strict_proviso=strict_proviso)
+    if scan.root.ty is None:
+        raise scan.error()
+    return scan.root.ty
 
 
 def typecheck_elim_context(sys: SystemId, env: Env, e: ElimContext,
                            hole_type: Formula) -> Formula:
-    """Return B such that env | hole_type |- e : B."""
-    if isinstance(e, (CaseHole, AbortHole)) and sys is not SystemId.IPC:
-        raise NotInSystem(f"{type(e).__name__} not in {sys.value}", ())
-    if isinstance(e, TyAppHole):
-        if sys is SystemId.IPC:
-            raise NotInSystem("instantiation context not in ipc", ())
-        if sys is SystemId.FAT and not isinstance(e.arg, FVar):
-            raise NonAtomicInstantiation(
-                f"instantiation with non-atomic formula {e.arg!r}", ())
-    result = hole_result(e, hole_type)
-    if result is None:
+    """Return B such that env | hole_type |- e : B: the type of e filled
+    with a fresh variable of type hole_type."""
+    if hole_result(e, hole_type) is None:
         raise HoleTypeMismatch(
             f"{type(e).__name__} does not eliminate {hole_type!r}", ())
-    if isinstance(e, AppHole):
-        ta = typecheck(sys, env, e.arg)
-        if ta != hole_type.left:
-            raise TypeMismatch("context argument type mismatch", (),
-                               expected=hole_type.left, found=ta)
-    if isinstance(e, CaseHole):
-        if hole_type.left != e.lann or hole_type.right != e.rann:
-            raise HoleTypeMismatch("context branch annotations do not match hole type", ())
-        envl, _, lbody = _enter_binder(env, e.lvar, e.lann, e.lbody)
-        tl = typecheck(sys, envl, lbody)
-        if tl != e.ann:
-            raise TypeMismatch("left branch type mismatch", (1,),
-                               expected=e.ann, found=tl)
-        envr, _, rbody = _enter_binder(env, e.rvar, e.rann, e.rbody)
-        tr = typecheck(sys, envr, rbody)
-        if tr != e.ann:
-            raise TypeMismatch("right branch type mismatch", (2,),
-                               expected=e.ann, found=tr)
-    return result
+    h = fresh_name("h", set(env.names()) | context_free_vars(e))
+    return typecheck(sys, env.extend(h, hole_type), fill(e, Var(h)))
 
 
 def _head_fine(kind: str, head_type, payload) -> bool:
@@ -327,23 +176,72 @@ def is_fine_redex(env: Env, m: Term, rule, _ren=_NO_RENAMES) -> bool:
 class _Info:
     """The traversal's result at one position: the subterm, the
     environment and binder renaming in force there, the children's
-    results, and (when typing) the subterm's F type, or None if it is
-    untypable, its weight `w` and this node's own weight term `pre` (0 if
+    results, and (when typing) the subterm's type, or None and `why` it
+    has none, its weight `w` and this node's own weight term `pre` (0 if
     the node is no pre-redex). `own` lists the (rule, fine) matches at the
     node in RuleId order; `nfine` counts the fine ones in the subterm."""
 
-    __slots__ = ("term", "env", "ren", "kids", "ty", "w", "pre", "own", "nfine")
+    __slots__ = ("term", "env", "ren", "kids", "ty", "why", "w", "pre", "own",
+                 "nfine")
+
+
+class _Fail(Exception):
+    """Why a node is untypable: the TypingError of its own check,
+    positioned from the node, or the child whose error comes first."""
+
+
+def _error(info, pos=()):
+    """The first typing error in info's untypable subterm, with its
+    position prefixed by `pos`."""
+    while info.why.__class__ is _Info:
+        kid = info.why
+        pos += (info.kids.index(kid),)
+        info = kid
+    err = copy.copy(info.why)
+    err.position = pos + err.position
+    return err
+
+
+def _typed(kid):
+    """A child's type; _Fail(kid) if it has none."""
+    if kid.ty is None:
+        raise _Fail(kid)
+    return kid.ty
+
+
+def _expect(ok, message, i, expected, found):
+    """A TypeMismatch at child i unless ok."""
+    if not ok:
+        raise _Fail(TypeMismatch(message, (i,), expected=expected,
+                                 found=found))
+
+
+def _within(sys, *formulas):
+    """NotInSystem for the first of `formulas` that is not in sys."""
+    for f in formulas:
+        if not formula_in_system(f, sys):
+            raise _Fail(NotInSystem(f"formula not in {sys.value}: {f!r}"))
+
+
+_IPC_ONLY = {Inj: "injection", Case: "case", Abort: "abort"}
+
+
+def _capture(t, env):
+    """The new name of the type binder t, renamed because it would capture
+    a type variable free in env; None if it would not."""
+    ftv = env.free_type_vars()
+    if t.var not in ftv:
+        return None
+    return fresh_name(t.var, ftv | free_type_vars_term(t.body))
 
 
 def _bind(env, ren, var, ann, body):
     """Environment and renaming map for a binder's body.
 
     A binder that shadows a declared variable gets the smallest primed
-    variant not declared and not free in the body. That is the name
-    _enter_binder picks after substituting earlier renamings into the
-    body: a free variable such a substitution renames is declared, and so
-    is its new name, so both avoid sets are the same. (The body's free
-    names matter only where it mentions an undeclared variable.)
+    variant not declared and not free in the body: the name renaming by
+    substitution gives it, since a free variable that substitution renames
+    is declared, and so is its new name.
     """
     if var not in env:
         return env.extend(var, ann), ren
@@ -380,20 +278,27 @@ class Scan:
     """One bottom-up traversal of a term, with its result kept per position.
 
     Each node is visited once. The rules of `rules` that fit its node class
-    are matched. When a rule's fineness depends on a head's type (rho_*,
-    delta, eps_*), the walk also types every node in System F from its
-    children's types, reads each match's fineness off its head's type, and
-    combines the weight W (the root's `w`). Otherwise it types nothing.
-    Binders extend the environment as in redex search; positions are
-    those of the term. A Scan is never mutated: `after` returns a new one
-    that shares every result off the contracted redex's ancestor path.
+    are matched. A typed walk also types every node from its children's
+    types, records why an untypable node fails, reads each match's
+    fineness off its head's type, and combines the weight W (the root's
+    `w`). The walk is typed in `system` when one is given (typecheck and
+    context typing are views of such a scan), and otherwise in System F
+    when a rule's fineness depends on a head's type (rho_*, delta, eps_*);
+    else it types nothing. Binders extend the environment as in redex
+    search; positions are those of the term. A Scan is never mutated:
+    `after` returns a new one that shares every result off the contracted
+    redex's ancestor path.
     """
 
-    def __init__(self, env: Env, m: Term, rules=frozenset(), _ren=_NO_RENAMES):
+    def __init__(self, env: Env, m: Term, rules=frozenset(), _ren=_NO_RENAMES,
+                 system=None, strict_proviso=False):
         self.env = env
         self.rules = frozenset(rules)
         self._match = _rules.matchers_by_class(self.rules)
-        self.typed = any(_rules.fineness_kind(r) != "always" for r in self.rules)
+        self.typed = system is not None or any(
+            _rules.fineness_kind(r) != "always" for r in self.rules)
+        self.system = system or SystemId.F
+        self.strict_proviso = strict_proviso
         self.root = self._build(m, env, _ren)
 
     def _build(self, t, env, ren):
@@ -409,6 +314,13 @@ class Scan:
             kids = (build(t.scrut, env, ren),
                     build(t.lbody, *_bind(env, ren, t.lvar, t.lann, t.lbody)),
                     build(t.rbody, *_bind(env, ren, t.rvar, t.rann, t.rbody)))
+        elif cls is TyLam and not self._match and self.typed:
+            # a scan that only types builds a capturing binder's body
+            # renamed, the body typecheck types
+            var = _capture(t, env)
+            body = t.body if var is None else subst_type_in_term(
+                FVar(var), t.var, t.body)
+            kids = (build(body, env, ren),)
         else:
             kids = tuple([build(c, env, ren) for c in term_children(t)])
         info = _Info()
@@ -417,51 +329,106 @@ class Scan:
         return info
 
     def _type(self, info):
-        """F type of info's subterm from its children's, as typecheck
-        (SystemId.F) would give it; None where typecheck would raise."""
-        t, kids = info.term, info.kids
+        """Type of info's subterm from its children's; None, with
+        `info.why` set, where typecheck raises. A node's system and
+        annotation checks come first, then each child's error followed by
+        the checks that use its type."""
+        t, kids, sys = info.term, info.kids, self.system
         cls = t.__class__
-        if cls is Var:
-            return info.env.lookup(info.ren.get(t.name, t.name))
-        if cls is App:
-            tf, ta = kids[0].ty, kids[1].ty
-            if isinstance(tf, Imp) and ta is not None and ta == tf.left:
+        try:
+            if cls is Var:
+                ty = info.env.lookup(info.ren.get(t.name, t.name))
+                if ty is None:
+                    raise _Fail(UnboundVariable(f"unbound variable {t.name!r}"))
+                return ty
+            if cls is App:
+                tf, ta = _typed(kids[0]), _typed(kids[1])
+                _expect(isinstance(tf, Imp),
+                        "applied term is not an implication", 0, None, tf)
+                _expect(ta == tf.left, "argument type mismatch", 1, tf.left, ta)
                 return tf.right
+            if cls is TyApp:
+                if sys is SystemId.IPC:
+                    raise _Fail(NotInSystem("universal instantiation not in ipc"))
+                if sys is SystemId.FAT and t.arg.__class__ is not FVar:
+                    raise _Fail(NonAtomicInstantiation(
+                        f"instantiation with non-atomic formula {t.arg!r}"))
+                _within(sys, t.arg)
+                tf = _typed(kids[0])
+                _expect(isinstance(tf, Forall),
+                        "instantiated term is not universal", 0, None, tf)
+                return subst_type_in_formula(t.arg, tf.var, tf.body)
+            if cls is Lam:
+                _within(sys, t.ann)
+                return Imp(t.ann, _typed(kids[0]))
+            if cls is Pair:
+                return And(_typed(kids[0]), _typed(kids[1]))
+            if cls is Proj:
+                tb = _typed(kids[0])
+                _expect(isinstance(tb, And),
+                        "projected term is not a conjunction", 0, None, tb)
+                return tb.left if t.index == 1 else tb.right
+            if cls is TyLam:
+                if sys is SystemId.IPC:
+                    raise _Fail(NotInSystem("type abstraction not in ipc"))
+                var = _capture(t, info.env)
+                if var is None:
+                    return Forall(t.var, _typed(kids[0]))
+                if self.strict_proviso:
+                    raise _Fail(ForallProvisoViolated(
+                        f"type variable {t.var!r} occurs free in the environment"))
+                if not self._match:  # kids[0] is the renamed body's
+                    return Forall(var, _typed(kids[0]))
+                # kids[0] keeps the body's own names for the matches in it;
+                # type the renamed body aside
+                inner = Scan(info.env,
+                             subst_type_in_term(FVar(var), t.var, t.body), (),
+                             info.ren, sys).root
+                if inner.ty is None:
+                    raise _Fail(_error(inner, (0,)))
+                return Forall(var, inner.ty)
+            if sys is not SystemId.IPC:
+                raise _Fail(NotInSystem(f"{_IPC_ONLY[cls]} not in {sys.value}"))
+            if cls is Inj:
+                _within(sys, t.left, t.right)
+                want, tb = t.left if t.index == 1 else t.right, _typed(kids[0])
+                _expect(tb == want, "injected term type mismatch", 0, want, tb)
+                return Or(t.left, t.right)
+            if cls is Abort:
+                _within(sys, t.ann)
+                tb = _typed(kids[0])
+                _expect(isinstance(tb, Bot),
+                        "aborted term is not of the empty type", 0, Bot(), tb)
+                return t.ann
+            _within(sys, t.lann, t.rann, t.ann)
+            ts = _typed(kids[0])
+            _expect(isinstance(ts, Or), "case scrutinee is not a disjunction",
+                    0, None, ts)
+            if ts.left != t.lann or ts.right != t.rann:
+                raise _Fail(TypeMismatch(
+                    "case branch annotations do not match scrutinee",
+                    expected=Or(t.lann, t.rann), found=ts))
+            for i, side in ((1, "left"), (2, "right")):
+                tb = _typed(kids[i])
+                _expect(tb == t.ann, f"{side} branch type mismatch", i, t.ann,
+                        tb)
+            return t.ann
+        except _Fail as e:
+            info.why = e.args[0]
             return None
-        if cls is TyApp:
-            tf = kids[0].ty
-            if not isinstance(tf, Forall) or not formula_in_system(t.arg, SystemId.F):
-                return None
-            return subst_type_in_formula(t.arg, tf.var, tf.body)
-        if cls is Lam:
-            tb = kids[0].ty
-            if tb is None or not formula_in_system(t.ann, SystemId.F):
-                return None
-            return Imp(t.ann, tb)
-        if cls is Pair:
-            tl, tr = kids[0].ty, kids[1].ty
-            return None if tl is None or tr is None else And(tl, tr)
-        if cls is Proj:
-            tb = kids[0].ty
-            if not isinstance(tb, And):
-                return None
-            return tb.left if t.index == 1 else tb.right
-        if cls is TyLam:
-            env_ftv = info.env.free_type_vars()
-            if t.var not in env_ftv:
-                tb = kids[0].ty
-                return None if tb is None else Forall(t.var, tb)
-            # typecheck renames a binder that would capture an environment
-            # variable; type the renamed body the same way
-            var = fresh_name(t.var, env_ftv | free_type_vars_term(t.body))
-            body = subst_type_in_term(FVar(var), t.var, t.body)
-            tb = Scan(info.env, body, self.rules, info.ren).root.ty
-            return None if tb is None else Forall(var, tb)
-        return None  # injection, case and abort are not F terms
+
+    def error(self):
+        """The TypingError typecheck raises for the scanned term, whose
+        (typed) root has type None."""
+        return _error(self.root)
 
     def _finish(self, info, ty):
         t, kids = info.term, info.kids
         info.ty = ty
+        if not self._match:  # typing only: no matches, and W is not asked
+            info.w = info.pre = info.nfine = 0
+            info.own = ()
+            return
         info.w, info.pre = (0, 0) if ty is None else _weight_terms(t, kids)
         own = ()
         nfine = 0
@@ -553,7 +520,8 @@ class Scan:
 
         Only the contractum is traversed, in the environment in force at
         `pos`; the ancestors' results are recombined from their children.
-        Their types stay as they were: the contractum must have the
+        Their types stay as they were (untypable ones are typed again, to
+        record why from the new children): the contractum must have the
         redex's type (subject reduction), and InternalInvariantViolation
         is raised if it does not.
         """
@@ -570,14 +538,18 @@ class Scan:
             # a renamed binder above took its name from its body's free
             # variables, which have changed: traverse the whole term again
             return Scan(self.env, replace_at(self.root.term, pos, new.term),
-                        self.rules)
+                        self.rules, system=self.system if self.typed else None,
+                        strict_proviso=self.strict_proviso)
         retype = self.typed and old.ty is None
         for parent, i in zip(reversed(path[:-1]), reversed(pos)):
             info = _Info()
             info.term = _with_child(parent.term, i, new.term)
             info.env, info.ren = parent.env, parent.ren
             info.kids = parent.kids[:i] + (new,) + parent.kids[i + 1:]
-            self._finish(info, self._type(info) if retype else parent.ty)
+            ty = parent.ty
+            if retype or ty is None and self.typed:
+                ty = self._type(info)
+            self._finish(info, ty)
             new = info
         out = copy.copy(self)
         out.root = new

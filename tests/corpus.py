@@ -1,11 +1,13 @@
 """Seeded generators of typable terms and targeted redex instances."""
 
+import dataclasses
 import random
 
 from atomlam import (Abort, And, App, Bot, Case, Env, Forall, FVar, Imp, Inj,
                      Lam, Or, Pair, Proj, RuleId, SystemId, TyApp, TyLam, Var,
                      encode_bot, encode_or, find_redexes, free_vars,
-                     fresh_name, mk_case, typecheck)
+                     fresh_name, mk_case, replace_at, subterm_at, typecheck)
+from atomlam.syntax import term_children
 
 X, Y = FVar("X"), FVar("Y")
 
@@ -458,3 +460,46 @@ def f_redex_corpus(seed, count, rules, fat=False):
                 out.append((F_BASE, t, r))
                 break
     return out
+
+
+# ------------------------------------------------- ill-typed mutants
+
+MUTANT_POOL = [X, Y, Bot(), Imp(X, Y), And(X, Y), Or(X, Y),
+               Forall("Z", Imp(FVar("Z"), FVar("Z"))), Forall("X", X)]
+_ANNOTATIONS = {Lam: ("ann",), Inj: ("left", "right"),
+                Case: ("lann", "rann", "ann"), Abort: ("ann",), TyApp: ("arg",)}
+
+
+def positions(t, pos=()):
+    """Every position of t, pre-order."""
+    yield pos
+    for i, c in enumerate(term_children(t)):
+        yield from positions(c, pos + (i,))
+
+
+def mutant(rng, t):
+    """One seeded edit of t at a random position, which usually makes it
+    ill-typed: a wrong annotation or instantiation formula (atomic or
+    not, in or out of each system), an unbound variable, a subterm copied
+    from elsewhere, an injection, abort or case wrapped around the
+    subterm, or a type binder X, Y or Z around it (the corpora's
+    environments mention X and Y, so most of these capture)."""
+    ps = list(positions(t))
+    p = rng.choice(ps)
+    sub = subterm_at(t, p)
+    a, b = rng.choice(MUTANT_POOL), rng.choice(MUTANT_POOL)
+    kind = rng.randrange(6)
+    if kind == 0 and type(sub) in _ANNOTATIONS:
+        new = dataclasses.replace(sub, **{rng.choice(_ANNOTATIONS[type(sub)]): a})
+    elif kind == 1:
+        new = Var("nope")
+    elif kind == 2:
+        new = subterm_at(t, rng.choice(ps))
+    elif kind == 3:
+        new = rng.choice([Inj(1, sub, a, b), Abort(sub, a),
+                          Case(sub, "l", a, Var("l"), "r", b, Var("l"), a)])
+    elif kind == 4:
+        new = TyLam(rng.choice("XYZ"), sub)
+    else:
+        new = TyApp(sub, a)
+    return replace_at(t, p, new)

@@ -204,6 +204,39 @@ EXIT_CASES = [
      f"error: cannot read {_MISSING!r}: No such file or directory"),
     ("env_file_is_a_directory", ["check", "--env-file", _FOLDER, "x"], 2,
      f"error: cannot read {_FOLDER!r}: Is a directory"),
+    # typing errors: the whole stderr line, position, class and message
+    ("check_ipc_unbound_variable", ["check", "--sys", "ipc", "--env", "x:X",
+                                    "fun y:X => nope"], 1,
+     "type error at [0]: UnboundVariable: unbound variable 'nope'\n"),
+    ("check_f_nested_argument_mismatch", ["check", "--sys", "f", "--env",
+                                          "f:X -> Y", "--env", "b:Y",
+                                          "f (f b)"], 1,
+     "type error at [1, 1]: TypeMismatch: argument type mismatch\n"),
+    ("check_fat_nested_argument_mismatch", ["check", "--sys", "fat", "--env",
+                                            "f:X -> Y", "--env", "b:Y",
+                                            "fun y:X => f (f b)"], 1,
+     "type error at [0, 1, 1]: TypeMismatch: argument type mismatch\n"),
+    ("check_f_case", ["check", "--sys", "f", "--env", "s:X",
+                      "case s of { x:X => x ; y:Y => x } : X"], 1,
+     "type error at []: NotInSystem: case not in f\n"),
+    ("check_fat_non_atomic_instantiation", ["check", "--sys", "fat", "--env",
+                                            "z:forall X.X",
+                                            "fun y:X => z [Y -> Y]"], 1,
+     "type error at [0]: NonAtomicInstantiation: instantiation with "
+     "non-atomic formula Imp(FVar('Y'), FVar('Y'))\n"),
+    ("check_ipc_shadowing_binder", ["check", "--sys", "ipc", "--env", "x:X",
+                                    "fun x:Y => (fun y:X => y) x"], 1,
+     "type error at [0, 1]: TypeMismatch: argument type mismatch\n"),
+    ("check_ipc_case_right_branch", ["check", "--sys", "ipc", "--env", "x:X",
+                                     "--env", "s:X | Y",
+                                     "case s of { x:X => x ; y:Y => y } : X"],
+     1, "type error at [2]: TypeMismatch: right branch type mismatch\n"),
+    ("check_f_shadowing_type_binder", ["check", "--sys", "f", "--env", "z:X",
+                                       "tfun X => (fun w:X => w) z"], 1,
+     "type error at [0, 1]: TypeMismatch: argument type mismatch\n"),
+    ("check_fat_shadowing_binder", ["check", "--sys", "fat", "--env", "x:X",
+                                    "fun x:Y => (fun y:X => y) x"], 1,
+     "type error at [0, 1]: TypeMismatch: argument type mismatch\n"),
 ]
 
 

@@ -396,18 +396,18 @@ def _collapse(t):
 
 def _reference_env_and_subterm(env, m, pos):
     """Walk to pos renaming each shadowing binder by substitution into its
-    body (typecheck's binder handling)."""
+    body (the reference typechecker's binder handling)."""
     from atomlam import Case, Lam
     from atomlam.syntax import term_children
-    from atomlam.typecheck import _enter_binder
+    from reference_typecheck import enter_binder
     cur = m
     for i in pos:
         if isinstance(cur, Lam):
-            env, _, cur = _enter_binder(env, cur.var, cur.ann, cur.body)
+            env, _, cur = enter_binder(env, cur.var, cur.ann, cur.body)
         elif isinstance(cur, Case) and i:
             var, ann, body = ((cur.lvar, cur.lann, cur.lbody) if i == 1
                               else (cur.rvar, cur.rann, cur.rbody))
-            env, _, cur = _enter_binder(env, var, ann, body)
+            env, _, cur = enter_binder(env, var, ann, body)
         else:
             cur = term_children(cur)[i]
     return env, cur
@@ -419,8 +419,9 @@ def _reference_fine(env, sub, rule):
     kind = fineness_kind(rule)
     if kind == "always":
         return True
+    from reference_typecheck import reference_typecheck
     try:
-        head = typecheck(F, env, payload["head"])
+        head = reference_typecheck(F, env, payload["head"])
     except TypingError:
         return False
     if kind == "sum":

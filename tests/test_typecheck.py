@@ -5,11 +5,12 @@ import pytest
 from atomlam import (AppHole, AbortHole, CaseHole, Env, FVar, ProjHole,
                      RuleId, SystemId, TyAppHole, Var, alpha_eq, encode_bot,
                      encode_or, is_fine_redex, parse_formula, parse_term,
-                     system_of_formula, typecheck, typecheck_elim_context)
+                     typecheck, typecheck_elim_context)
+from atomlam.typecheck import formula_in_system
 from atomlam.errors import (DuplicateDeclaration, ForallProvisoViolated,
                             HoleTypeMismatch, NonAtomicInstantiation,
                             NotARedex, NotInSystem, TypeMismatch,
-                            UnboundVariable)
+                            TypingError, UnboundVariable)
 
 import corpus
 
@@ -90,13 +91,29 @@ def test_forall_proviso():
     assert typecheck(F, env, pt("tfun X => fun w:X => z")) == pf("forall W. W -> X")
 
 
+def test_nested_capturing_type_binders_built_once(monkeypatch):
+    # every binder captures the environment's X and is renamed; typing the
+    # renamed body in place of the original visits each node once
+    from atomlam import Forall, TyLam
+    from atomlam.typecheck import Scan
+    builds = []
+    build = Scan._build
+    monkeypatch.setattr(Scan, "_build",
+                        lambda self, *a: builds.append(1) or build(self, *a))
+    t, want = Var("z"), FVar("X")
+    for _ in range(12):
+        t, want = TyLam("X", t), Forall("X'", want)
+    assert repr(typecheck(F, Env([("z", FVar("X"))]), t)) == repr(want)
+    assert len(builds) == 13
+
+
 def test_system_of_formula():
-    assert system_of_formula(pf("X -> Y & X")).in_ipc
-    assert system_of_formula(pf("X -> Y & X")).in_f
-    assert not system_of_formula(pf("X | Y")).in_f
-    assert not system_of_formula(pf("forall X. X")).in_ipc
-    assert system_of_formula(encode_bot()).in_f
-    assert system_of_formula(encode_or(FVar("X"), FVar("Y"))).in_f
+    assert formula_in_system(pf("X -> Y & X"), IPC)
+    assert formula_in_system(pf("X -> Y & X"), F)
+    assert not formula_in_system(pf("X | Y"), F)
+    assert not formula_in_system(pf("forall X. X"), IPC)
+    assert formula_in_system(encode_bot(), F)
+    assert formula_in_system(encode_or(FVar("X"), FVar("Y")), F)
 
 
 def test_elim_context_typing():
@@ -116,6 +133,32 @@ def test_fat_instantiation_context():
     with pytest.raises(NonAtomicInstantiation):
         typecheck_elim_context(FAT, Env(), TyAppHole(pf("Y -> Y")),
                                pf("forall X. X"))
+
+
+def test_elim_context_annotations_checked_against_system():
+    # the context's own formulas are checked like those of the filled term
+    with pytest.raises(NotInSystem):
+        typecheck_elim_context(F, Env(), TyAppHole(pf("X | Y")),
+                               pf("forall X. X"))
+    with pytest.raises(NotInSystem):
+        typecheck_elim_context(IPC, Env(), AbortHole(pf("forall X. X")),
+                               pf("bot"))
+    a = pf("forall X. X")
+    with pytest.raises(NotInSystem):
+        typecheck_elim_context(IPC, Env(), CaseHole("x", a, Var("x"), "y", a,
+                                                    Var("y"), a), pf("X | X"))
+
+
+def test_elim_context_errors_positioned_in_filled_term():
+    # the context argument sits at (1,) of the filled term; the hole's
+    # variable avoids the context's free variables
+    with pytest.raises(TypeMismatch) as exc:
+        typecheck_elim_context(IPC, Env([("n", FVar("X"))]),
+                               AppHole(Var("n")), pf("Y -> Z"))
+    assert exc.value.position == (1,)
+    with pytest.raises(UnboundVariable) as exc:
+        typecheck_elim_context(IPC, Env(), AppHole(Var("h")), pf("Y -> Z"))
+    assert exc.value.position == (1,)
 
 
 # ------------------------------------------------------------- fineness
@@ -164,3 +207,42 @@ def test_fat_typable_implies_f_typable():
     for env, t in corpus.f_corpus(13, 120, fat=True):
         tf = typecheck(FAT, env, t)
         assert typecheck(F, env, t) == tf
+
+
+# ------------------------------------- differential against the oracle
+
+def _outcome(check, sys_id, env, t, strict):
+    """The formula, or the error's class, message, position, expected and
+    found, compared by repr so that binder names must agree too."""
+    try:
+        return repr(check(sys_id, env, t, strict))
+    except TypingError as e:
+        return (type(e).__name__, str(e), e.position,
+                repr(getattr(e, "expected", None)),
+                repr(getattr(e, "found", None)))
+
+
+def test_typecheck_agrees_with_reference_checker():
+    # the corpora in each system, their rp/at images and seeded mutants
+    # (wrong annotations, unbound variables, non-atomic instantiations,
+    # IPC constructs in F, capture-prone type binders), checked in every
+    # system with the strict proviso off and on
+    from atomlam import at_term, rp_env, rp_term
+    from reference_typecheck import reference_typecheck
+    rng = random.Random(17)
+    ipc = corpus.ipc_corpus(19, 80)
+    terms = (ipc + [(rp_env(e), rp_term(t)) for e, t in ipc]
+             + [(rp_env(e), at_term(t)) for e, t in ipc]
+             + corpus.f_corpus(23, 80) + corpus.f_corpus(29, 80, fat=True))
+    terms += [(e, corpus.mutant(rng, t)) for e, t in terms for _ in range(4)]
+    errors = {}
+    for env, t in terms:
+        for sys_id in (IPC, F, FAT):
+            for strict in (False, True):
+                got = _outcome(typecheck, sys_id, env, t, strict)
+                assert got == _outcome(reference_typecheck, sys_id, env, t,
+                                       strict), (sys_id, strict, t)
+                if isinstance(got, tuple):
+                    errors[got[0]] = errors.get(got[0], 0) + 1
+    assert set(errors) == {"UnboundVariable", "NotInSystem", "TypeMismatch",
+                           "NonAtomicInstantiation", "ForallProvisoViolated"}
