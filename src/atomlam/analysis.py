@@ -23,7 +23,7 @@ from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      StepLimitExceeded, TypingError)
 from .rules import F_BETA_ETA, RuleId, apply_rule, match_rule
 from .syntax import (And, App, Forall, FVar, Imp, Lam, Pair, Proj, Term,
-                     TyApp, TyLam, Var, canonical_key, free_type_vars_term,
+                     TyApp, TyLam, Var, canonical_key, free_type_vars,
                      free_vars, fresh_name, replace_at, subterm_at,
                      term_children)
 from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
@@ -166,7 +166,7 @@ def expand_rho(env: Env, m: Term, r: Redex):
                 return Lam(z, c.left, App(body, Var(z)))
             if isinstance(c, And):
                 return Pair(Proj(1, body), Proj(2, body))
-            v = fresh_name(c.var, free_type_vars_term(body))
+            v = fresh_name(c.var, free_type_vars(body))
             return TyLam(v, TyApp(body, FVar(v)))
 
         expanded = App(TyApp(head, c),
@@ -183,7 +183,7 @@ def expand_rho(env: Env, m: Term, r: Redex):
             expanded = Pair(Proj(1, sub), Proj(2, sub))
             script = [(RuleId.eps_abort, p + (0,)), (RuleId.eps_abort, p + (1,))]
         else:
-            v = fresh_name(c.var, free_type_vars_term(sub))
+            v = fresh_name(c.var, free_type_vars(sub))
             expanded = TyLam(v, TyApp(sub, FVar(v)))
             script = [(RuleId.eps_abort, p + (0,))]
     expansion = replace_at(m, p, expanded)

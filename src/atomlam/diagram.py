@@ -33,7 +33,7 @@ from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
 from .rules import RuleId, match_rule
 from .syntax import (Abort, And, Case, Forall, FVar, Imp, Term, subterm_at,
                      term_children)
-from .rewriting import Redex, apply_script, shift, step
+from .rewriting import Redex, apply_script, replay, shift, step
 from .translate import RP_CHILD, at_term, rp_env, rp_formula, rp_term
 from .typecheck import Env, SystemId, typecheck
 from .analysis import simulate_step
@@ -263,7 +263,6 @@ class Diagram:
     def verify(self):
         """Replay every leg and check endpoints, rule classes and the
         placement of administrative tags; returns a list of problems."""
-        from .rewriting import replay
         problems = []
         for name, rules in _LEG_RULES.items():
             src, dst = name.split("->")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotFine, StaleRedex, StepLimitExceeded
 from .rules import RuleId, apply_rule, match_rule, rules_of_system
-from .syntax import Case, Lam, Term, replace_at, subterm_at, term_children
+from .syntax import TERM_SCOPES, Term, replace_at, subterm_at
 from .typecheck import (_NO_RENAMES, Env, Scan, SystemId, _bind,
                         is_fine_redex)
 
@@ -155,15 +155,12 @@ def _scope_at(env: Env, m: Term, pos):
     typed traversal has them: a shadowing binder is renamed through the
     map, not by substitution, so the subterm at `pos` keeps its names."""
     ren = _NO_RENAMES
-    cur = m
     for i in pos:
-        if isinstance(cur, Lam):
-            env, ren = _bind(env, ren, cur.var, cur.ann, cur.body)
-        elif isinstance(cur, Case) and i:
-            var, ann, body = ((cur.lvar, cur.lann, cur.lbody) if i == 1
-                              else (cur.rvar, cur.rann, cur.rbody))
-            env, ren = _bind(env, ren, var, ann, body)
-        cur = term_children(cur)[i]
+        values, scopes = TERM_SCOPES[m.__class__]
+        vals, (j, k, a) = values(m), scopes[i]
+        if k is not None:
+            env, ren = _bind(env, ren, vals[k], vals[a], vals[j])
+        m = vals[j]
     return env, ren
 
 

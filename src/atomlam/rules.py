@@ -24,10 +24,9 @@ from functools import lru_cache
 from .errors import AtomicInstantiation, ShapeMismatch
 from .syntax import (Abort, And, App, Bot, Case, Forall, FVar, Imp, Inj, Lam,
                      Or, Pair, Proj, Term, TyApp, TyLam, Var,
-                     context_free_vars, fill, free_type_vars,
-                     free_type_vars_term, free_vars, fresh_name, hole_result,
-                     split, subst_term, subst_type_in_formula,
-                     subst_type_in_term, term_children)
+                     fill, free_type_vars, free_vars, fresh_name,
+                     hole_result, split, subst_term, subst_type,
+                     term_children)
 
 
 class RuleId(str, Enum):
@@ -179,7 +178,7 @@ def _m_eta_or(t):
 def _m_eta_all(t):
     if (isinstance(t, TyLam) and isinstance(t.body, TyApp)
             and isinstance(t.body.arg, FVar) and t.body.arg.name == t.var
-            and t.var not in free_type_vars_term(t.body.fun)):
+            and t.var not in free_type_vars(t.body.fun)):
         return {}
     return None
 
@@ -248,7 +247,7 @@ def _a_beta_or(t):
 
 
 def _a_beta_all(t):
-    return subst_type_in_term(t.arg, t.fun.var, t.fun.body)
+    return subst_type(t.arg, t.fun.var, t.fun.body)
 
 
 def _a_eta_imp(t):
@@ -285,11 +284,11 @@ def _a_rho_case(t):
                                              Lam(y, ra, Proj(i, q))))
         return Pair(comp(1, c.left), comp(2, c.right))
     if isinstance(c, Forall):
-        avoid = (free_type_vars_term(head) | free_type_vars_term(p)
-                 | free_type_vars_term(q) | free_type_vars(la)
+        avoid = (free_type_vars(head) | free_type_vars(p)
+                 | free_type_vars(q) | free_type_vars(la)
                  | free_type_vars(ra) | free_type_vars(c))
         v = fresh_name(c.var, avoid)
-        d = subst_type_in_formula(FVar(v), c.var, c.body)
+        d = subst_type(FVar(v), c.var, c.body)
         return TyLam(v, App(TyApp(head, d),
                             Pair(Lam(x, la, TyApp(p, FVar(v))),
                                  Lam(y, ra, TyApp(q, FVar(v))))))
@@ -304,9 +303,9 @@ def _a_rho_abort(t):
     if isinstance(c, And):
         return Pair(TyApp(head, c.left), TyApp(head, c.right))
     if isinstance(c, Forall):
-        avoid = free_type_vars_term(head) | free_type_vars(c)
+        avoid = free_type_vars(head) | free_type_vars(c)
         v = fresh_name(c.var, avoid)
-        return TyLam(v, TyApp(head, subst_type_in_formula(FVar(v), c.var, c.body)))
+        return TyLam(v, TyApp(head, subst_type(FVar(v), c.var, c.body)))
     raise ShapeMismatch(f"no atomization case for {c!r}")
 
 
@@ -327,15 +326,15 @@ def _a_delta(t):
         return Pair(comp(p.fst, q.fst, c.left), comp(p.snd, q.snd, c.right))
     if isinstance(c, Forall):
         y1, y2 = p.var, q.var
-        avoid = (free_type_vars_term(head)
-                 | (free_type_vars_term(p.body) - {y1})
-                 | (free_type_vars_term(q.body) - {y2})
+        avoid = (free_type_vars(head)
+                 | (free_type_vars(p.body) - {y1})
+                 | (free_type_vars(q.body) - {y2})
                  | free_type_vars(la) | free_type_vars(ra)
                  | free_type_vars(c))
         v = fresh_name(c.var, avoid)
-        d = subst_type_in_formula(FVar(v), c.var, c.body)
-        pb = subst_type_in_term(FVar(v), y1, p.body)
-        qb = subst_type_in_term(FVar(v), y2, q.body)
+        d = subst_type(FVar(v), c.var, c.body)
+        pb = subst_type(FVar(v), y1, p.body)
+        qb = subst_type(FVar(v), y2, q.body)
         return TyLam(v, App(TyApp(head, d),
                             Pair(Lam(x, la, pb), Lam(y, ra, qb))))
     raise ShapeMismatch(f"no delta case for {c!r}")
@@ -389,7 +388,7 @@ def _pushes_into(rule, principal):
 
 def _a_pi(t):
     e, case = split(t)
-    avoid = context_free_vars(e)
+    avoid = free_vars(e)
     lv, lb = _rename_branch(case.lvar, case.lbody, avoid)
     rv, rb = _rename_branch(case.rvar, case.rbody, avoid)
     return Case(case.scrut, lv, case.lann, fill(e, lb),
@@ -404,7 +403,7 @@ def _a_varpi(t):
 def _a_eps_case(t):
     e, principal = split(t)
     head, c, bl, br = _case_spine(principal)
-    avoid = context_free_vars(e)
+    avoid = free_vars(e)
     x, p = _rename_branch(bl.var, bl.body, avoid)
     y, q = _rename_branch(br.var, br.body, avoid)
     return App(TyApp(head, hole_result(e, c)),

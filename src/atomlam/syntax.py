@@ -8,6 +8,7 @@ everywhere in the toolkit. User-chosen names are kept for printing.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import AtomlamError, NotTypable
 
@@ -158,6 +159,127 @@ class TyApp(Term):
     arg: Formula
 
 
+# --------------------------------------------------------- elim contexts
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ElimContext(_Node):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class AppHole(ElimContext):
+    arg: Term
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ProjHole(ElimContext):
+    index: int
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class CaseHole(ElimContext):
+    lvar: str
+    lann: Formula
+    lbody: Term
+    rvar: str
+    rann: Formula
+    rbody: Term
+    ann: Formula
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class AbortHole(ElimContext):
+    ann: Formula
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class TyAppHole(ElimContext):
+    arg: Formula
+
+
+# ----------------------------------------------------------------- grammar
+#
+# GRAMMAR gives each node class's fields in order, each with its role:
+#   TERM, FORMULA  a term or formula child; a position is a tuple of
+#                  indices among the TERM ones
+#   BIND           a term binder, followed by its annotation and then by
+#                  the term child it scopes over
+#   TBIND          a type binder, scoping over the next field
+#   DATA           plain data (a variable's name, a projection or
+#                  injection index)
+# Children, one-child rebuilds, free variables, substitution and the
+# elimination contexts are all read off this table.
+
+TERM, FORMULA, BIND, TBIND, DATA = "term", "formula", "bind", "tbind", "data"
+
+GRAMMAR = {
+    FVar: (DATA,),
+    Bot: (),
+    Imp: (FORMULA, FORMULA),
+    And: (FORMULA, FORMULA),
+    Or: (FORMULA, FORMULA),
+    Forall: (TBIND, FORMULA),
+    Var: (DATA,),
+    Lam: (BIND, FORMULA, TERM),
+    App: (TERM, TERM),
+    Pair: (TERM, TERM),
+    Proj: (DATA, TERM),
+    Inj: (DATA, TERM, FORMULA, FORMULA),
+    Case: (TERM, BIND, FORMULA, TERM, BIND, FORMULA, TERM, FORMULA),
+    Abort: (TERM, FORMULA),
+    TyLam: (TBIND, TERM),
+    TyApp: (TERM, FORMULA),
+}
+# An elimination context has the fields of its root but the main premiss,
+# the root's first term child.
+_HOLES = {App: AppHole, Proj: ProjHole, Case: CaseHole, Abort: AbortHole,
+          TyApp: TyAppHole}
+_ROOT_OF = {hole: root for root, hole in _HOLES.items()}
+GRAMMAR.update({hole: tuple(r for j, r in enumerate(GRAMMAR[root])
+                            if j != GRAMMAR[root].index(TERM))
+                for root, hole in _HOLES.items()})
+
+
+def _getter(names):
+    """The function from a node to the tuple of its fields `names`."""
+    if len(names) != 1:
+        return attrgetter(*names) if names else (lambda t: ())
+    get = attrgetter(*names)
+    return lambda t: (get(t),)
+
+
+class _Shape:
+    """One row of GRAMMAR in the forms the traversals read. `values` gives
+    a node's fields in order; `scopes[s]` lists the fields that can hold
+    names of sort s (0: term variables, 1: type variables), each as (field
+    index, index of the binder of sort s over it or None, index of that
+    binder's annotation or None)."""
+
+    __slots__ = ("values", "kids", "children", "formulas", "scopes")
+
+    def __init__(self, cls, roles):
+        names = [f.name for f in fields(cls)]
+        self.values = _getter(names)
+        self.kids = tuple(j for j, r in enumerate(roles) if r == TERM)
+        forms = tuple(j for j, r in enumerate(roles) if r == FORMULA)
+        self.children = _getter([names[j] for j in self.kids])
+        self.formulas = _getter([names[j] for j in forms])
+        self.scopes = (
+            tuple((j, j - 2, j - 1) if j > 1 and roles[j - 2] == BIND
+                  else (j, None, None) for j in self.kids),
+            tuple((j, j - 1 if j and roles[j - 1] == TBIND else None, None)
+                  for j in sorted(self.kids + forms)))
+
+
+_SHAPES = {cls: _Shape(cls, roles) for cls, roles in GRAMMAR.items()}
+_PLANS = tuple({cls: (shape.values, shape.scopes[sort])
+                for cls, shape in _SHAPES.items()} for sort in (0, 1))
+_OCCURRENCE = (Var, FVar)  # the class of a variable of each sort
+# per class, its fields' getter and, in position order, each term child's
+# (field, binder, annotation) indices, binder and annotation None if unbound
+TERM_SCOPES = _PLANS[0]
+
+
 # ------------------------------------------------------- canonical keys
 #
 # A canonical key replaces every bound name (term and type) by its binder's
@@ -235,6 +357,8 @@ def _key(node):
     counter = [0]
     if isinstance(node, Formula):
         return ("F", _fkey(node, {}, counter))
+    if isinstance(node, ElimContext):
+        return ("E", _tkey(fill(node, _HOLE), {}, {}, counter))
     return ("T", _tkey(node, {}, {}, counter))
 
 
@@ -250,66 +374,40 @@ def canonical_key(node):
 
 # ---------------------------------------------------------- free variables
 
-def free_type_vars(f: Formula) -> frozenset:
-    if isinstance(f, FVar):
-        return frozenset((f.name,))
-    if isinstance(f, Bot):
-        return frozenset()
-    if isinstance(f, (Imp, And, Or)):
-        return free_type_vars(f.left) | free_type_vars(f.right)
-    if isinstance(f, Forall):
-        return free_type_vars(f.body) - {f.var}
-    raise AtomlamError(f"unknown formula node {f!r}")
+def _collect(t, occurrence, plans, bound, out):
+    """Add to `out` the names of `occurrence`'s sort free in t's children
+    and not in `bound`."""
+    values, scopes = plans[t.__class__]
+    if not scopes:
+        return
+    vals = values(t)
+    for j, k, _ in scopes:
+        kid, inner = vals[j], bound if k is None else bound | {vals[k]}
+        if kid.__class__ is not occurrence:
+            _collect(kid, occurrence, plans, inner, out)
+        elif kid.name not in inner:
+            out.add(kid.name)
+
+
+def _free(node, sort):
+    """Free names of `sort` (0: term variables, 1: type variables)."""
+    occurrence = _OCCURRENCE[sort]
+    if node.__class__ is occurrence:
+        return frozenset((node.name,))
+    out = set()
+    _collect(node, occurrence, _PLANS[sort], frozenset(), out)
+    return frozenset(out)
+
+
+def free_type_vars(node) -> frozenset:
+    """Free type variables of a formula, or of a term (in its annotations
+    and instantiation arguments)."""
+    return _free(node, 1)
 
 
 def free_vars(t: Term) -> frozenset:
     """Free term variables of t."""
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, App):
-        return free_vars(t.fun) | free_vars(t.arg)
-    if isinstance(t, Pair):
-        return free_vars(t.fst) | free_vars(t.snd)
-    if isinstance(t, (Proj, Inj, Abort, TyLam)):
-        return free_vars(t.body)
-    if isinstance(t, Case):
-        return (free_vars(t.scrut)
-                | (free_vars(t.lbody) - {t.lvar})
-                | (free_vars(t.rbody) - {t.rvar}))
-    if isinstance(t, TyApp):
-        return free_vars(t.fun)
-    raise AtomlamError(f"unknown term node {t!r}")
-
-
-def free_type_vars_term(t: Term) -> frozenset:
-    """Free type variables of t (annotations and instantiation arguments)."""
-    if isinstance(t, Var):
-        return frozenset()
-    if isinstance(t, Lam):
-        return free_type_vars(t.ann) | free_type_vars_term(t.body)
-    if isinstance(t, App):
-        return free_type_vars_term(t.fun) | free_type_vars_term(t.arg)
-    if isinstance(t, Pair):
-        return free_type_vars_term(t.fst) | free_type_vars_term(t.snd)
-    if isinstance(t, Proj):
-        return free_type_vars_term(t.body)
-    if isinstance(t, Inj):
-        return (free_type_vars_term(t.body)
-                | free_type_vars(t.left) | free_type_vars(t.right))
-    if isinstance(t, Case):
-        return (free_type_vars_term(t.scrut)
-                | free_type_vars(t.lann) | free_type_vars_term(t.lbody)
-                | free_type_vars(t.rann) | free_type_vars_term(t.rbody)
-                | free_type_vars(t.ann))
-    if isinstance(t, Abort):
-        return free_type_vars_term(t.body) | free_type_vars(t.ann)
-    if isinstance(t, TyLam):
-        return free_type_vars_term(t.body) - {t.var}
-    if isinstance(t, TyApp):
-        return free_type_vars_term(t.fun) | free_type_vars(t.arg)
-    raise AtomlamError(f"unknown term node {t!r}")
+    return _free(t, 0)
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -322,123 +420,54 @@ def fresh_name(base: str, avoid) -> str:
 
 # ------------------------------------------------------------ substitution
 
+def _subst(b, x, node, sort):
+    """Capture-avoiding [b/x]node for the name x of `sort`. A binder that
+    would capture a free name of b is renamed to its smallest primed
+    variant free in neither b nor its scope, and other than x. A subterm
+    the substitution leaves unchanged is returned itself."""
+    occurrence, plans = _OCCURRENCE[sort], _PLANS[sort]
+    free_b = None  # b's free names, computed at the first binder met
+
+    def go(t):
+        nonlocal free_b
+        cls = t.__class__
+        if cls is occurrence:
+            return b if t.name == x else t
+        values, scopes = plans[cls]
+        if not scopes:
+            return t
+        old = values(t)
+        args = None
+        for j, k, _ in scopes:
+            kid = old[j]
+            if k is not None:
+                var = old[k]
+                if var == x:
+                    continue
+                free_b = _free(b, sort) if free_b is None else free_b
+                if var in free_b and x in _free(kid, sort):
+                    new = fresh_name(var, free_b | _free(kid, sort) | {x})
+                    args = args or list(old)
+                    args[k], kid = new, _subst(occurrence(new), var, kid, sort)
+            new = ((b if kid.name == x else kid) if kid.__class__ is occurrence
+                   else go(kid))
+            if new is not old[j]:
+                args = args or list(old)
+                args[j] = new
+        return t if args is None else cls(*args)
+
+    return go(node)
+
+
 def subst_term(n: Term, x: str, m: Term) -> Term:
     """Capture-avoiding [n/x]m."""
-    fv_n = free_vars(n)
-
-    def go(t):
-        if isinstance(t, Var):
-            return n if t.name == x else t
-        if isinstance(t, Lam):
-            if t.var == x:
-                return t
-            if t.var in fv_n and x in free_vars(t.body):
-                new = fresh_name(t.var, fv_n | free_vars(t.body) | {x})
-                body = subst_term(Var(new), t.var, t.body)
-                return Lam(new, t.ann, go(body))
-            return Lam(t.var, t.ann, go(t.body))
-        if isinstance(t, App):
-            return App(go(t.fun), go(t.arg))
-        if isinstance(t, Pair):
-            return Pair(go(t.fst), go(t.snd))
-        if isinstance(t, Proj):
-            return Proj(t.index, go(t.body))
-        if isinstance(t, Inj):
-            return Inj(t.index, go(t.body), t.left, t.right)
-        if isinstance(t, Case):
-            scrut = go(t.scrut)
-            lvar, lbody = t.lvar, t.lbody
-            if lvar != x:
-                if lvar in fv_n and x in free_vars(lbody):
-                    new = fresh_name(lvar, fv_n | free_vars(lbody) | {x})
-                    lbody = subst_term(Var(new), lvar, lbody)
-                    lvar = new
-                lbody = go(lbody)
-            rvar, rbody = t.rvar, t.rbody
-            if rvar != x:
-                if rvar in fv_n and x in free_vars(rbody):
-                    new = fresh_name(rvar, fv_n | free_vars(rbody) | {x})
-                    rbody = subst_term(Var(new), rvar, rbody)
-                    rvar = new
-                rbody = go(rbody)
-            return Case(scrut, lvar, t.lann, lbody, rvar, t.rann, rbody, t.ann)
-        if isinstance(t, Abort):
-            return Abort(go(t.body), t.ann)
-        if isinstance(t, TyLam):
-            return TyLam(t.var, go(t.body))
-        if isinstance(t, TyApp):
-            return TyApp(go(t.fun), t.arg)
-        raise AtomlamError(f"unknown term node {t!r}")
-
-    return go(m)
+    return _subst(n, x, m, 0)
 
 
-def subst_type_in_formula(b: Formula, x: str, a: Formula) -> Formula:
-    """Capture-avoiding [b/x]a over Forall binders."""
-    ftv_b = free_type_vars(b)
-
-    def go(f):
-        if isinstance(f, FVar):
-            return b if f.name == x else f
-        if isinstance(f, Bot):
-            return f
-        if isinstance(f, Imp):
-            return Imp(go(f.left), go(f.right))
-        if isinstance(f, And):
-            return And(go(f.left), go(f.right))
-        if isinstance(f, Or):
-            return Or(go(f.left), go(f.right))
-        if isinstance(f, Forall):
-            if f.var == x:
-                return f
-            if f.var in ftv_b and x in free_type_vars(f.body):
-                new = fresh_name(f.var, ftv_b | free_type_vars(f.body) | {x})
-                body = subst_type_in_formula(FVar(new), f.var, f.body)
-                return Forall(new, go(body))
-            return Forall(f.var, go(f.body))
-        raise AtomlamError(f"unknown formula node {f!r}")
-
-    return go(a)
-
-
-def subst_type_in_term(b: Formula, x: str, m: Term) -> Term:
-    """Capture-avoiding [b/x]m over annotations and instantiation arguments."""
-    ftv_b = free_type_vars(b)
-
-    def gof(f):
-        return subst_type_in_formula(b, x, f)
-
-    def go(t):
-        if isinstance(t, Var):
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.var, gof(t.ann), go(t.body))
-        if isinstance(t, App):
-            return App(go(t.fun), go(t.arg))
-        if isinstance(t, Pair):
-            return Pair(go(t.fst), go(t.snd))
-        if isinstance(t, Proj):
-            return Proj(t.index, go(t.body))
-        if isinstance(t, Inj):
-            return Inj(t.index, go(t.body), gof(t.left), gof(t.right))
-        if isinstance(t, Case):
-            return Case(go(t.scrut), t.lvar, gof(t.lann), go(t.lbody),
-                        t.rvar, gof(t.rann), go(t.rbody), gof(t.ann))
-        if isinstance(t, Abort):
-            return Abort(go(t.body), gof(t.ann))
-        if isinstance(t, TyLam):
-            if t.var == x:
-                return t
-            if t.var in ftv_b and x in free_type_vars_term(t.body):
-                new = fresh_name(t.var, ftv_b | free_type_vars_term(t.body) | {x})
-                body = subst_type_in_term(FVar(new), t.var, t.body)
-                return TyLam(new, go(body))
-            return TyLam(t.var, go(t.body))
-        if isinstance(t, TyApp):
-            return TyApp(go(t.fun), gof(t.arg))
-        raise AtomlamError(f"unknown term node {t!r}")
-
-    return go(m)
+def subst_type(b: Formula, x: str, node):
+    """Capture-avoiding [b/x] in a formula, or in a term's annotations and
+    instantiation arguments."""
+    return _subst(b, x, node, 1)
 
 
 # ------------------------------------------------------------- encodings
@@ -497,27 +526,15 @@ def formula_size(c: Formula) -> int:
     raise NotTypable(f"not an F/Fat formula: {c!r}")
 
 
-# --------------------------------------------------------------- positions
-#
-# A position is a tuple of 0-based child indices over *term* children, in
-# grammar order (Case children: scrutinee, left branch, right branch).
+# ------------------------------------------- children, positions, contexts
 
 def term_children(t: Term):
-    if isinstance(t, Var):
-        return ()
-    if isinstance(t, Lam):
-        return (t.body,)
-    if isinstance(t, App):
-        return (t.fun, t.arg)
-    if isinstance(t, Pair):
-        return (t.fst, t.snd)
-    if isinstance(t, (Proj, Inj, Abort, TyLam)):
-        return (t.body,)
-    if isinstance(t, Case):
-        return (t.scrut, t.lbody, t.rbody)
-    if isinstance(t, TyApp):
-        return (t.fun,)
-    raise AtomlamError(f"unknown term node {t!r}")
+    return _SHAPES[t.__class__].children(t)
+
+
+def formula_children(node):
+    """The formula fields of a formula or a term, in field order."""
+    return _SHAPES[node.__class__].formulas(node)
 
 
 class InvalidPath(AtomlamError):
@@ -525,138 +542,55 @@ class InvalidPath(AtomlamError):
 
 
 def subterm_at(t: Term, pos) -> Term:
-    cur = t
     for i in pos:
-        kids = term_children(cur)
+        kids = term_children(t)
         if not 0 <= i < len(kids):
-            raise InvalidPath(f"no child {i} at {type(cur).__name__}")
-        cur = kids[i]
-    return cur
+            raise InvalidPath(f"no child {i} at {type(t).__name__}")
+        t = kids[i]
+    return t
 
 
 def _with_child(t: Term, i: int, new: Term) -> Term:
-    if isinstance(t, Lam) and i == 0:
-        return Lam(t.var, t.ann, new)
-    if isinstance(t, App) and i in (0, 1):
-        return App(new, t.arg) if i == 0 else App(t.fun, new)
-    if isinstance(t, Pair) and i in (0, 1):
-        return Pair(new, t.snd) if i == 0 else Pair(t.fst, new)
-    if isinstance(t, Proj) and i == 0:
-        return Proj(t.index, new)
-    if isinstance(t, Inj) and i == 0:
-        return Inj(t.index, new, t.left, t.right)
-    if isinstance(t, Case) and i in (0, 1, 2):
-        if i == 0:
-            return Case(new, t.lvar, t.lann, t.lbody, t.rvar, t.rann, t.rbody, t.ann)
-        if i == 1:
-            return Case(t.scrut, t.lvar, t.lann, new, t.rvar, t.rann, t.rbody, t.ann)
-        return Case(t.scrut, t.lvar, t.lann, t.lbody, t.rvar, t.rann, new, t.ann)
-    if isinstance(t, Abort) and i == 0:
-        return Abort(new, t.ann)
-    if isinstance(t, TyLam) and i == 0:
-        return TyLam(t.var, new)
-    if isinstance(t, TyApp) and i == 0:
-        return TyApp(new, t.arg)
-    raise InvalidPath(f"no child {i} at {type(t).__name__}")
+    shape = _SHAPES[t.__class__]
+    if not 0 <= i < len(shape.kids):
+        raise InvalidPath(f"no child {i} at {type(t).__name__}")
+    args = list(shape.values(t))
+    args[shape.kids[i]] = new
+    return t.__class__(*args)
 
 
 def replace_at(t: Term, pos, new: Term) -> Term:
     if not pos:
         return new
-    kids = term_children(t)
-    i = pos[0]
+    kids, i = term_children(t), pos[0]
     if not 0 <= i < len(kids):
         raise InvalidPath(f"no child {i} at {type(t).__name__}")
     return _with_child(t, i, replace_at(kids[i], pos[1:], new))
 
 
-# --------------------------------------------------------- elim contexts
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ElimContext(_Node):
-    __slots__ = ()
-
-    def __eq__(self, other):  # contexts compared structurally via fill
-        return self is other or (isinstance(other, ElimContext)
-                                 and _ctx_key(self) == _ctx_key(other))
-
-    def __hash__(self):
-        return hash(_ctx_key(self))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class AppHole(ElimContext):
-    arg: Term
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ProjHole(ElimContext):
-    index: int
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class CaseHole(ElimContext):
-    lvar: str
-    lann: Formula
-    lbody: Term
-    rvar: str
-    rann: Formula
-    rbody: Term
-    ann: Formula
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class AbortHole(ElimContext):
-    ann: Formula
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class TyAppHole(ElimContext):
-    arg: Formula
-
-
-_HOLE = Var("\x00hole")
-
-
-def _ctx_key(e):
-    return _key(fill(e, _HOLE))
-
-
-def context_free_vars(e: ElimContext) -> frozenset:
-    """Free term variables of e's side premisses (the hole binds nothing)."""
-    return free_vars(fill(e, _HOLE)) - {_HOLE.name}
+_HOLE = Var("\x00hole")  # what a context is filled with to key it
 
 
 def fill(e: ElimContext, m: Term) -> Term:
     """Fill the main-premiss hole of e with m."""
-    if isinstance(e, AppHole):
-        return App(m, e.arg)
-    if isinstance(e, ProjHole):
-        return Proj(e.index, m)
-    if isinstance(e, CaseHole):
-        return Case(m, e.lvar, e.lann, e.lbody, e.rvar, e.rann, e.rbody, e.ann)
-    if isinstance(e, AbortHole):
-        return Abort(m, e.ann)
-    if isinstance(e, TyAppHole):
-        return TyApp(m, e.arg)
-    raise AtomlamError(f"unknown context node {e!r}")
+    root = _ROOT_OF[e.__class__]
+    args = list(_SHAPES[e.__class__].values(e))
+    args.insert(_SHAPES[root].kids[0], m)
+    return root(*args)
 
 
 def split(t: Term):
     """(E, M) with fill(E, M) == t, M the main premiss of the elimination
     at t's root; None if t is not an App, Proj, Case, Abort or TyApp."""
-    if isinstance(t, App):
-        return AppHole(t.arg), t.fun
-    if isinstance(t, Proj):
-        return ProjHole(t.index), t.body
-    if isinstance(t, Case):
-        return CaseHole(t.lvar, t.lann, t.lbody, t.rvar, t.rann, t.rbody,
-                        t.ann), t.scrut
-    if isinstance(t, Abort):
-        return AbortHole(t.ann), t.body
-    if isinstance(t, TyApp):
-        return TyAppHole(t.arg), t.fun
-    return None
+    hole = _HOLES.get(t.__class__)
+    if hole is None:
+        return None
+    args = list(_SHAPES[t.__class__].values(t))
+    main = args.pop(_SHAPES[t.__class__].kids[0])
+    return hole(*args), main
+
+
+_ELIMINATES = {App: Imp, Proj: And, Case: Or, Abort: Bot, TyApp: Forall}
 
 
 def hole_result(e, a: Formula):
@@ -667,18 +601,14 @@ def hole_result(e, a: Formula):
     context around its main premiss (the two carry the same fields), so a
     matcher can ask without building the context.
     """
-    if isinstance(e, (AppHole, App)):
-        return a.right if isinstance(a, Imp) else None
-    if isinstance(e, (ProjHole, Proj)):
-        if not isinstance(a, And):
-            return None
+    root = _ROOT_OF.get(e.__class__, e.__class__)
+    eliminated = _ELIMINATES.get(root)
+    if eliminated is None:
+        raise AtomlamError(f"not an elimination: {e!r}")
+    if a.__class__ is not eliminated:
+        return None
+    if root is TyApp:
+        return subst_type(e.arg, a.var, a.body)
+    if root is Proj:
         return a.left if e.index == 1 else a.right
-    if isinstance(e, (CaseHole, Case)):
-        return e.ann if isinstance(a, Or) else None
-    if isinstance(e, (AbortHole, Abort)):
-        return e.ann if isinstance(a, Bot) else None
-    if isinstance(e, (TyAppHole, TyApp)):
-        if not isinstance(a, Forall):
-            return None
-        return subst_type_in_formula(e.arg, a.var, a.body)
-    raise AtomlamError(f"not an elimination: {e!r}")
+    return a.right if root is App else e.ann

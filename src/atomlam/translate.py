@@ -11,11 +11,12 @@ differ only in the constructors for case and abort.
 from __future__ import annotations
 
 from .errors import NotIPCFormula, NotIPCTerm
-from .syntax import (Abort, And, App, Bot, Case, Forall, Formula, FVar, Imp,
-                     Inj, Lam, Or, Pair, Proj, Term, TyApp, TyLam, Var,
-                     encode_bot, encode_or, free_type_vars,
-                     free_type_vars_term, free_vars, fresh_name,
-                     subst_type_in_formula)
+from .syntax import (FORMULA, GRAMMAR, TERM, TERM_SCOPES, Abort, And, App,
+                     Bot, Case, Forall, Formula, FVar, Imp, Inj, Lam, Or,
+                     Pair, Proj, Term, TyApp, TyLam, Var, encode_bot,
+                     encode_or, free_type_vars, free_vars, fresh_name,
+                     subst_type)
+from .typecheck import Env
 
 
 def rp_formula(a: Formula) -> Formula:
@@ -34,14 +35,13 @@ def rp_formula(a: Formula) -> Formula:
 
 
 def rp_env(env):
-    from .typecheck import Env
     return Env([(x, rp_formula(f)) for x, f in env.items()])
 
 
 def mk_in(i: int, m: Term, a: Formula, b: Formula) -> Term:
     """tfun X => fun w:(a->X)&(b->X) => (w.i) m, with X fresh for m, a, b."""
     x = fresh_name("X", free_type_vars(a) | free_type_vars(b)
-                   | free_type_vars_term(m))
+                   | free_type_vars(m))
     w = fresh_name("w", free_vars(m))
     v = FVar(x)
     return TyLam(x, Lam(w, And(Imp(a, v), Imp(b, v)),
@@ -73,11 +73,11 @@ def mk_case_at(m: Term, x: str, a: Formula, p: Term,
                    mk_case_at(m, x, a, App(p, Var(z)), y, b, App(q, Var(z)),
                               c.right))
     if isinstance(c, Forall):
-        avoid = (free_type_vars_term(m) | free_type_vars_term(p)
-                 | free_type_vars_term(q) | free_type_vars(a)
+        avoid = (free_type_vars(m) | free_type_vars(p)
+                 | free_type_vars(q) | free_type_vars(a)
                  | free_type_vars(b) | free_type_vars(c))
         v = fresh_name(c.var, avoid)
-        body = subst_type_in_formula(FVar(v), c.var, c.body)
+        body = subst_type(FVar(v), c.var, c.body)
         return TyLam(v, mk_case_at(m, x, a, TyApp(p, FVar(v)),
                                    y, b, TyApp(q, FVar(v)), body))
     raise NotIPCFormula(f"no case constructor for result formula {c!r}")
@@ -93,9 +93,9 @@ def mk_abort_at(m: Term, a: Formula) -> Term:
         z = fresh_name("z", free_vars(m))
         return Lam(z, a.left, mk_abort_at(m, a.right))
     if isinstance(a, Forall):
-        avoid = free_type_vars_term(m) | free_type_vars(a)
+        avoid = free_type_vars(m) | free_type_vars(a)
         v = fresh_name(a.var, avoid)
-        return TyLam(v, mk_abort_at(m, subst_type_in_formula(FVar(v), a.var, a.body)))
+        return TyLam(v, mk_abort_at(m, subst_type(FVar(v), a.var, a.body)))
     raise NotIPCFormula(f"no abort constructor for result formula {a!r}")
 
 
@@ -115,28 +115,30 @@ RP_CHILD = {
 }
 
 
+# per IPC class, its fields' getter and the fields its image translates, as
+# (index, is a term) in field order, which is its builder's parameter order
+_FIELDS = {cls: (TERM_SCOPES[cls][0],
+                 tuple((j, role is TERM) for j, role in enumerate(GRAMMAR[cls])
+                       if role is TERM or role is FORMULA))
+           for cls in (Lam, App, Pair, Proj, Inj, Case, Abort)}
+
+
 def _translate(m: Term, case_fn, abort_fn) -> Term:
+    builders = {Lam: Lam, App: App, Pair: Pair, Proj: Proj, Inj: mk_in,
+                Case: case_fn, Abort: abort_fn}
+
     def go(t):
-        if isinstance(t, Var):
+        cls = t.__class__
+        if cls is Var:  # a variable is its own image
             return t
-        if isinstance(t, Lam):
-            return Lam(t.var, rp_formula(t.ann), go(t.body))
-        if isinstance(t, App):
-            return App(go(t.fun), go(t.arg))
-        if isinstance(t, Pair):
-            return Pair(go(t.fst), go(t.snd))
-        if isinstance(t, Proj):
-            return Proj(t.index, go(t.body))
-        if isinstance(t, Inj):
-            return mk_in(t.index, go(t.body), rp_formula(t.left),
-                         rp_formula(t.right))
-        if isinstance(t, Case):
-            return case_fn(go(t.scrut), t.lvar, rp_formula(t.lann), go(t.lbody),
-                           t.rvar, rp_formula(t.rann), go(t.rbody),
-                           rp_formula(t.ann))
-        if isinstance(t, Abort):
-            return abort_fn(go(t.body), rp_formula(t.ann))
-        raise NotIPCTerm(f"not an IPC term: {t!r}")
+        build = builders.get(cls)
+        if build is None:
+            raise NotIPCTerm(f"not an IPC term: {t!r}")
+        values, steps = _FIELDS[cls]
+        args = list(values(t))
+        for j, is_term in steps:
+            args[j] = go(args[j]) if is_term else rp_formula(args[j])
+        return build(*args)
 
     return go(m)
 

@@ -23,13 +23,12 @@ from .errors import (DuplicateDeclaration, ForallProvisoViolated,
                      HoleTypeMismatch, InternalInvariantViolation,
                      NonAtomicInstantiation, NotARedex, NotInSystem,
                      TypeMismatch, UnboundVariable)
-from .syntax import (Abort, And, App, Bot, Case, ElimContext, Forall, Formula,
-                     FVar, Imp, Inj, Lam, Or, Pair, Proj, Term, TyApp, TyLam,
-                     Var, _with_child, context_free_vars, fill, formula_size,
-                     free_type_vars, free_type_vars_term, free_vars,
-                     fresh_name, hole_result, is_encoded_bot,
-                     match_encoded_or, replace_at, subst_type_in_formula,
-                     subst_type_in_term, term_children)
+from .syntax import (TERM_SCOPES, Abort, And, App, Bot, Case, ElimContext,
+                     Forall, Formula, FVar, Imp, Inj, Lam, Or, Pair, Proj,
+                     Term, TyApp, TyLam, Var, _with_child, fill,
+                     formula_children, formula_size, free_type_vars,
+                     free_vars, fresh_name, hole_result, is_encoded_bot,
+                     match_encoded_or, replace_at, subst_type)
 
 
 class SystemId(Enum):
@@ -89,22 +88,16 @@ class Env:
         return f"Env({{{inner}}})"
 
 
-def _uses(f: Formula, connectives) -> bool:
-    """Whether a connective among the classes `connectives` occurs in f."""
-    if isinstance(f, connectives):
-        return True
-    if isinstance(f, (Imp, And, Or)):
-        return _uses(f.left, connectives) or _uses(f.right, connectives)
-    if isinstance(f, Forall):
-        return _uses(f.body, connectives)
-    if isinstance(f, (FVar, Bot)):
-        return False
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def formula_in_system(f: Formula, sys: SystemId) -> bool:
     """IPC formulas have no universal, F and Fat ones no sum or empty type."""
-    return not _uses(f, Forall if sys is SystemId.IPC else (Or, Bot))
+    excluded = Forall if sys is SystemId.IPC else (Or, Bot)
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, excluded):
+            return False
+        todo.extend(formula_children(g))
+    return True
 
 
 def typecheck(sys: SystemId, env: Env, m: Term,
@@ -131,7 +124,7 @@ def typecheck_elim_context(sys: SystemId, env: Env, e: ElimContext,
     if hole_result(e, hole_type) is None:
         raise HoleTypeMismatch(
             f"{type(e).__name__} does not eliminate {hole_type!r}", ())
-    h = fresh_name("h", set(env.names()) | context_free_vars(e))
+    h = fresh_name("h", set(env.names()) | free_vars(e))
     return typecheck(sys, env.extend(h, hole_type), fill(e, Var(h)))
 
 
@@ -232,7 +225,7 @@ def _capture(t, env):
     ftv = env.free_type_vars()
     if t.var not in ftv:
         return None
-    return fresh_name(t.var, ftv | free_type_vars_term(t.body))
+    return fresh_name(t.var, ftv | free_type_vars(t.body))
 
 
 def _bind(env, ren, var, ann, body):
@@ -302,27 +295,22 @@ class Scan:
         self.root = self._build(m, env, _ren)
 
     def _build(self, t, env, ren):
-        cls = t.__class__
         build = self._build
-        if cls is App:
-            kids = (build(t.fun, env, ren), build(t.arg, env, ren))
-        elif cls is Var:
-            kids = ()
-        elif cls is Lam:
-            kids = (build(t.body, *_bind(env, ren, t.var, t.ann, t.body)),)
-        elif cls is Case:
-            kids = (build(t.scrut, env, ren),
-                    build(t.lbody, *_bind(env, ren, t.lvar, t.lann, t.lbody)),
-                    build(t.rbody, *_bind(env, ren, t.rvar, t.rann, t.rbody)))
-        elif cls is TyLam and not self._match and self.typed:
+        if t.__class__ is TyLam and not self._match and self.typed:
             # a scan that only types builds a capturing binder's body
             # renamed, the body typecheck types
             var = _capture(t, env)
-            body = t.body if var is None else subst_type_in_term(
+            body = t.body if var is None else subst_type(
                 FVar(var), t.var, t.body)
             kids = (build(body, env, ren),)
         else:
-            kids = tuple([build(c, env, ren) for c in term_children(t)])
+            values, scopes = TERM_SCOPES[t.__class__]
+            vals, kids = values(t), []
+            for j, k, a in scopes:
+                c = vals[j]
+                kids.append(build(c, env, ren) if k is None else
+                            build(c, *_bind(env, ren, vals[k], vals[a], c)))
+            kids = tuple(kids)
         info = _Info()
         info.term, info.env, info.ren, info.kids = t, env, ren, kids
         self._finish(info, self._type(info) if self.typed else None)
@@ -357,7 +345,7 @@ class Scan:
                 tf = _typed(kids[0])
                 _expect(isinstance(tf, Forall),
                         "instantiated term is not universal", 0, None, tf)
-                return subst_type_in_formula(t.arg, tf.var, tf.body)
+                return subst_type(t.arg, tf.var, tf.body)
             if cls is Lam:
                 _within(sys, t.ann)
                 return Imp(t.ann, _typed(kids[0]))
@@ -382,7 +370,7 @@ class Scan:
                 # kids[0] keeps the body's own names for the matches in it;
                 # type the renamed body aside
                 inner = Scan(info.env,
-                             subst_type_in_term(FVar(var), t.var, t.body), (),
+                             subst_type(FVar(var), t.var, t.body), (),
                              info.ren, sys).root
                 if inner.ty is None:
                     raise _Fail(_error(inner, (0,)))

@@ -188,6 +188,20 @@ EXIT_CASES = [
      "NotIPCTerm"),
     ("translate_formula_not_ipc", ["translate", "--target", "at",
                                    "fun x:forall X.X => x"], 6, "NotIPCFormula"),
+    # fields are translated in order: an annotation before the body after it
+    ("translate_annotation_before_body", ["translate", "--target", "rp",
+                                          "fun x:forall X.X => tfun Y => x"],
+     6, "error: NotIPCFormula: "),
+    ("translate_branch_annotation_before_body",
+     ["translate", "--target", "at", "--env", "s:X|Y",
+      "case s of { x:X => x ; y:forall X.X => tfun Y => y } : X"],
+     6, "error: NotIPCFormula: "),
+    ("translate_scrutinee_before_annotation",
+     ["translate", "--target", "at", "--env", "s:X|Y",
+      "case (tfun Y => s) of { x:forall X.X => x ; y:Y => y } : X"],
+     6, "error: NotIPCTerm: "),
+    ("translate_nested_funs", ["translate", "--target", "rp",
+                               "fun x:X => " * 700 + "x"], 0, ""),
     ("diagram_rule_not_applicable", ["diagram", "--rule", "beta_imp", "--env",
                                      "y:X", "(fun x:X => x) y"], 6,
      "RuleNotApplicable"),

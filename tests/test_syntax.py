@@ -1,14 +1,16 @@
+import dataclasses
 import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from atomlam import (Abort, And, App, AppHole, Bot, Case, Forall, FVar, Imp,
-                     Inj, Lam, Or, Pair, Proj, ProjHole, TyApp, TyAppHole,
-                     TyLam, Var, alpha_eq, encode_bot, encode_or, fill,
-                     free_vars, hole_result, match_encoded_or, parse_formula,
-                     parse_term, split, subst_term, subst_type_in_formula,
-                     subst_type_in_term)
+from atomlam import (Abort, And, App, AppHole, Bot, Case, Forall, Formula,
+                     FVar, Imp, Inj, Lam, Or, Pair, Proj, ProjHole, Term,
+                     TyApp, TyAppHole, TyLam, Var, alpha_eq, encode_bot,
+                     encode_or, fill, free_type_vars, free_vars, hole_result,
+                     match_encoded_or, parse_formula, parse_term,
+                     print_formula, print_term, split, subst_term,
+                     subst_type, subst_type_in_formula, subst_type_in_term)
 
 pf, pt = parse_formula, parse_term
 
@@ -193,6 +195,136 @@ def test_type_subst_in_term():
                     pt("tfun X => fun w:X => w"))
     assert alpha_eq(subst_type_in_term(pf("forall Z. Z"), "X", pt("z [X]")),
                     pt("z [forall Z. Z]"))
+
+
+# Type substitution against an oracle: rename every type binder (forall,
+# tfun) to a globally unique name first, then substitute naively.
+
+def _uniquify_types(node):
+    def f(a, ren):
+        if isinstance(a, FVar):
+            return FVar(ren.get(a.name, a.name))
+        if isinstance(a, Bot):
+            return a
+        if isinstance(a, (Imp, And, Or)):
+            return type(a)(f(a.left, ren), f(a.right, ren))
+        new = f"U{next(_counter)}"
+        return Forall(new, f(a.body, {**ren, a.var: new}))
+
+    def go(t, ren):
+        if isinstance(t, Var):
+            return t
+        if isinstance(t, Lam):
+            return Lam(t.var, f(t.ann, ren), go(t.body, ren))
+        if isinstance(t, App):
+            return App(go(t.fun, ren), go(t.arg, ren))
+        if isinstance(t, Pair):
+            return Pair(go(t.fst, ren), go(t.snd, ren))
+        if isinstance(t, Proj):
+            return Proj(t.index, go(t.body, ren))
+        if isinstance(t, Inj):
+            return Inj(t.index, go(t.body, ren), f(t.left, ren), f(t.right, ren))
+        if isinstance(t, Case):
+            return Case(go(t.scrut, ren), t.lvar, f(t.lann, ren),
+                        go(t.lbody, ren), t.rvar, f(t.rann, ren),
+                        go(t.rbody, ren), f(t.ann, ren))
+        if isinstance(t, Abort):
+            return Abort(go(t.body, ren), f(t.ann, ren))
+        if isinstance(t, TyLam):
+            new = f"U{next(_counter)}"
+            return TyLam(new, go(t.body, {**ren, t.var: new}))
+        if isinstance(t, TyApp):
+            return TyApp(go(t.fun, ren), f(t.arg, ren))
+        raise AssertionError(t)
+
+    return f(node, {}) if isinstance(node, Formula) else go(node, {})
+
+
+def _naive_type_subst(b, x, node):
+    """[b/x]node with no capture check: node's type binders are unique."""
+    if isinstance(node, FVar):
+        return b if node.name == x else node
+    if isinstance(node, (Var, Bot)):
+        return node
+    if isinstance(node, (Forall, TyLam)):
+        return type(node)(node.var, _naive_type_subst(b, x, node.body))
+    return type(node)(*[_naive_type_subst(b, x, v)
+                        if isinstance(v, (Formula, Term)) else v
+                        for v in (getattr(node, f.name)
+                                  for f in dataclasses.fields(node))])
+
+
+def type_subst_oracle(b, x, node):
+    return _naive_type_subst(b, x, _uniquify_types(node))
+
+
+@settings(max_examples=200)
+@given(formulas, tnames, formulas)
+def test_type_subst_on_formulas_matches_oracle(b, x, a):
+    assert subst_type(b, x, a) == type_subst_oracle(b, x, a)
+
+
+@settings(max_examples=150)
+@given(formulas, tnames, terms)
+def test_type_subst_on_terms_matches_oracle(b, x, m):
+    assert subst_type(b, x, m) == type_subst_oracle(b, x, m)
+
+
+def _substituted_free(free, x, free_b):
+    """The free names of [b/x]t, from those of t and of b."""
+    return (free - {x}) | (free_b if x in free else frozenset())
+
+
+@settings(max_examples=150)
+@given(formulas, tnames, st.one_of(formulas, terms))
+def test_type_subst_free_type_variable_law(b, x, node):
+    assert free_type_vars(subst_type(b, x, node)) == _substituted_free(
+        free_type_vars(node), x, free_type_vars(b))
+
+
+@settings(max_examples=150)
+@given(terms, names, terms)
+def test_subst_free_variable_law(n, x, m):
+    assert free_vars(subst_term(n, x, m)) == _substituted_free(
+        free_vars(m), x, free_vars(n))
+
+
+def test_fresh_names_are_pinned():
+    # replayable traces print these names, so they are pinned as printed,
+    # not up to alpha: a capturing binder becomes its smallest primed
+    # variant free in neither the substituted term nor the binder's scope
+    cases = [
+        ("y", "x", "fun y:X => x y", "fun y':X => y y'"),
+        ("y", "x", "fun y:X => fun y':Y => x y y'",
+         "fun y':X => fun y'':Y => y y' y''"),
+        ("y", "x", "case s of { y:A => x y ; z:B => z } : C",
+         "case s of { y':A => y y' ; z:B => z } : C"),
+        ("y", "x", "case s of { z:A => z ; y:B => x y } : C",
+         "case s of { z:A => z ; y':B => y y' } : C"),
+        ("y y'", "x", "case x of { y:A => x y ; y':B => x y' } : C",
+         "case y y' of { y'':A => y y' y'' ; y'':B => y y' y'' } : C"),
+        ("y", "x", "fun x:X => fun y:X => x y", "fun x:X => fun y:X => x y"),
+    ]
+    for n, x, m, out in cases:
+        assert print_term(subst_term(pt(n), x, pt(m))) == out
+    cases = [
+        ("Y", "X", "forall Y. X -> Y", "forall Y'. Y -> Y'"),
+        ("Y -> Y'", "X", "forall Y. forall Y'. X -> Y -> Y'",
+         "forall Y''. forall Y'''. (Y -> Y') -> Y'' -> Y'''"),
+        ("X", "Y", "forall X. Y -> X", "forall X'. X -> X'"),
+        ("Y", "X", "forall X. X -> Y", "forall X. X -> Y"),
+    ]
+    for b, x, a, out in cases:
+        assert print_formula(subst_type_in_formula(pf(b), x, pf(a))) == out
+    cases = [
+        ("Y", "X", "tfun Y => fun w:X => w [Y]", "tfun Y' => fun w:Y => w [Y']"),
+        ("Y & Y'", "X", "tfun Y => tfun Y' => fun w:X -> Y => w [Y']",
+         "tfun Y'' => tfun Y''' => fun w:Y & Y' -> Y'' => w [Y''']"),
+        ("Y", "X", "fun w:forall Y. X -> Y => tfun Y => w [Y]",
+         "fun w:forall Y'. Y -> Y' => tfun Y => w [Y]"),
+    ]
+    for b, x, m, out in cases:
+        assert print_term(subst_type_in_term(pf(b), x, pt(m))) == out
 
 
 # -------------------------------------------------------------- encodings
