@@ -63,8 +63,7 @@ _F_ONLY = frozenset({RuleId.rho_case, RuleId.rho_abort, RuleId.delta,
 _SHARED = frozenset({RuleId.beta_imp, RuleId.beta_and,
                      RuleId.eta_imp, RuleId.eta_and})
 
-BETA_ETA = _SHARED | _POLY_ONLY | frozenset({RuleId.beta_or, RuleId.eta_or})
-#: beta/eta rules available in F (used by the diagram midpoint search)
+#: beta/eta rules available in F (the steps analysis.search_beta_eta tries)
 F_BETA_ETA = _SHARED | _POLY_ONLY
 
 

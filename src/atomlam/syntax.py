@@ -2,7 +2,9 @@
 
 Values are immutable; `==` on formulas and terms is alpha-equivalence
 (binders compared by position, not by name), which is the equality used
-everywhere in the toolkit. User-chosen names are kept for printing.
+everywhere in the toolkit; it and its hash key are read off the grammar
+table, GRAMMAR, like every other traversal. User-chosen names are kept for
+printing.
 """
 
 from __future__ import annotations
@@ -19,18 +21,12 @@ class _Node:
     __slots__ = ()
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, _Node):
             return NotImplemented
-        return _key(self) == _key(other)
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
+        return _alpha(self, other, ({}, {}), ({}, {}), 0, True)
 
     def __hash__(self):
-        return hash(_key(self))
+        return hash(_canonical(self, ({}, {}), 0))
 
     def __repr__(self):
         args = ", ".join(repr(getattr(self, f.name)) for f in fields(self))
@@ -207,8 +203,8 @@ class TyAppHole(ElimContext):
 #   TBIND          a type binder, scoping over the next field
 #   DATA           plain data (a variable's name, a projection or
 #                  injection index)
-# Children, one-child rebuilds, free variables, substitution and the
-# elimination contexts are all read off this table.
+# Children, one-child rebuilds, free variables, substitution, elimination
+# contexts and alpha-equivalence are all read off this table.
 
 TERM, FORMULA, BIND, TBIND, DATA = "term", "formula", "bind", "tbind", "data"
 
@@ -250,12 +246,12 @@ def _getter(names):
 
 class _Shape:
     """One row of GRAMMAR in the forms the traversals read. `values` gives
-    a node's fields in order; `scopes[s]` lists the fields that can hold
-    names of sort s (0: term variables, 1: type variables), each as (field
-    index, index of the binder of sort s over it or None, index of that
-    binder's annotation or None)."""
+    a node's fields in order and `data` the indices of its DATA fields.
+    `walk` lists its TERM and FORMULA fields in order, each as (field
+    index, index of the binder over it or None, that binder's sort: 0 for
+    a term variable, 1 for a type variable)."""
 
-    __slots__ = ("values", "kids", "children", "formulas", "scopes")
+    __slots__ = ("values", "kids", "children", "formulas", "data", "walk")
 
     def __init__(self, cls, roles):
         names = [f.name for f in fields(cls)]
@@ -264,102 +260,83 @@ class _Shape:
         forms = tuple(j for j, r in enumerate(roles) if r == FORMULA)
         self.children = _getter([names[j] for j in self.kids])
         self.formulas = _getter([names[j] for j in forms])
-        self.scopes = (
-            tuple((j, j - 2, j - 1) if j > 1 and roles[j - 2] == BIND
-                  else (j, None, None) for j in self.kids),
-            tuple((j, j - 1 if j and roles[j - 1] == TBIND else None, None)
-                  for j in sorted(self.kids + forms)))
+        self.data = tuple(j for j, r in enumerate(roles) if r == DATA)
+        self.walk = tuple(
+            (j, j - 2, 0) if j > 1 and roles[j - 2] == BIND
+            else (j, j - 1, 1) if j and roles[j - 1] == TBIND
+            else (j, None, None) for j in sorted(self.kids + forms))
 
 
 _SHAPES = {cls: _Shape(cls, roles) for cls, roles in GRAMMAR.items()}
-_PLANS = tuple({cls: (shape.values, shape.scopes[sort])
-                for cls, shape in _SHAPES.items()} for sort in (0, 1))
+# per sort s (0: term variables, 1: type variables) and class, its fields'
+# getter and the fields that can hold names of sort s, each as (field
+# index, index of the binder of sort s over it or None, index of that
+# binder's annotation or None)
+_PLANS = tuple({cls: (shape.values, tuple(
+    (j, k, None if s else k + 1) if sort == s else (j, None, None)
+    for j, k, sort in shape.walk if s or j in shape.kids))
+    for cls, shape in _SHAPES.items()} for s in (0, 1))
 _OCCURRENCE = (Var, FVar)  # the class of a variable of each sort
-# per class, its fields' getter and, in position order, each term child's
-# (field, binder, annotation) indices, binder and annotation None if unbound
-TERM_SCOPES = _PLANS[0]
+TERM_SCOPES = _PLANS[0]  # a term's children, in position order
 
 
-# ------------------------------------------------------- canonical keys
-#
-# A canonical key replaces every bound name (term and type) by its binder's
-# index in traversal order, so structural equality of keys is exactly
-# alpha-equivalence. Free names stay as themselves.
+# ---------------------------------------------------- alpha-equivalence
 
-def _fkey(f, tmap, counter):
-    if isinstance(f, FVar):
-        return ("X", tmap.get(f.name, f.name))
-    if isinstance(f, Bot):
-        return ("bot",)
-    if isinstance(f, Imp):
-        return ("imp", _fkey(f.left, tmap, counter), _fkey(f.right, tmap, counter))
-    if isinstance(f, And):
-        return ("and", _fkey(f.left, tmap, counter), _fkey(f.right, tmap, counter))
-    if isinstance(f, Or):
-        return ("or", _fkey(f.left, tmap, counter), _fkey(f.right, tmap, counter))
-    if isinstance(f, Forall):
-        idx = counter[0]
-        counter[0] += 1
-        inner = dict(tmap)
-        inner[f.var] = idx
-        return ("all", _fkey(f.body, inner, counter))
-    raise AtomlamError(f"unknown formula node {f!r}")
-
-
-def _tkey(t, vmap, tmap, counter):
-    if isinstance(t, Var):
-        return ("v", vmap.get(t.name, t.name))
-    if isinstance(t, Lam):
-        ann = _fkey(t.ann, tmap, counter)
-        idx = counter[0]
-        counter[0] += 1
-        inner = dict(vmap)
-        inner[t.var] = idx
-        return ("lam", ann, _tkey(t.body, inner, tmap, counter))
-    if isinstance(t, App):
-        return ("app", _tkey(t.fun, vmap, tmap, counter), _tkey(t.arg, vmap, tmap, counter))
-    if isinstance(t, Pair):
-        return ("pair", _tkey(t.fst, vmap, tmap, counter), _tkey(t.snd, vmap, tmap, counter))
-    if isinstance(t, Proj):
-        return ("proj", t.index, _tkey(t.body, vmap, tmap, counter))
-    if isinstance(t, Inj):
-        return ("inj", t.index, _tkey(t.body, vmap, tmap, counter),
-                _fkey(t.left, tmap, counter), _fkey(t.right, tmap, counter))
-    if isinstance(t, Case):
-        skey = _tkey(t.scrut, vmap, tmap, counter)
-        lann = _fkey(t.lann, tmap, counter)
-        li = counter[0]
-        counter[0] += 1
-        lmap = dict(vmap)
-        lmap[t.lvar] = li
-        lkey = _tkey(t.lbody, lmap, tmap, counter)
-        rann = _fkey(t.rann, tmap, counter)
-        ri = counter[0]
-        counter[0] += 1
-        rmap = dict(vmap)
-        rmap[t.rvar] = ri
-        rkey = _tkey(t.rbody, rmap, tmap, counter)
-        return ("case", skey, lann, lkey, rann, rkey, _fkey(t.ann, tmap, counter))
-    if isinstance(t, Abort):
-        return ("abort", _tkey(t.body, vmap, tmap, counter), _fkey(t.ann, tmap, counter))
-    if isinstance(t, TyLam):
-        idx = counter[0]
-        counter[0] += 1
-        inner = dict(tmap)
-        inner[t.var] = idx
-        return ("tlam", _tkey(t.body, vmap, inner, counter))
-    if isinstance(t, TyApp):
-        return ("tapp", _tkey(t.fun, vmap, tmap, counter), _fkey(t.arg, tmap, counter))
-    raise AtomlamError(f"unknown term node {t!r}")
+def _alpha(a, b, ma, mb, depth, same):
+    """Whether a is b, up to the names of their binders. ma and mb are
+    each a pair (term map, type map) from the names bound on that side to
+    their binders' depths (de Bruijn levels); free names stay themselves.
+    `same` holds while every binder passed had one name on both sides, so
+    that one object equals itself."""
+    if a is b and same:
+        return True
+    cls = a.__class__
+    if cls is not b.__class__:
+        return False
+    if cls is Var:
+        return ma[0].get(a.name, a.name) == mb[0].get(b.name, b.name)
+    if cls is FVar:
+        return ma[1].get(a.name, a.name) == mb[1].get(b.name, b.name)
+    shape = _SHAPES[cls]
+    va, vb = shape.values(a), shape.values(b)
+    for j in shape.data:
+        if va[j] != vb[j]:
+            return False
+    for j, k, sort in shape.walk:
+        if k is None:
+            equal = _alpha(va[j], vb[j], ma, mb, depth, same)
+        else:
+            x, y = va[k], vb[k]
+            ia, ib = list(ma), list(mb)
+            ia[sort], ib[sort] = {**ma[sort], x: depth}, {**mb[sort], y: depth}
+            equal = _alpha(va[j], vb[j], ia, ib, depth + 1, same and x == y)
+        if not equal:
+            return False
+    return True
 
 
-def _key(node):
-    counter = [0]
-    if isinstance(node, Formula):
-        return ("F", _fkey(node, {}, counter))
-    if isinstance(node, ElimContext):
-        return ("E", _tkey(fill(node, _HOLE), {}, {}, counter))
-    return ("T", _tkey(node, {}, {}, counter))
+def _canonical(node, maps, depth):
+    """node's key: its class name (a class hashes by its address, which
+    varies between processes), data fields and children's keys, with each
+    bound name replaced by its level in maps, as `_alpha` has them."""
+    cls = node.__class__
+    if cls is Var:
+        return ("Var", maps[0].get(node.name, node.name))
+    if cls is FVar:
+        return ("FVar", maps[1].get(node.name, node.name))
+    shape = _SHAPES[cls]
+    vals = shape.values(node)
+    key = [cls.__name__]
+    for j in shape.data:
+        key.append(vals[j])
+    for j, k, sort in shape.walk:
+        if k is None:
+            key.append(_canonical(vals[j], maps, depth))
+        else:
+            inner = list(maps)
+            inner[sort] = {**maps[sort], vals[k]: depth}
+            key.append(_canonical(vals[j], inner, depth + 1))
+    return tuple(key)
 
 
 def alpha_eq(a, b) -> bool:
@@ -369,7 +346,7 @@ def alpha_eq(a, b) -> bool:
 
 def canonical_key(node):
     """Hashable key equal exactly on alpha-equivalent nodes."""
-    return _key(node)
+    return _canonical(node, ({}, {}), 0)
 
 
 # ---------------------------------------------------------- free variables
@@ -562,13 +539,8 @@ def _with_child(t: Term, i: int, new: Term) -> Term:
 def replace_at(t: Term, pos, new: Term) -> Term:
     if not pos:
         return new
-    kids, i = term_children(t), pos[0]
-    if not 0 <= i < len(kids):
-        raise InvalidPath(f"no child {i} at {type(t).__name__}")
-    return _with_child(t, i, replace_at(kids[i], pos[1:], new))
-
-
-_HOLE = Var("\x00hole")  # what a context is filled with to key it
+    kid = subterm_at(t, pos[:1])
+    return _with_child(t, pos[0], replace_at(kid, pos[1:], new))
 
 
 def fill(e: ElimContext, m: Term) -> Term:

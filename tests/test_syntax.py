@@ -86,32 +86,37 @@ def subst_oracle(n, x, t):
 
 # ----------------------------------------------------- hypothesis strategies
 
+def node_strategies(names, tnames):
+    """Formulas and terms whose variables and binders are drawn from the
+    pools `names` (term) and `tnames` (type)."""
+    formulas = st.recursive(
+        st.one_of(tnames.map(FVar), st.just(Bot())),
+        lambda inner: st.one_of(
+            st.builds(Imp, inner, inner),
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(Forall, tnames, inner)),
+        max_leaves=8)
+    terms = st.recursive(
+        names.map(Var),
+        lambda inner: st.one_of(
+            st.builds(Lam, names, formulas, inner),
+            st.builds(App, inner, inner),
+            st.builds(Pair, inner, inner),
+            st.builds(Proj, st.sampled_from([1, 2]), inner),
+            st.builds(Inj, st.sampled_from([1, 2]), inner, formulas, formulas),
+            st.builds(Case, inner, names, formulas, inner, names, formulas,
+                      inner, formulas),
+            st.builds(Abort, inner, formulas),
+            st.builds(TyLam, tnames, inner),
+            st.builds(TyApp, inner, formulas)),
+        max_leaves=10)
+    return formulas, terms
+
+
 names = st.sampled_from(["x", "y", "z", "w"])
 tnames = st.sampled_from(["X", "Y", "Z"])
-
-formulas = st.recursive(
-    st.one_of(tnames.map(FVar), st.just(Bot())),
-    lambda inner: st.one_of(
-        st.builds(Imp, inner, inner),
-        st.builds(And, inner, inner),
-        st.builds(Or, inner, inner),
-        st.builds(Forall, tnames, inner)),
-    max_leaves=8)
-
-terms = st.recursive(
-    names.map(Var),
-    lambda inner: st.one_of(
-        st.builds(Lam, names, formulas, inner),
-        st.builds(App, inner, inner),
-        st.builds(Pair, inner, inner),
-        st.builds(Proj, st.sampled_from([1, 2]), inner),
-        st.builds(Inj, st.sampled_from([1, 2]), inner, formulas, formulas),
-        st.builds(Case, inner, names, formulas, inner, names, formulas, inner,
-                  formulas),
-        st.builds(Abort, inner, formulas),
-        st.builds(TyLam, tnames, inner),
-        st.builds(TyApp, inner, formulas)),
-    max_leaves=10)
+formulas, terms = node_strategies(names, tnames)
 
 
 # ------------------------------------------------------------------ alpha
