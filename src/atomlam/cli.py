@@ -19,6 +19,7 @@ of the requested rule).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -247,70 +248,58 @@ def _positive_int(text):
     return value
 
 
-def _add_common(p, with_system=True):
-    p.add_argument("term", nargs="?", help="inline term")
-    p.add_argument("--file", help="read the term from a file")
-    p.add_argument("--env", action="append", metavar="x:A",
-                   help="environment binding (repeatable)")
-    p.add_argument("--env-file", help="file with one binding per line")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--verify", action="store_true",
-                   help="replay the trace before emitting it")
-    if with_system:
-        p.add_argument("--sys", choices=("ipc", "f", "fat"), default="ipc")
+def _add_strategy(p):
+    p.add_argument("--strategy", default="leftmost-outermost",
+                   choices=("leftmost-outermost", "leftmost-innermost",
+                            "random", "lo", "li"))
+    p.add_argument("--seed", type=int, default=0)
 
 
+def _add_redex(p):
+    p.add_argument("--rule", required=True)
+    p.add_argument("--pos", help="comma-separated redex position (default: first)")
+
+
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by every later
+    call: parsing keeps its results in a fresh namespace and changes no
+    state of the parser."""
     parser = argparse.ArgumentParser(
         prog="atomlam",
         description="proof-term toolkit for IPC, System F and System Fat")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("check", help="typecheck a term")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check)
+    def command(name, fn, summary, with_system=False):
+        p = subs.add_parser(name, help=summary)
+        p.add_argument("term", nargs="?", help="inline term")
+        p.add_argument("--file", help="read the term from a file")
+        p.add_argument("--env", action="append", metavar="x:A",
+                       help="environment binding (repeatable)")
+        p.add_argument("--env-file", help="file with one binding per line")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--verify", action="store_true",
+                       help="replay the trace before emitting it")
+        if with_system:
+            p.add_argument("--sys", choices=("ipc", "f", "fat"), default="ipc")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = subs.add_parser("reduce", help="normalize under a rule set")
-    _add_common(p)
+    command("check", cmd_check, "typecheck a term", with_system=True)
+    p = command("reduce", cmd_reduce, "normalize under a rule set",
+                with_system=True)
     p.add_argument("--rules", required=True,
                    help="comma-separated rule ids (e.g. beta_imp,rho_abort)")
-    p.add_argument("--strategy", default="leftmost-outermost",
-                   choices=("leftmost-outermost", "leftmost-innermost",
-                            "random", "lo", "li"))
-    p.add_argument("--seed", type=int, default=0)
+    _add_strategy(p)
     p.add_argument("--max-steps", type=_positive_int, default=10000)
-    p.set_defaults(fn=cmd_reduce)
-
-    p = subs.add_parser("translate", help="translate an IPC term")
-    _add_common(p, with_system=False)
+    p = command("translate", cmd_translate, "translate an IPC term")
     p.add_argument("--target", choices=("rp", "at"), required=True)
-    p.set_defaults(fn=cmd_translate)
-
-    p = subs.add_parser("nf", help="atomic normal form of an F term")
-    _add_common(p, with_system=False)
-    p.add_argument("--strategy", default="leftmost-outermost",
-                   choices=("leftmost-outermost", "leftmost-innermost",
-                            "random", "lo", "li"))
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_nf)
-
-    p = subs.add_parser("weight", help="termination weight of an F term")
-    _add_common(p, with_system=False)
-    p.set_defaults(fn=cmd_weight)
-
-    p = subs.add_parser("simulate",
-                        help="translate one IPC step into the F reduction")
-    _add_common(p, with_system=False)
-    p.add_argument("--rule", required=True)
-    p.add_argument("--pos", help="comma-separated redex position (default: first)")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = subs.add_parser("diagram",
-                        help="comparison diagram for one IPC step")
-    _add_common(p, with_system=False)
-    p.add_argument("--rule", required=True)
-    p.add_argument("--pos", help="comma-separated redex position (default: first)")
-    p.set_defaults(fn=cmd_diagram)
+    _add_strategy(command("nf", cmd_nf, "atomic normal form of an F term"))
+    command("weight", cmd_weight, "termination weight of an F term")
+    _add_redex(command("simulate", cmd_simulate,
+                       "translate one IPC step into the F reduction"))
+    _add_redex(command("diagram", cmd_diagram,
+                       "comparison diagram for one IPC step"))
     return parser
 
 

@@ -11,11 +11,10 @@ differ only in the constructors for case and abort.
 from __future__ import annotations
 
 from .errors import NotIPCFormula, NotIPCTerm
-from .syntax import (FORMULA, GRAMMAR, TERM, TERM_SCOPES, Abort, And, App,
-                     Bot, Case, Forall, Formula, FVar, Imp, Inj, Lam, Or,
-                     Pair, Proj, Term, TyApp, TyLam, Var, encode_bot,
-                     encode_or, free_type_vars, free_vars, fresh_name,
-                     subst_type)
+from .syntax import (_SHAPES, Abort, And, App, Bot, Case, Forall, Formula,
+                     FVar, Imp, Inj, Lam, Or, Pair, Proj, Term, TyApp, TyLam,
+                     Var, encode_bot, encode_or, free_type_vars, free_vars,
+                     fresh_name, subst_type)
 from .typecheck import Env
 
 
@@ -117,10 +116,10 @@ RP_CHILD = {
 
 # per IPC class, its fields' getter and the fields its image translates, as
 # (index, is a term) in field order, which is its builder's parameter order
-_FIELDS = {cls: (TERM_SCOPES[cls][0],
-                 tuple((j, role is TERM) for j, role in enumerate(GRAMMAR[cls])
-                       if role is TERM or role is FORMULA))
-           for cls in (Lam, App, Pair, Proj, Inj, Case, Abort)}
+_FIELDS = {cls: (shape.values,
+                 tuple((j, j in shape.kids) for j, _, _ in shape.walk))
+           for cls, shape in _SHAPES.items()
+           if cls in (Lam, App, Pair, Proj, Inj, Case, Abort)}
 
 
 def _translate(m: Term, case_fn, abort_fn) -> Term:

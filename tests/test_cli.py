@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from atomlam import cli
 from atomlam.cli import main
 from atomlam import alpha_eq, parse_term
 
@@ -257,9 +259,64 @@ EXIT_CASES = [
 @pytest.mark.parametrize("argv, code, stderr", [c[1:] for c in EXIT_CASES],
                          ids=[c[0] for c in EXIT_CASES])
 def test_exit_codes(argv, code, stderr):
-    got, _, err = run_all(argv)
+    got, out, err = run_all(argv)
     assert got == code
     assert stderr in err
+    # the parser is shared across calls: a second call gives the same bytes
+    assert run_all(argv) == (got, out, err)
+
+
+# (name, first argv, second argv, second call's exit code, stdout, stderr):
+# flags of one call on the shared parser do not reach the next call
+SEQUENCE_CASES = [
+    ("env_then_no_env", ["check", "--env", "x:X", "x"], ["check", "x"], 1, "",
+     "type error at []: UnboundVariable: unbound variable 'x'\n"),
+    ("json_then_text", ["check", "--env", "x:X", "x", "--format", "json"],
+     ["check", "--env", "x:X", "x"], 0, "X\n", ""),
+    ("two_envs_then_one", ["check", "--env", "x:X", "--env", "y:Y", "<x, y>"],
+     ["check", "--env", "x:X", "<x, y>"], 1, "",
+     "type error at [1]: UnboundVariable: unbound variable 'y'\n"),
+]
+
+
+@pytest.mark.parametrize("first, second, code, stdout, stderr",
+                         [c[1:] for c in SEQUENCE_CASES],
+                         ids=[c[0] for c in SEQUENCE_CASES])
+def test_calls_in_sequence(first, second, code, stdout, stderr):
+    assert run_all(first)[0] == 0
+    assert run_all(second) == (code, stdout, stderr)
+    assert cli.build_parser().parse_args(["check", "x"]).env is None
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    run(["check", "--env", "x:X", "x"])
+    assert len(built) == 8  # the root parser and one per subcommand
+    run(["translate", "--target", "rp", "x"])
+    assert len(built) == 8
+    assert cli.build_parser() is cli.build_parser()
+
+
+# `atomlam --help` and each subcommand's, at a fixed width
+HELP_COMMANDS = ["", "check", "reduce", "translate", "nf", "weight",
+                 "simulate", "diagram"]
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS,
+                         ids=[c or "atomlam" for c in HELP_COMMANDS])
+def test_help_matches_golden(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (GOLDEN / "help" / f"{command or 'atomlam'}.txt").read_text()
+    assert run_all([command, "--help"] if command else ["--help"]) == \
+        (0, expected, "")
 
 
 def test_env_file_formulas_checked_against_system(tmp_path):

@@ -6,6 +6,7 @@ import threading
 
 from atomlam import (RuleId, SystemId, atomic_nf, check_local_confluence,
                      normalize, print_formula, print_term, rp_env, rp_term)
+from atomlam.cli import build_parser
 
 import corpus
 
@@ -62,3 +63,56 @@ def test_threads_on_shared_terms_match_a_sequential_run():
     assert errors == []
     for got in results:
         assert got == expected
+
+
+# command lines over every subcommand and flag kind: choices, appended and
+# typed values, store_true, required flags and the positional term
+_ARGVS = [
+    ["check", "--sys", "f", "--env", "z:forall X.X", "z [X]"],
+    ["check", "x", "--format", "json", "--env", "x:X"],
+    ["reduce", "--sys", "f", "--rules", "rho_abort", "--env", "z:forall X.X",
+     "--env", "y:Y", "--strategy", "random", "--seed", "7", "--max-steps",
+     "3", "z [X & X]"],
+    ["reduce", "--rules", "beta_imp", "--verify", "(fun x:X => x) y"],
+    ["translate", "--target", "at", "abort[X -> Y] m"],
+    ["nf", "--strategy", "li", "--file", "term.txt"],
+    ["weight", "--env-file", "env.txt", "z [X]", "--format", "json"],
+    ["simulate", "--rule", "beta_or", "--pos", "0,1", "--env", "a:X", "a"],
+    ["diagram", "--rule", "eta_or", "s", "--env", "s:X | Y", "--verify"],
+]
+
+
+def _parsed(parser, argv):
+    # a snapshot: a list that a later parse appends to would still compare equal
+    return repr(sorted(vars(parser.parse_args(argv)).items()))
+
+
+def test_threads_share_the_cli_parser():
+    parser, parses = build_parser(), 3000
+    expected = [_parsed(parser, argv) for argv in _ARGVS]
+    results = [[] for _ in range(4)]
+    errors = []
+
+    def run(k):
+        try:
+            for r in range(parses):
+                i = (k + r) % len(_ARGVS)
+                results[k].append((i, _parsed(parser, _ARGVS[i])))
+        except Exception as e:  # reported below, with the thread's result
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for got in results:
+        assert len(got) == parses
+        assert all(ns == expected[i] for i, ns in got)
