@@ -229,12 +229,9 @@ def rp_position(m: Term, pos) -> tuple:
     return out
 
 
-def simulate_step(env: Env, m: Term, r: Redex) -> ReductionTrace:
-    """Fine trace from the translation of m to the translation of the
-    contracted term, with the per-rule step pattern fixed in advance
-    (4 detour steps for a sum detour, 7 eta/delta steps for a sum eta
-    step, 1 or 2 commuting steps for the commuting rules, and the very
-    same rule for the implication/conjunction rules)."""
+def _ipc_redex(env: Env, m: Term, r: Redex) -> Term:
+    """The subterm at r's position in m, a redex of r's rule; NotTypable
+    if m is not an IPC term in env, NotARedex if the rule does not match."""
     try:
         typecheck(SystemId.IPC, env, m)
     except TypingError as e:
@@ -242,11 +239,26 @@ def simulate_step(env: Env, m: Term, r: Redex) -> ReductionTrace:
     sub = subterm_at(m, r.position)
     if match_rule(r.rule, sub) is None:
         raise NotARedex(f"no {r.rule.value} redex at {list(r.position)}")
+    return sub
+
+
+def simulate_step(env: Env, m: Term, r: Redex) -> ReductionTrace:
+    """Fine trace from the translation of m to the translation of the
+    contracted term, with the per-rule step pattern fixed in advance
+    (4 detour steps for a sum detour, 7 eta/delta steps for a sum eta
+    step, 1 or 2 commuting steps for the commuting rules, and the very
+    same rule for the implication/conjunction rules)."""
+    _ipc_redex(env, m, r)
+    return _simulation(rp_env(env), m, r, rp_term(m),
+                       rp_term(step(SystemId.IPC, env, m, r)))
+
+
+def _simulation(renv: Env, m: Term, r: Redex, m_rp: Term, n_rp: Term):
+    """simulate_step's trace for m and r, checked by _ipc_redex, from
+    renv = rp_env(env) and the images m_rp, n_rp of m and of its reduct."""
     script = shift(_ROOT_SIM[RuleId(r.rule)], rp_position(m, r.position))
-    base = rp_term(m)
-    trace = apply_script(SystemId.F, rp_env(env), base, script)
-    target = rp_term(step(SystemId.IPC, env, m, r))
-    if trace.final != target:
+    trace = apply_script(SystemId.F, renv, m_rp, script)
+    if trace.final != n_rp:
         raise InternalInvariantViolation("simulation endpoint mismatch")
     return trace
 

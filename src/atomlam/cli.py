@@ -29,7 +29,7 @@ from .errors import (AtomlamError, InternalInvariantViolation, NotARedex,
                      NotInSystem, NotIPCFormula, NotIPCTerm, ParseError,
                      RuleNotApplicable, StepLimitExceeded, TypingError)
 from .rewriting import ReductionTrace, find_redexes, normalize, replay
-from .rules import RuleId, rules_of_system
+from .rules import RuleId
 from .surface import parse_formula, parse_term, print_formula, print_term
 from .translate import at_term, rp_term
 from .typecheck import Env, SystemId, formula_in_system, typecheck
@@ -116,15 +116,6 @@ def _load_term(args):
     return parse_term(text), text.strip()
 
 
-def _parse_rules(text, sys_id):
-    rules = frozenset(RuleId(name.strip()) for name in text.split(","))
-    bad = rules - rules_of_system(sys_id)
-    if bad:
-        raise ParseError("rules not valid for the system: "
-                         + ", ".join(sorted(r.value for r in bad)))
-    return rules
-
-
 def _pick_redex(sys_id, env, term, rule, pos):
     candidates = [r for r in find_redexes(sys_id, env, term, {rule})]
     if pos is not None:
@@ -153,7 +144,8 @@ def cmd_reduce(args):
     sys_id = SystemId.parse(args.sys)
     env = _load_env(args, sys_id)
     term, source = _load_term(args)
-    rules = _parse_rules(args.rules, sys_id)
+    # normalize checks that the rules belong to the system
+    rules = [name.strip() for name in args.rules.split(",")]
     try:
         trace = normalize(sys_id, env, term, rules, strategy=args.strategy,
                           max_steps=args.max_steps, seed=args.seed)

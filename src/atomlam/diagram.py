@@ -28,15 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
-                     RuleNotApplicable, TypingError)
-from .rules import RuleId, match_rule
-from .syntax import (Abort, And, Case, Forall, FVar, Imp, Term, subterm_at,
-                     term_children)
+from .errors import InternalInvariantViolation, NotARedex, RuleNotApplicable
+from .rules import RuleId
+from .syntax import Abort, And, Case, Forall, FVar, Imp, Term, term_children
 from .rewriting import Redex, apply_script, replay, shift, step
 from .translate import RP_CHILD, at_term, rp_env, rp_formula, rp_term
-from .typecheck import Env, SystemId, typecheck
-from .analysis import simulate_step
+from .typecheck import Env, SystemId
+from .analysis import _ipc_redex, _simulation
 # No leg is searched; the name stays bound here for perfbench/selftest.py.
 from .analysis import search_beta_eta  # noqa: F401
 
@@ -305,14 +303,7 @@ def build_diagram(env: Env, m: Term, r: Redex) -> Diagram:
         raise RuleNotApplicable(
             f"{rule.value} is translated identically by both maps; "
             "the diagram is only built for disjunction/absurdity rules")
-    try:
-        typecheck(SystemId.IPC, env, m)
-    except TypingError as e:
-        raise NotTypable(str(e)) from e
-    sub = subterm_at(m, r.position)
-    if match_rule(rule, sub) is None:
-        raise NotARedex(f"no {rule.value} redex at {list(r.position)}")
-
+    sub = _ipc_redex(env, m, r)
     n = step(SystemId.IPC, env, m, r)
     renv = rp_env(env)
     m_rp, n_rp = rp_term(m), rp_term(n)
@@ -332,7 +323,7 @@ def build_diagram(env: Env, m: Term, r: Redex) -> Diagram:
         raise InternalInvariantViolation("bridge endpoint is not the atomic image")
     legs["m_rp->m_at"] = bridge_m
     legs["n_rp->n_at"] = bridge_n
-    legs["m_rp->n_rp"] = simulate_step(env, m, r)
+    legs["m_rp->n_rp"] = _simulation(renv, m, r, m_rp, n_rp)
     notes = []
 
     if rule is RuleId.eta_or:

@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import NotFine, StaleRedex, StepLimitExceeded
-from .rules import RuleId, apply_rule, match_rule, rules_of_system
-from .syntax import TERM_SCOPES, Term, replace_at, subterm_at
-from .typecheck import (_NO_RENAMES, Env, Scan, SystemId, _bind,
-                        is_fine_redex)
+from .rules import _APPLIERS, RuleId, apply_rule, match_rule, rules_of_system
+from .syntax import (TERM_SCOPES, InvalidPath, Term, _refill, replace_at,
+                     subterm_at)
+from .typecheck import _NO_RENAMES, Env, Scan, SystemId, _bind, _fine_match
 
 STRATEGIES = ("leftmost-outermost", "leftmost-innermost", "random")
 _STRATEGY_ALIASES = {"lo": "leftmost-outermost", "li": "leftmost-innermost",
@@ -61,12 +61,6 @@ class ReductionTrace:
 
     def __len__(self):
         return len(self.steps)
-
-    def rule_multiset(self):
-        out = {}
-        for s in self.steps:
-            out[s.rule] = out.get(s.rule, 0) + 1
-        return out
 
 
 def _validate_rules(sys, rules):
@@ -150,23 +144,25 @@ def reduce_scan(scan: Scan, trace: ReductionTrace, strategy, max_steps, seed,
     return trace
 
 
-def _scope_at(env: Env, m: Term, pos):
-    """Environment and binder renaming in force at `pos` inside m, as the
-    typed traversal has them: a shadowing binder is renamed through the
-    map, not by substitution, so the subterm at `pos` keeps its names."""
-    ren = _NO_RENAMES
+def _descend(env: Env, m: Term, pos):
+    """The subterm at `pos` in m, the environment and binder renaming in
+    force there as Scan has them, and the nodes above it, root first."""
+    ren, spine = _NO_RENAMES, []
     for i in pos:
         values, scopes = TERM_SCOPES[m.__class__]
+        if not 0 <= i < len(scopes):
+            raise InvalidPath(f"no child {i} at {type(m).__name__}")
         vals, (j, k, a) = values(m), scopes[i]
         if k is not None:
             env, ren = _bind(env, ren, vals[k], vals[a], vals[j])
+        spine.append(m)
         m = vals[j]
-    return env, ren
+    return m, env, ren, spine
 
 
 def env_at(env: Env, m: Term, pos) -> Env:
     """Environment in force at `pos` inside m (binders extend it)."""
-    return _scope_at(env, m, pos)[0]
+    return _descend(env, m, pos)[1]
 
 
 def apply_script(sys: SystemId, env: Env, m: Term, script,
@@ -182,29 +178,30 @@ def apply_script(sys: SystemId, env: Env, m: Term, script,
     for instr in script:
         rule, pos = RuleId(instr[0]), tuple(instr[1])
         admin = bool(instr[2]) if len(instr) > 2 else False
-        sub = subterm_at(current, pos)
-        if match_rule(rule, sub) is None:
+        sub, local, ren, spine = _descend(env, current, pos)
+        payload = match_rule(rule, sub)
+        if payload is None:
             raise StaleRedex(f"no {rule.value} redex at {list(pos)}")
-        local, ren = _scope_at(env, current, pos)
-        fine = is_fine_redex(local, sub, rule, ren)
+        fine = _fine_match(local, rule, payload, ren)
         if require_fine and not fine:
             raise NotFine(f"{rule.value} step at {list(pos)} is not fine")
-        current = replace_at(current, pos, apply_rule(rule, sub))
+        current = _refill(spine, pos, _APPLIERS[rule](sub))
         trace.steps.append(TraceStep(rule, pos, local, current, fine, admin))
     return trace
 
 
 def replay(trace: ReductionTrace) -> bool:
-    """Re-run a trace from its initial term; True iff every recorded step
-    re-applies at its position and reproduces the recorded result."""
+    """True iff each recorded step, re-applied at its position to the
+    recorded term before it, reproduces the recorded result up to alpha.
+    An engine trace shares what a step leaves with the term before, so
+    each check walks only the step's path and contractum."""
     current = trace.initial
     for s in trace.steps:
         sub = subterm_at(current, s.position)
-        if match_rule(s.rule, sub) is None:
+        if match_rule(s.rule, sub) is None or replace_at(
+                current, s.position, _APPLIERS[s.rule](sub)) != s.result:
             return False
-        current = replace_at(current, s.position, apply_rule(s.rule, sub))
-        if current != s.result:
-            return False
+        current = s.result
     return True
 
 

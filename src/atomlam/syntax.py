@@ -23,7 +23,7 @@ class _Node:
     def __eq__(self, other):
         if not isinstance(other, _Node):
             return NotImplemented
-        return _alpha(self, other, ({}, {}), ({}, {}), 0, True)
+        return _same(self, other)
 
     def __hash__(self):
         return hash(_canonical(self, ({}, {}), 0))
@@ -246,12 +246,14 @@ def _getter(names):
 
 class _Shape:
     """One row of GRAMMAR in the forms the traversals read. `values` gives
-    a node's fields in order and `data` the indices of its DATA fields.
-    `walk` lists its TERM and FORMULA fields in order, each as (field
-    index, index of the binder over it or None, that binder's sort: 0 for
-    a term variable, 1 for a type variable)."""
+    a node's fields in order, `data` the indices of its DATA fields and
+    `names` those of its DATA and binder fields. `walk` lists its TERM and
+    FORMULA fields in order, each as (field index, index of the binder
+    over it or None, that binder's sort: 0 for a term variable, 1 for a
+    type variable)."""
 
-    __slots__ = ("values", "kids", "children", "formulas", "data", "walk")
+    __slots__ = ("values", "kids", "children", "formulas", "data", "walk",
+                 "names")
 
     def __init__(self, cls, roles):
         names = [f.name for f in fields(cls)]
@@ -265,6 +267,8 @@ class _Shape:
             (j, j - 2, 0) if j > 1 and roles[j - 2] == BIND
             else (j, j - 1, 1) if j and roles[j - 1] == TBIND
             else (j, None, None) for j in sorted(self.kids + forms))
+        self.names = tuple(j for j, r in enumerate(roles)
+                           if r not in (TERM, FORMULA))
 
 
 _SHAPES = {cls: _Shape(cls, roles) for cls, roles in GRAMMAR.items()}
@@ -281,6 +285,29 @@ TERM_SCOPES = _PLANS[0]  # a term's children, in position order
 
 
 # ---------------------------------------------------- alpha-equivalence
+
+def _same(a, b):
+    """Whether a is b up to the names of their binders, where every binder
+    above has one name on both sides, so that names compare as strings. A
+    node whose binders are named apart (or data differ) goes to `_alpha`."""
+    if a is b:
+        return True
+    cls = a.__class__
+    if cls is not b.__class__:
+        return False
+    if cls is Var or cls is FVar:
+        return a.name == b.name
+    shape = _SHAPES[cls]
+    va, vb = shape.values(a), shape.values(b)
+    for j in shape.names:
+        if va[j] != vb[j]:
+            return _alpha(a, b, ({}, {}), ({}, {}), 0, True)
+    for j, _, _ in shape.walk:
+        x, y = va[j], vb[j]
+        if x is not y and not _same(x, y):
+            return False
+    return True
+
 
 def _alpha(a, b, ma, mb, depth, same):
     """Whether a is b, up to the names of their binders. ma and mb are
@@ -537,10 +564,18 @@ def _with_child(t: Term, i: int, new: Term) -> Term:
 
 
 def replace_at(t: Term, pos, new: Term) -> Term:
-    if not pos:
-        return new
-    kid = subterm_at(t, pos[:1])
-    return _with_child(t, pos[0], replace_at(kid, pos[1:], new))
+    spine = []
+    for i in pos:
+        spine.append(t)
+        t = subterm_at(t, (i,))
+    return _refill(spine, pos, new)
+
+
+def _refill(spine, pos, new: Term) -> Term:
+    """`new` put at `pos` below the nodes `spine` along pos, root first."""
+    for t, i in zip(reversed(spine), reversed(pos)):
+        new = _with_child(t, i, new)
+    return new
 
 
 def fill(e: ElimContext, m: Term) -> Term:

@@ -157,11 +157,14 @@ def is_fine_redex(env: Env, m: Term, rule, _ren=_NO_RENAMES) -> bool:
     payload = _rules.match_rule(rule, m)
     if payload is None:
         raise NotARedex(f"term is not a {getattr(rule, 'value', rule)} redex")
+    return _fine_match(env, rule, payload, _ren)
+
+
+def _fine_match(env: Env, rule, payload, ren=_NO_RENAMES) -> bool:
+    """is_fine_redex of the match `payload`, typing only the redex's head."""
     kind = _rules.fineness_kind(rule)
-    if kind == "always":
-        return True
-    return _head_fine(kind, Scan(env, payload["head"], {rule}, _ren).root.ty,
-                      payload)
+    return kind == "always" or _head_fine(
+        kind, Scan(env, payload["head"], (), ren, SystemId.F).root.ty, payload)
 
 
 # ------------------------------------------------------- typed traversal

@@ -1,14 +1,19 @@
 """Alpha-equivalence: `==`, `hash` and `canonical_key` against the canonical
 keys of tests/reference_alpha.py, binder-scope edge cases pinned by hand,
-and deep chains."""
+and deep chains, named apart at chosen levels, with the work `==` does on
+them counted."""
 
 import dataclasses
+import sys
+from collections import Counter
+from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
 
 from atomlam import (Abort, App, Case, ElimContext, Forall, Formula, FVar,
                      Imp, Lam, Proj, Term, TyApp, TyLam, Var, canonical_key,
-                     fill, split)
+                     fill, split, syntax)
+from atomlam.syntax import formula_children, term_children
 from reference_alpha import _key as oracle_key
 from test_syntax import _uniquify, _uniquify_types, node_strategies
 
@@ -180,3 +185,90 @@ def test_deep_chains_compare_and_hash():
         assert x is not y and x == y and hash(x) == hash(y)
         assert canonical_key(x) == canonical_key(y)
         assert x != z and canonical_key(x) != canonical_key(z)
+
+
+# Chains DEPTH deep whose binders are named by `name(i)` (level i from the
+# root) and whose leaf is the variable bound at level `leaf`.
+
+def _named_chains(name, leaf):
+    """A `forall` chain and a `fun` chain."""
+    forall, fun = FVar(name(leaf, True)), Var(name(leaf, False))
+    for i in reversed(range(DEPTH)):
+        forall = Forall(name(i, True), forall)
+        fun = Lam(name(i, False), FVar("A"), fun)
+    return forall, fun
+
+
+def _plain(i, is_type):
+    return f"X{i}" if is_type else f"x{i}"
+
+
+def _apart_at(levels):
+    """Names as _plain's, but primed at the given levels."""
+    return lambda i, is_type: _plain(i, is_type) + "'" * (i in levels)
+
+
+_APART = {"root": {0}, "leaf": {DEPTH - 1}, "every level": set(range(DEPTH))}
+
+
+def test_deep_chains_named_apart_agree_with_the_oracle():
+    for where, levels in _APART.items():
+        for leaf in (0, DEPTH // 2, DEPTH - 1):
+            for x, y in zip(_named_chains(_plain, leaf),
+                            _named_chains(_apart_at(levels), leaf)):
+                assert agrees(x, y), (where, leaf)
+
+
+def test_deep_chains_differing_only_at_the_leaf_agree_with_the_oracle():
+    for where, levels in [("nowhere", set())] + list(_APART.items()):
+        for x, y in zip(_named_chains(_plain, DEPTH - 1),
+                        _named_chains(_apart_at(levels), DEPTH - 2)):
+            assert not agrees(x, y), where
+
+
+def _size(node):
+    """The number of nodes in node, formulas included."""
+    return (1 + sum(map(_size, term_children(node)))
+            + sum(map(_size, formula_children(node))))
+
+
+@contextmanager
+def _visits():
+    """Count, per pair of nodes, the calls of `==`'s two walks on it. A
+    profile hook adds no frame per level, as a wrapper would."""
+    visits = Counter()
+    walks = {syntax._same.__code__, syntax._alpha.__code__}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in walks:
+            visits[id(frame.f_locals["a"]), id(frame.f_locals["b"])] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield visits
+    finally:
+        sys.setprofile(previous)
+
+
+def test_deep_chains_visit_each_node_pair_at_most_twice():
+    cases = [(_apart_at(levels), leaf)
+             for levels in [set()] + list(_APART.values())
+             for leaf in (DEPTH - 1, DEPTH - 2)]
+    for name, leaf in cases:
+        for x, y in zip(_named_chains(_plain, DEPTH - 1),
+                        _named_chains(name, leaf)):
+            with _visits() as visits:
+                equal = x == y
+            assert equal is (leaf == DEPTH - 1)
+            assert max(visits.values()) <= 2
+            assert sum(visits.values()) <= 2 * _size(x)
+
+
+@settings(max_examples=200)
+@given(nodes, st.integers(0, 6), st.sampled_from(["x", "y", "X", "Y", "f"]))
+def test_eq_visits_at_most_twice_the_nodes(node, n, new):
+    other = _rename_one(node, n, new)
+    with _visits() as visits:
+        node == other
+    assert sum(visits.values()) <= 2 * _size(node)

@@ -212,6 +212,13 @@ EXIT_CASES = [
     ("diagram_no_redex_at_pos", ["diagram", "--rule", "varpi_bot", "--pos", "0",
                                  "--env", "u:bot", "abort[X] (abort[bot] u)"], 6,
      "no varpi_bot redex found"),
+    # a rule outside the system: one check, so one message from either command
+    ("reduce_rule_not_in_system", ["reduce", "--sys", "ipc", "--env", "a:X",
+                                   "--rules", "beta_imp, rho_case", "a"], 2,
+     "parse error: rules not valid in ipc: rho_case\n"),
+    ("simulate_rule_not_in_system", ["simulate", "--rule", "rho_case", "--env",
+                                     "a:X", "a"], 2,
+     "parse error: rules not valid in ipc: rho_case\n"),
     ("file_missing", ["check", "--file", _MISSING], 2,
      f"error: cannot read {_MISSING!r}: No such file or directory"),
     ("file_is_a_directory", ["check", "--file", _FOLDER], 2,
