@@ -21,11 +21,10 @@ from itertools import combinations
 
 from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      StepLimitExceeded, TypingError)
-from .rules import F_BETA_ETA, RuleId, apply_rule, match_rule
-from .syntax import (And, App, Forall, FVar, Imp, Lam, Pair, Proj, Term,
-                     TyApp, TyLam, Var, canonical_key, free_type_vars,
-                     free_vars, fresh_name, replace_at, subterm_at,
-                     term_children)
+from .rules import (CONNECTIVES, F_BETA_ETA, RuleId, apply_rule, expansion,
+                    match_rule, mk_case)
+from .syntax import (App, Proj, Term, TyApp, Var, canonical_key, fill,
+                     replace_at, subterm_at, term_children)
 from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
                         reduce_scan, shift, step)
 from .translate import RP_CHILD, rp_env, rp_term
@@ -105,28 +104,21 @@ def _redex_subterm(m, r, expect_rules):
 
 
 def decompose_delta(env: Env, m: Term, r: Redex) -> ReductionTrace:
-    """Replay a delta step as one atomization step plus the detour steps it
-    creates (two for implication/universal shapes, four for conjunction)."""
+    """Replay a delta step as the rho_case step at the redex, then the
+    connective's beta rule in both branches of each component, which
+    cancels the elimination rho_case pushed there against the introduction
+    the branch already was: two beta steps for an implication or
+    universal, four for a conjunction."""
     sub = _redex_subterm(m, r, {RuleId.delta})
-    c = sub.fun.arg
+    contractum = apply_rule(RuleId.delta, sub)
+    beta = CONNECTIVES[sub.fun.arg.__class__].beta
     p = r.position
-    if isinstance(c, Imp):
-        script = [(RuleId.rho_case, p),
-                  (RuleId.beta_imp, p + (0, 1, 0, 0)),
-                  (RuleId.beta_imp, p + (0, 1, 1, 0))]
-    elif isinstance(c, Forall):
-        script = [(RuleId.rho_case, p),
-                  (RuleId.beta_all, p + (0, 1, 0, 0)),
-                  (RuleId.beta_all, p + (0, 1, 1, 0))]
-    else:
-        script = [(RuleId.rho_case, p),
-                  (RuleId.beta_and, p + (0, 1, 0, 0)),
-                  (RuleId.beta_and, p + (0, 1, 1, 0)),
-                  (RuleId.beta_and, p + (1, 1, 0, 0)),
-                  (RuleId.beta_and, p + (1, 1, 1, 0))]
+    # component i is child i of the contractum, a case with branches j
+    script = [(RuleId.rho_case, p)] + [
+        (beta, p + (i, 1, j, 0))
+        for i in range(len(term_children(contractum))) for j in (0, 1)]
     trace = apply_script(SystemId.F, env, m, script)
-    expected = replace_at(m, p, apply_rule(RuleId.delta, sub))
-    if trace.final != expected:
+    if trace.final != replace_at(m, p, contractum):
         raise InternalInvariantViolation("delta decomposition endpoint mismatch")
     return trace
 
@@ -146,52 +138,38 @@ def decompose_eps(env: Env, m: Term, r: Redex) -> ReductionTrace:
 
 
 def expand_rho(env: Env, m: Term, r: Redex):
-    """Witness an atomization step as eta-expansion followed by reduction.
+    """Witness an atomization step as eta expansion followed by reduction.
 
-    For rho_case the expansion reduces by one delta step; for rho_abort it
-    reduces by commuting steps. Together with the decompositions this is
-    the executable form of the inclusion of atomization equality in
-    commuting/eta equality.
+    The expansion at C, the instantiation, is the introduction of C's
+    connective over its eliminations, as in rules.CONNECTIVES. For
+    rho_case each branch body is expanded at C, and one delta step
+    reduces the expansion; for rho_abort the redex itself is, and one
+    eps_abort step per component reduces it. Together with the
+    decompositions this is the executable form of the inclusion of
+    atomization equality in commuting/eta equality.
     """
     sub = _redex_subterm(m, r, {RuleId.rho_case, RuleId.rho_abort})
     p = r.position
+
+    def eta(c, body):
+        row, z, elims = expansion(c, "z", (body,))
+        return row.intro(c, z, *[fill(e, body) for e in elims])
+
     if r.rule == RuleId.rho_case:
-        c = sub.fun.arg
-        head, pair = sub.fun.fun, sub.arg
-        bl, br = pair.fst, pair.snd
-
-        def eta_expand(body):
-            if isinstance(c, Imp):
-                z = fresh_name("z", free_vars(body))
-                return Lam(z, c.left, App(body, Var(z)))
-            if isinstance(c, And):
-                return Pair(Proj(1, body), Proj(2, body))
-            v = fresh_name(c.var, free_type_vars(body))
-            return TyLam(v, TyApp(body, FVar(v)))
-
-        expanded = App(TyApp(head, c),
-                       Pair(Lam(bl.var, bl.ann, eta_expand(bl.body)),
-                            Lam(br.var, br.ann, eta_expand(br.body))))
+        head, c, bl, br = sub.fun.fun, sub.fun.arg, sub.arg.fst, sub.arg.snd
+        sub_eta = mk_case(head, bl.var, bl.ann, eta(c, bl.body),
+                          br.var, br.ann, eta(c, br.body), c)
         script = [(RuleId.delta, p)]
     else:
-        c = sub.arg
-        if isinstance(c, Imp):
-            z = fresh_name("z", free_vars(sub))
-            expanded = Lam(z, c.left, App(sub, Var(z)))
-            script = [(RuleId.eps_abort, p + (0,))]
-        elif isinstance(c, And):
-            expanded = Pair(Proj(1, sub), Proj(2, sub))
-            script = [(RuleId.eps_abort, p + (0,)), (RuleId.eps_abort, p + (1,))]
-        else:
-            v = fresh_name(c.var, free_type_vars(sub))
-            expanded = TyLam(v, TyApp(sub, FVar(v)))
-            script = [(RuleId.eps_abort, p + (0,))]
-    expansion = replace_at(m, p, expanded)
-    trace = apply_script(SystemId.F, env, expansion, script)
+        sub_eta = eta(sub.arg, sub)
+        script = [(RuleId.eps_abort, p + (i,))
+                  for i in range(len(term_children(sub_eta)))]
+    expanded = replace_at(m, p, sub_eta)
+    trace = apply_script(SystemId.F, env, expanded, script)
     expected = replace_at(m, p, apply_rule(r.rule, sub))
     if trace.final != expected:
         raise InternalInvariantViolation("expansion witness endpoint mismatch")
-    return expansion, trace
+    return expanded, trace
 
 
 # -------------------------------------------------------- strict simulation

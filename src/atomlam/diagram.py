@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantViolation, NotARedex, RuleNotApplicable
-from .rules import RuleId
-from .syntax import Abort, And, Case, Forall, FVar, Imp, Term, term_children
+from .rules import CONNECTIVES, RuleId, expansion
+from .syntax import Abort, Case, FVar, Term, hole_result, term_children
 from .rewriting import Redex, apply_script, replay, shift, step
 from .translate import RP_CHILD, at_term, rp_env, rp_formula, rp_term
 from .typecheck import Env, SystemId
@@ -67,17 +67,9 @@ _ADMIN_LEGS = ("m_at->q1", "n_at->q2")
 # level per connective; `_parts` gives each level's components with the
 # index of the subterm that carries them.
 
-# The detour and eta rule that take apart and put back one level, by the
-# connective of its result formula.
-_LEVEL = {And: (RuleId.beta_and, RuleId.eta_and),
-          Imp: (RuleId.beta_imp, RuleId.eta_imp),
-          Forall: (RuleId.beta_all, RuleId.eta_all)}
-
-
 def _parts(c):
-    if isinstance(c, And):
-        return ((0, c.left), (1, c.right))
-    return ((0, c.right if isinstance(c, Imp) else c.body),)
+    return [(i, hole_result(e, c))
+            for i, e in enumerate(expansion(c, "z", ())[2])]
 
 
 def _unfold_holes(c, base, wrap=()):
@@ -162,7 +154,7 @@ def _nested_scripts(c, eps, leaf, counts, below=()):
     holes = [(i,) + p for i, ci in parts for j in (1, 2)
              for p in _unfold_holes(ci, RP_CHILD[Case][j], (0,))]
     counts.append((type(c).__name__.lower(), len(holes), 2 * len(parts)))
-    admins = [(_LEVEL[type(c)][0], p, True) for p in holes]
+    admins = [(CONNECTIVES[type(c)].beta, p, True) for p in holes]
     rhsp = [(RuleId.rho_case, ())] + [(eps, (i, 1, j, 0)) for i, _ in parts
                                       for j in (0, 1)]
     for i, ci in parts:
@@ -227,7 +219,7 @@ def _detour_script(c, leaf, eta):
         return leaf
     script = [s for i, ci in _parts(c)
               for s in shift(_detour_script(ci, leaf, eta), (i,))]
-    return script + [(_LEVEL[type(c)][1], ())] if eta else script
+    return script + [(CONNECTIVES[type(c)].eta, ())] if eta else script
 
 
 def _detour_leg(rule, sub):

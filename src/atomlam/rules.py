@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import AtomicInstantiation, ShapeMismatch
-from .syntax import (Abort, And, App, Bot, Case, Forall, FVar, Imp, Inj, Lam,
-                     Or, Pair, Proj, Term, TyApp, TyLam, Var,
-                     fill, free_type_vars, free_vars, fresh_name,
-                     hole_result, split, subst_term, subst_type,
-                     term_children)
+from .syntax import (Abort, And, App, AppHole, Case, Forall, Formula,
+                     FVar, Imp, Inj, Lam, Or, Pair, Proj, ProjHole, Term,
+                     TyApp, TyAppHole, TyLam, Var, fill, free_type_vars,
+                     free_vars, fresh_name, hole_result, split, subst_term,
+                     subst_type, term_children)
 
 
 class RuleId(str, Enum):
@@ -100,10 +101,6 @@ _ROOTS = {
     RuleId.rho_case: (App,), RuleId.rho_abort: (TyApp,), RuleId.delta: (App,),
     RuleId.eps_case: (App, Proj, TyApp), RuleId.eps_abort: (App, Proj, TyApp),
 }
-
-
-def _is_atomic(f):
-    return isinstance(f, FVar)
 
 
 def _case_spine(t):
@@ -184,39 +181,26 @@ def _m_eta_all(t):
 
 def _m_rho_case(t):
     spine = _case_spine(t)
-    if spine is None:
+    if spine is None or spine[1].__class__ not in CONNECTIVES:
         return None
     head, c, bl, br = spine
-    if _is_atomic(c) or isinstance(c, (Or, Bot)):
-        return None
     return {"head": head, "lann": bl.ann, "rann": br.ann}
 
 
 def _m_rho_abort(t):
-    if isinstance(t, TyApp) and not _is_atomic(t.arg) \
-            and not isinstance(t.arg, (Or, Bot)):
+    if isinstance(t, TyApp) and t.arg.__class__ in CONNECTIVES:
         return {"head": t.fun}
     return None
 
 
 def _m_delta(t):
-    spine = _case_spine(t)
-    if spine is None:
-        return None
-    head, c, bl, br = spine
-    if isinstance(c, Imp):
-        if (isinstance(bl.body, Lam) and isinstance(br.body, Lam)
-                and bl.body.ann == c.left and br.body.ann == c.left):
-            return {"head": head, "lann": bl.ann, "rann": br.ann}
-        return None
-    if isinstance(c, And):
-        if isinstance(bl.body, Pair) and isinstance(br.body, Pair):
-            return {"head": head, "lann": bl.ann, "rann": br.ann}
-        return None
-    if isinstance(c, Forall):
-        if isinstance(bl.body, TyLam) and isinstance(br.body, TyLam):
-            return {"head": head, "lann": bl.ann, "rann": br.ann}
-        return None
+    """rho_case's match, where each branch is an introduction of C."""
+    found = _m_rho_case(t)
+    if found is not None:
+        c, pair = t.fun.arg, t.arg
+        introduces = CONNECTIVES[c.__class__].introduces
+        if introduces(pair.fst.body, c) and introduces(pair.snd.body, c):
+            return found
     return None
 
 
@@ -265,78 +249,98 @@ def _a_eta_all(t):
     return t.body.fun
 
 
-def _spine_parts(t):
+# ------------------------------------------------------------ connectives
+#
+# rho_case, rho_abort and delta are eta expansion of a non-atomic
+# instantiation C at its main connective, with each elimination of the
+# expansion pushed inward: into both branches (rho_case), into the
+# instantiation (rho_abort), or onto the introduction a branch already is,
+# which the connective's beta rule then cancels (delta). This is the
+# instantiation overflow of F. Ferreira and G. Ferreira, "Atomic
+# polymorphism" (JSL 2013), which translate.at_term iterates to atomic
+# formulas.
+
+class Connective(NamedTuple):
+    """A row of CONNECTIVES: `elims(name)` are the eta expansion's
+    eliminations over its binder `name`, of sort `sort` (0: term, 1: type
+    variable, None: no binder); elimination i yields component i from C
+    (hole_result), child i of `intro(c, name, *parts)`. `introduces(b, c)`
+    tests for that introduction; `beta`, `eta` are the connective's rules."""
+
+    sort: int | None
+    elims: Callable
+    intro: Callable
+    introduces: Callable
+    beta: RuleId
+    eta: RuleId
+
+
+_PROJECTIONS = (ProjHole(1), ProjHole(2))
+
+# a binder's eliminations are made once per name (lru_cache)
+CONNECTIVES = {
+    Imp: Connective(0, lru_cache(256)(lambda z: (AppHole(Var(z)),)),
+                    lambda c, z, b: Lam(z, c.left, b),
+                    lambda b, c: b.__class__ is Lam and b.ann == c.left,
+                    RuleId.beta_imp, RuleId.eta_imp),
+    And: Connective(None, lambda _: _PROJECTIONS,
+                    lambda c, _, b1, b2: Pair(b1, b2),
+                    lambda b, c: b.__class__ is Pair,
+                    RuleId.beta_and, RuleId.eta_and),
+    Forall: Connective(1, lru_cache(256)(lambda v: (TyAppHole(FVar(v)),)),
+                       lambda c, v, b: TyLam(v, b),
+                       lambda b, c: b.__class__ is TyLam,
+                       RuleId.beta_all, RuleId.eta_all),
+}
+
+
+def expansion(c, base, terms, formulas=(), bound=()):
+    """The row of c's main connective, the binder of c's eta expansion and
+    the expansion's eliminations. A term binder is named `base`, primed
+    away from `bound` and the free term variables of `terms`; a type
+    binder is named after c's own variable, primed away from the free
+    type variables of `terms` and `formulas`."""
+    row = CONNECTIVES[c.__class__]
+    if row.sort is None:
+        name = None
+    elif row.sort:
+        name = fresh_name(c.var, free_type_vars(*terms, *formulas))
+    else:
+        name = fresh_name(base, free_vars(*terms).union(bound))
+    return row, name, row.elims(name)
+
+
+def mk_case(m: Term, x: str, a: Formula, p: Term,
+            y: str, b: Formula, q: Term, c: Formula) -> Term:
+    """m c <fun x:a => p, fun y:b => q>."""
+    return App(TyApp(m, c), Pair(Lam(x, a, p), Lam(y, b, q)))
+
+
+def _a_rho_case(t, base="w", cancel=False):
+    """C's eta expansion, each elimination pushed into both branches. With
+    `cancel` this is delta: each branch is an introduction of C already,
+    which the connective's beta rule cancels against the elimination."""
     head, c, bl, br = _case_spine(t)
-    return head, c, bl.var, bl.ann, bl.body, br.var, br.ann, br.body
-
-
-def _a_rho_case(t):
-    head, c, x, la, p, y, ra, q = _spine_parts(t)
-    if isinstance(c, Imp):
-        z = fresh_name("w", free_vars(head) | free_vars(p) | free_vars(q) | {x, y})
-        return Lam(z, c.left, App(TyApp(head, c.right),
-                                  Pair(Lam(x, la, App(p, Var(z))),
-                                       Lam(y, ra, App(q, Var(z))))))
-    if isinstance(c, And):
-        def comp(i, ci):
-            return App(TyApp(head, ci), Pair(Lam(x, la, Proj(i, p)),
-                                             Lam(y, ra, Proj(i, q))))
-        return Pair(comp(1, c.left), comp(2, c.right))
-    if isinstance(c, Forall):
-        avoid = (free_type_vars(head) | free_type_vars(p)
-                 | free_type_vars(q) | free_type_vars(la)
-                 | free_type_vars(ra) | free_type_vars(c))
-        v = fresh_name(c.var, avoid)
-        d = subst_type(FVar(v), c.var, c.body)
-        return TyLam(v, App(TyApp(head, d),
-                            Pair(Lam(x, la, TyApp(p, FVar(v))),
-                                 Lam(y, ra, TyApp(q, FVar(v))))))
-    raise ShapeMismatch(f"no atomization case for {c!r}")
+    row, name, elims = expansion(c, base, (head, bl.body, br.body),
+                                 (bl.ann, br.ann, c), (bl.var, br.var))
+    push = (lambda e, b: _APPLIERS[row.beta](fill(e, b))) if cancel else fill
+    return row.intro(c, name, *[
+        mk_case(head, bl.var, bl.ann, push(e, bl.body),
+                br.var, br.ann, push(e, br.body), hole_result(e, c))
+        for e in elims])
 
 
 def _a_rho_abort(t):
-    head, c = t.fun, t.arg
-    if isinstance(c, Imp):
-        z = fresh_name("w", free_vars(head))
-        return Lam(z, c.left, TyApp(head, c.right))
-    if isinstance(c, And):
-        return Pair(TyApp(head, c.left), TyApp(head, c.right))
-    if isinstance(c, Forall):
-        avoid = free_type_vars(head) | free_type_vars(c)
-        v = fresh_name(c.var, avoid)
-        return TyLam(v, TyApp(head, subst_type(FVar(v), c.var, c.body)))
-    raise ShapeMismatch(f"no atomization case for {c!r}")
+    """C's eta expansion, each elimination pushed into the instantiation."""
+    c = t.arg
+    row, name, elims = expansion(c, "w", (t.fun,), (c,))
+    return row.intro(c, name, *[TyApp(t.fun, hole_result(e, c))
+                                for e in elims])
 
 
 def _a_delta(t):
-    head, c, x, la, p, y, ra, q = _spine_parts(t)
-    if isinstance(c, Imp):
-        z1, z2 = p.var, q.var
-        avoid = (free_vars(head) | (free_vars(p.body) - {z1})
-                 | (free_vars(q.body) - {z2}) | {x, y})
-        z = fresh_name(z1, avoid)
-        pb = p.body if z == z1 else subst_term(Var(z), z1, p.body)
-        qb = q.body if z == z2 else subst_term(Var(z), z2, q.body)
-        return Lam(z, c.left, App(TyApp(head, c.right),
-                                  Pair(Lam(x, la, pb), Lam(y, ra, qb))))
-    if isinstance(c, And):
-        def comp(pi, qi, ci):
-            return App(TyApp(head, ci), Pair(Lam(x, la, pi), Lam(y, ra, qi)))
-        return Pair(comp(p.fst, q.fst, c.left), comp(p.snd, q.snd, c.right))
-    if isinstance(c, Forall):
-        y1, y2 = p.var, q.var
-        avoid = (free_type_vars(head)
-                 | (free_type_vars(p.body) - {y1})
-                 | (free_type_vars(q.body) - {y2})
-                 | free_type_vars(la) | free_type_vars(ra)
-                 | free_type_vars(c))
-        v = fresh_name(c.var, avoid)
-        d = subst_type(FVar(v), c.var, c.body)
-        pb = subst_type(FVar(v), y1, p.body)
-        qb = subst_type(FVar(v), y2, q.body)
-        return TyLam(v, App(TyApp(head, d),
-                            Pair(Lam(x, la, pb), Lam(y, ra, qb))))
-    raise ShapeMismatch(f"no delta case for {c!r}")
+    # a term binder is named after the left branch's own
+    return _a_rho_case(t, getattr(t.arg.fst.body, "var", None), cancel=True)
 
 
 # -------------------------------------------------- commuting conversions
@@ -405,8 +409,8 @@ def _a_eps_case(t):
     avoid = free_vars(e)
     x, p = _rename_branch(bl.var, bl.body, avoid)
     y, q = _rename_branch(br.var, br.body, avoid)
-    return App(TyApp(head, hole_result(e, c)),
-               Pair(Lam(x, bl.ann, fill(e, p)), Lam(y, br.ann, fill(e, q))))
+    return mk_case(head, x, bl.ann, fill(e, p), y, br.ann, fill(e, q),
+                   hole_result(e, c))
 
 
 def _a_eps_abort(t):
@@ -469,10 +473,10 @@ def apply_rule(rule: RuleId, m: Term) -> Term:
     if match_rule(rule, m) is None:
         if rule is RuleId.rho_case:
             spine = _case_spine(m)
-            if spine is not None and _is_atomic(spine[1]):
+            if spine is not None and spine[1].__class__ is FVar:
                 raise AtomicInstantiation("atomization of an atomic instantiation")
         if rule is RuleId.rho_abort and isinstance(m, TyApp) \
-                and _is_atomic(m.arg):
+                and m.arg.__class__ is FVar:
             raise AtomicInstantiation("atomization of an atomic instantiation")
         raise ShapeMismatch(f"term is not a {rule.value} redex")
     return _APPLIERS[rule](m)

@@ -393,25 +393,27 @@ def _collect(t, occurrence, plans, bound, out):
             out.add(kid.name)
 
 
-def _free(node, sort):
-    """Free names of `sort` (0: term variables, 1: type variables)."""
-    occurrence = _OCCURRENCE[sort]
-    if node.__class__ is occurrence:
-        return frozenset((node.name,))
-    out = set()
-    _collect(node, occurrence, _PLANS[sort], frozenset(), out)
+def _free(nodes, sort):
+    """Free names of `sort` (0: term variables, 1: type variables) in any
+    of `nodes`."""
+    occurrence, plans, out = _OCCURRENCE[sort], _PLANS[sort], set()
+    for node in nodes:
+        if node.__class__ is occurrence:
+            out.add(node.name)
+        else:
+            _collect(node, occurrence, plans, frozenset(), out)
     return frozenset(out)
 
 
-def free_type_vars(node) -> frozenset:
-    """Free type variables of a formula, or of a term (in its annotations
+def free_type_vars(*nodes) -> frozenset:
+    """Free type variables of formulas, or of terms (in their annotations
     and instantiation arguments)."""
-    return _free(node, 1)
+    return _free(nodes, 1)
 
 
-def free_vars(t: Term) -> frozenset:
-    """Free term variables of t."""
-    return _free(t, 0)
+def free_vars(*terms: Term) -> frozenset:
+    """Free term variables of terms."""
+    return _free(terms, 0)
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -430,6 +432,8 @@ def _subst(b, x, node, sort):
     variant free in neither b nor its scope, and other than x. A subterm
     the substitution leaves unchanged is returned itself."""
     occurrence, plans = _OCCURRENCE[sort], _PLANS[sort]
+    if b.__class__ is occurrence and b.name == x:
+        return node  # [x/x] is the identity
     free_b = None  # b's free names, computed at the first binder met
 
     def go(t):
@@ -448,9 +452,9 @@ def _subst(b, x, node, sort):
                 var = old[k]
                 if var == x:
                     continue
-                free_b = _free(b, sort) if free_b is None else free_b
-                if var in free_b and x in _free(kid, sort):
-                    new = fresh_name(var, free_b | _free(kid, sort) | {x})
+                free_b = _free((b,), sort) if free_b is None else free_b
+                if var in free_b and x in _free((kid,), sort):
+                    new = fresh_name(var, free_b | _free((kid,), sort) | {x})
                     args = args or list(old)
                     args[k], kid = new, _subst(occurrence(new), var, kid, sort)
             new = ((b if kid.name == x else kid) if kid.__class__ is occurrence
@@ -478,7 +482,7 @@ def subst_type(b: Formula, x: str, node):
 
 def encode_or(a: Formula, b: Formula) -> Formula:
     """Sum encoding: forall X. ((a -> X) & (b -> X)) -> X, X fresh for a, b."""
-    x = fresh_name("X", free_type_vars(a) | free_type_vars(b))
+    x = fresh_name("X", free_type_vars(a, b))
     v = FVar(x)
     return Forall(x, Imp(And(Imp(a, v), Imp(b, v)), v))
 
@@ -502,7 +506,7 @@ def match_encoded_or(f: Formula):
     if not (isinstance(r, Imp) and isinstance(r.right, FVar) and r.right.name == f.var):
         return None
     a, b = l.left, r.left
-    if f.var in free_type_vars(a) | free_type_vars(b):
+    if f.var in free_type_vars(a, b):
         return None
     return (a, b)
 

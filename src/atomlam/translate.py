@@ -4,17 +4,20 @@
 (disjunction becomes its universal encoding, absurdity becomes forall X. X);
 `at_term` gives the translation into Fat whose case/abort constructors
 recurse on the result formula so that every universal instantiation is
-atomic. The two term translations share one homomorphic traversal and
-differ only in the constructors for case and abort.
+atomic: they iterate the atomization rules rho_case and rho_abort, which
+is claim (3), atomic_nf(rp m) == at m, at one node. The two term
+translations share one homomorphic traversal and differ only in the
+constructors for case and abort.
 """
 
 from __future__ import annotations
 
 from .errors import NotIPCFormula, NotIPCTerm
-from .syntax import (_SHAPES, Abort, And, App, Bot, Case, Forall, Formula,
-                     FVar, Imp, Inj, Lam, Or, Pair, Proj, Term, TyApp, TyLam,
-                     Var, encode_bot, encode_or, free_type_vars, free_vars,
-                     fresh_name, subst_type)
+from .rules import CONNECTIVES, expansion, mk_case
+from .syntax import (_SHAPES, Abort, And, App, Bot, Case, Formula, FVar, Imp,
+                     Inj, Lam, Or, Pair, Proj, Term, TyApp, TyLam, Var,
+                     encode_bot, encode_or, fill, free_type_vars, free_vars,
+                     fresh_name, hole_result)
 from .typecheck import Env
 
 
@@ -39,18 +42,11 @@ def rp_env(env):
 
 def mk_in(i: int, m: Term, a: Formula, b: Formula) -> Term:
     """tfun X => fun w:(a->X)&(b->X) => (w.i) m, with X fresh for m, a, b."""
-    x = fresh_name("X", free_type_vars(a) | free_type_vars(b)
-                   | free_type_vars(m))
+    x = fresh_name("X", free_type_vars(a, b, m))
     w = fresh_name("w", free_vars(m))
     v = FVar(x)
     return TyLam(x, Lam(w, And(Imp(a, v), Imp(b, v)),
                         App(Proj(i, Var(w)), m)))
-
-
-def mk_case(m: Term, x: str, a: Formula, p: Term,
-            y: str, b: Formula, q: Term, c: Formula) -> Term:
-    """m c <fun x:a => p, fun y:b => q>."""
-    return App(TyApp(m, c), Pair(Lam(x, a, p), Lam(y, b, q)))
 
 
 def mk_abort(m: Term, a: Formula) -> Term:
@@ -60,42 +56,30 @@ def mk_abort(m: Term, a: Formula) -> Term:
 
 def mk_case_at(m: Term, x: str, a: Formula, p: Term,
                y: str, b: Formula, q: Term, c: Formula) -> Term:
-    """Atomic-instantiation case: recursion on the result formula c."""
-    if isinstance(c, FVar):
+    """Atomic-instantiation case: rho_case iterated to atomic formulas. At
+    a non-atomic c it is c's eta expansion at its main connective, with a
+    case at each component over the branches under that component's
+    elimination."""
+    if c.__class__ is FVar:
         return mk_case(m, x, a, p, y, b, q, c)
-    if isinstance(c, And):
-        return Pair(mk_case_at(m, x, a, Proj(1, p), y, b, Proj(1, q), c.left),
-                    mk_case_at(m, x, a, Proj(2, p), y, b, Proj(2, q), c.right))
-    if isinstance(c, Imp):
-        z = fresh_name("z", free_vars(m) | free_vars(p) | free_vars(q) | {x, y})
-        return Lam(z, c.left,
-                   mk_case_at(m, x, a, App(p, Var(z)), y, b, App(q, Var(z)),
-                              c.right))
-    if isinstance(c, Forall):
-        avoid = (free_type_vars(m) | free_type_vars(p)
-                 | free_type_vars(q) | free_type_vars(a)
-                 | free_type_vars(b) | free_type_vars(c))
-        v = fresh_name(c.var, avoid)
-        body = subst_type(FVar(v), c.var, c.body)
-        return TyLam(v, mk_case_at(m, x, a, TyApp(p, FVar(v)),
-                                   y, b, TyApp(q, FVar(v)), body))
-    raise NotIPCFormula(f"no case constructor for result formula {c!r}")
+    if c.__class__ not in CONNECTIVES:
+        raise NotIPCFormula(f"no case constructor for result formula {c!r}")
+    row, z, elims = expansion(c, "z", (m, p, q), (a, b, c), (x, y))
+    return row.intro(c, z, *[
+        mk_case_at(m, x, a, fill(e, p), y, b, fill(e, q), hole_result(e, c))
+        for e in elims])
 
 
 def mk_abort_at(m: Term, a: Formula) -> Term:
-    """Atomic-instantiation abort: recursion on the result formula a."""
-    if isinstance(a, FVar):
+    """Atomic-instantiation abort: rho_abort iterated to atomic formulas.
+    At a non-atomic a it is a's eta expansion at its main connective, with
+    an abort at each component."""
+    if a.__class__ is FVar:
         return TyApp(m, a)
-    if isinstance(a, And):
-        return Pair(mk_abort_at(m, a.left), mk_abort_at(m, a.right))
-    if isinstance(a, Imp):
-        z = fresh_name("z", free_vars(m))
-        return Lam(z, a.left, mk_abort_at(m, a.right))
-    if isinstance(a, Forall):
-        avoid = free_type_vars(m) | free_type_vars(a)
-        v = fresh_name(a.var, avoid)
-        return TyLam(v, mk_abort_at(m, subst_type(FVar(v), a.var, a.body)))
-    raise NotIPCFormula(f"no abort constructor for result formula {a!r}")
+    if a.__class__ not in CONNECTIVES:
+        raise NotIPCFormula(f"no abort constructor for result formula {a!r}")
+    row, z, elims = expansion(a, "z", (m,), (a,))
+    return row.intro(a, z, *[mk_abort_at(m, hole_result(e, a)) for e in elims])
 
 
 # Where rp_term puts the image of child i of a node of each IPC class,

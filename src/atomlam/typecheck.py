@@ -79,8 +79,7 @@ class Env:
 
     def free_type_vars(self) -> frozenset:
         if self._ftv is None:  # asked at every type binder: keep it
-            self._ftv = frozenset().union(*map(free_type_vars,
-                                               self._map.values()))
+            self._ftv = free_type_vars(*self._map.values())
         return self._ftv
 
     def __repr__(self):
@@ -144,20 +143,19 @@ def _head_fine(kind: str, head_type, payload) -> bool:
 _NO_RENAMES = {}
 
 
-def is_fine_redex(env: Env, m: Term, rule, _ren=_NO_RENAMES) -> bool:
+def is_fine_redex(env: Env, m: Term, rule) -> bool:
     """Fineness of a root redex of `rule` in env.
 
     Atomization/delta/commuting case redexes are fine iff the head has the
     sum-encoded type built from the branch annotations; the abort variants
     are fine iff the head has the empty-type encoding. Detour and eta
     redexes are always fine, as are the IPC commuting rules. The head is
-    typed by the traversal that redex search uses; `_ren` maps the names
-    of shadowing binders above m to their names in env.
+    typed by the traversal that redex search uses.
     """
     payload = _rules.match_rule(rule, m)
     if payload is None:
         raise NotARedex(f"term is not a {getattr(rule, 'value', rule)} redex")
-    return _fine_match(env, rule, payload, _ren)
+    return _fine_match(env, rule, payload)
 
 
 def _fine_match(env: Env, rule, payload, ren=_NO_RENAMES) -> bool:

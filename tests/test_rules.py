@@ -1,0 +1,155 @@
+"""The connective table behind the atomization rules, and the fresh names
+the rules and the atomic translation choose where names clash."""
+
+import pytest
+
+from atomlam import (Env, RuleId, SystemId, Var, apply_rule, encode_bot,
+                     encode_or, expand_rho, fill, find_redexes, hole_result,
+                     mk_abort_at, mk_case_at, parse_formula, parse_term,
+                     print_term, typecheck)
+from atomlam.rules import CONNECTIVES, expansion
+
+pf, pt = parse_formula, parse_term
+F = SystemId.F
+
+
+# ------------------------------------------------------ the table's columns
+
+# (C, its components as the eliminations over the binder yield them)
+ROWS = [("A -> B", ["B"]), ("A & B", ["A", "B"]),
+        ("forall X. X -> Y", ["X -> Y"])]
+
+
+@pytest.mark.parametrize("c, components", ROWS, ids=[c for c, _ in ROWS])
+def test_connective_columns_agree(c, components):
+    c = pf(c)
+    x = Var("x")
+    row, name, elims = expansion(c, "z", (x,))
+    assert row is CONNECTIVES[type(c)]
+    env = Env([("x", c)] + ([(name, c.left)] if row.sort == 0 else []))
+    # hole_result gives the row's components, and each elimination of x
+    # has that type (a term binder typed by C's antecedent)
+    assert [hole_result(e, c) for e in elims] == [pf(ci) for ci in components]
+    for e, ci in zip(elims, components):
+        assert typecheck(F, env, fill(e, x)) == pf(ci)
+    # beta law: elimination i of the introduction contracts to component i
+    parts = [Var(f"b{i}") for i in range(len(elims))]
+    intro = row.intro(c, name, *parts)
+    assert row.introduces(intro, c) and not row.introduces(x, c)
+    for e, b in zip(elims, parts):
+        assert apply_rule(row.beta, fill(e, intro)) == b
+    # eta law: the introduction of x's eliminations contracts back to x
+    expanded = row.intro(c, name, *[fill(e, x) for e in elims])
+    assert typecheck(F, env, expanded) == c
+    assert apply_rule(row.eta, expanded) == x
+
+
+# ------------------------------------------- fresh names, where they clash
+#
+# Contracta are compared as printed, names included: each case makes the
+# binder's base name clash with a free name, a branch binder, or (for a
+# type binder) a type variable free in the redex.
+
+CONTRACTA = [
+    ("rho_case", "m [A -> B] <fun x:P => w, fun y:Q => w' x>",
+     "fun w'':A => m [B] <fun x:P => w w'', fun y:Q => w' x w''>"),
+    ("rho_case", "m [A -> B] <fun w:P => w, fun y:Q => y>",
+     "fun w':A => m [B] <fun w:P => w w', fun y:Q => y w'>"),
+    ("rho_case", "m [A & B] <fun w:P => w, fun y:Q => y>",
+     "<m [A] <fun w:P => w.1, fun y:Q => y.1>,"
+     " m [B] <fun w:P => w.2, fun y:Q => y.2>>"),
+    ("rho_case", "m [forall X. X -> Y] <fun x:X => p, fun y:Q => q>",
+     "tfun X' => m [X' -> Y] <fun x:X => p [X'], fun y:Q => q [X']>"),
+    ("rho_case", "f [X] [forall X. X -> X'] <fun x:P => p, fun y:Q => q>",
+     "tfun X'' => f [X] [X'' -> X'] <fun x:P => p [X''], fun y:Q => q [X'']>"),
+    ("rho_abort", "w [A -> B]", "fun w':A => w [B]"),
+    ("rho_abort", "u [A & B]", "<u [A], u [B]>"),
+    ("rho_abort", "f [X] [forall X. X & X']", "tfun X'' => f [X] [X'' & X']"),
+    ("delta", "m [A -> B] <fun x:P => fun x:A => x, fun y:Q => fun y:A => y>",
+     "fun x':A => m [B] <fun x:P => x', fun y:Q => x'>"),
+    ("delta",
+     "m [A -> B] <fun x:P => fun w:A => x w, fun y:Q => fun z:A => w z>",
+     "fun w':A => m [B] <fun x:P => x w', fun y:Q => w w'>"),
+    ("delta", "m [A & B] <fun x:P => <x, p>, fun y:Q => <q, y>>",
+     "<m [A] <fun x:P => x, fun y:Q => q>, m [B] <fun x:P => p, fun y:Q => y>>"),
+    ("delta",
+     "m [forall X. X -> X] <fun x:X => tfun Y => p [Y], fun y:Q => tfun Z => q>",
+     "tfun X' => m [X' -> X'] <fun x:X => p [X'], fun y:Q => q>"),
+]
+
+
+@pytest.mark.parametrize("rule, redex, contractum", CONTRACTA)
+def test_contractum_names(rule, redex, contractum):
+    assert print_term(apply_rule(RuleId(rule), pt(redex))) == contractum
+
+
+CASES_AT = [
+    ("A -> B", "fun z'':A => z [B] <fun x:A => p z'', fun y:B => q z' z''>"),
+    ("(A -> B) -> C & (forall X. X -> D)",
+     "fun z'':A -> B => <z [C] <fun x:A => p z''.1, fun y:B => q z' z''.1>,"
+     " tfun X => fun z''':X => z [D] <fun x:A => p z''.2 [X] z''',"
+     " fun y:B => q z' z''.2 [X] z'''>>"),
+    ("A & B", "<z [A] <fun x:A => p.1, fun y:B => q z'.1>,"
+              " z [B] <fun x:A => p.2, fun y:B => q z'.2>>"),
+]
+
+
+@pytest.mark.parametrize("c, expected", CASES_AT)
+def test_mk_case_at_names(c, expected):
+    out = mk_case_at(Var("z"), "x", pf("A"), Var("p"), "y", pf("B"),
+                     pt("q z'"), pf(c))
+    assert print_term(out) == expected
+
+
+def test_mk_case_at_type_binder_avoids_branch_annotation():
+    out = mk_case_at(Var("m"), "x", pf("X"), Var("p"), "y", pf("Q"), Var("q"),
+                     pf("forall X. X -> X"))
+    assert print_term(out) == \
+        "tfun X' => fun z:X' => m [X'] <fun x:X => p [X'] z, fun y:Q => q [X'] z>"
+
+
+@pytest.mark.parametrize("a, expected", [
+    ("A -> B -> C", "fun z':A => fun z':B => z [X] [C]"),
+    ("A & (B -> C)", "<z [X] [A], fun z':B => z [X] [C]>"),
+    ("forall X. X -> X'", "tfun X'' => fun z':X'' => z [X] [X']"),
+])
+def test_mk_abort_at_names(a, expected):
+    assert print_term(mk_abort_at(pt("z [X]"), pf(a))) == expected
+
+
+SUM = encode_or(pf("P"), pf("Q"))
+EXPANSIONS = [
+    ([("s", SUM), ("z", "A -> B"), ("g", "Q -> A -> B")],
+     "s [A -> B] <fun x:P => z, fun y:Q => g y>",
+     "s [A -> B] <fun x:P => fun z':A => z z', fun y:Q => fun z:A => g y z>",
+     "fun z':A => s [B] <fun x:P => z z', fun y:Q => g y z'>"),
+    ([("s", SUM), ("z", "P -> A & B"), ("x0", "P")],
+     "s [A & B] <fun x:P => z x, fun y:Q => z x0>",
+     "s [A & B] <fun x:P => <z x.1, z x.2>, fun y:Q => <z x0.1, z x0.2>>",
+     "<s [A] <fun x:P => z x.1, fun y:Q => z x0.1>,"
+     " s [B] <fun x:P => z x.2, fun y:Q => z x0.2>>"),
+    ([("s", SUM), ("i", "forall X. X -> X"), ("k", "X")],
+     "s [forall X. X -> X] <fun x:P => (fun u:X => i) k, fun y:Q => i>",
+     "s [forall X. X -> X] <fun x:P => tfun X' => (fun u:X => i) k [X'],"
+     " fun y:Q => tfun X => i [X]>",
+     "tfun X' => s [X' -> X'] <fun x:P => (fun u:X => i) k [X'],"
+     " fun y:Q => i [X']>"),
+    ([("z", encode_bot())], "z [A -> B]",
+     "fun z':A => z [A -> B] z'", "fun z':A => z [B]"),
+    ([("z", encode_bot())], "z [A & B]",
+     "<z [A & B].1, z [A & B].2>", "<z [A], z [B]>"),
+    ([("f", "forall Y. forall X. X")], "f [X] [forall X. X -> X]",
+     "tfun X' => f [X] [forall X. X -> X] [X']", "tfun X' => f [X] [X' -> X']"),
+]
+
+
+@pytest.mark.parametrize("decls, term, expansion_, final", EXPANSIONS,
+                         ids=[t for _, t, _, _ in EXPANSIONS])
+def test_expand_rho_names(decls, term, expansion_, final):
+    env = Env([(x, pf(f) if isinstance(f, str) else f) for x, f in decls])
+    t = pt(term)
+    rules = {RuleId.rho_case, RuleId.rho_abort}
+    [r] = [r for r in find_redexes(F, env, t, rules) if r.fine]
+    expanded, trace = expand_rho(env, t, r)
+    assert print_term(expanded) == expansion_
+    assert print_term(trace.final) == final

@@ -184,6 +184,22 @@ def test_subst_identity_when_not_free(t, x):
         assert alpha_eq(subst_term(Var("q"), x, t), t)
 
 
+@settings(max_examples=100)
+@given(terms, names, tnames)
+def test_subst_of_a_variable_for_itself_is_the_identity(t, x, a):
+    assert subst_term(Var(x), x, t) is t
+    assert subst_type(FVar(a), a, t) is t
+
+
+@settings(max_examples=100)
+@given(st.lists(terms, max_size=3))
+def test_free_names_of_several_nodes_are_the_union(ts):
+    union = frozenset().union(*map(free_vars, ts))
+    assert free_vars(*ts) == union
+    type_union = frozenset().union(*map(free_type_vars, ts))
+    assert free_type_vars(*ts) == type_union
+
+
 def test_type_subst_in_formula():
     assert subst_type_in_formula(FVar("Y"), "X", pf("forall X. X")) == pf("forall X. X")
     assert subst_type_in_formula(pf("Y -> Y"), "X", pf("X & X")) == pf("(Y -> Y) & (Y -> Y)")
