@@ -23,8 +23,8 @@ from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      StepLimitExceeded, TypingError)
 from .rules import (CONNECTIVES, F_BETA_ETA, RuleId, apply_rule, expansion,
                     match_rule, mk_case)
-from .syntax import (App, Proj, Term, TyApp, Var, canonical_key, fill,
-                     replace_at, subterm_at, term_children)
+from .syntax import (ELIMINATES, Term, Var, canonical_key, fill, replace_at,
+                     subterm_at, term_children)
 from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
                         reduce_scan, shift, step)
 from .translate import RP_CHILD, rp_env, rp_term
@@ -127,8 +127,7 @@ def decompose_eps(env: Env, m: Term, r: Redex) -> ReductionTrace:
     """Replay a commuting step as one atomization step plus one detour step."""
     sub = _redex_subterm(m, r, {RuleId.eps_case, RuleId.eps_abort})
     atom = RuleId.rho_case if r.rule == RuleId.eps_case else RuleId.rho_abort
-    beta = {App: RuleId.beta_imp, Proj: RuleId.beta_and,
-            TyApp: RuleId.beta_all}[type(sub)]
+    beta = CONNECTIVES[ELIMINATES[sub.__class__]].beta
     p = r.position
     trace = apply_script(SystemId.F, env, m, [(atom, p + (0,)), (beta, p)])
     expected = replace_at(m, p, apply_rule(r.rule, sub))
@@ -152,7 +151,7 @@ def expand_rho(env: Env, m: Term, r: Redex):
     p = r.position
 
     def eta(c, body):
-        row, z, elims = expansion(c, "z", (body,))
+        row, z, elims = expansion(c, "z", (body,), (c,))
         return row.intro(c, z, *[fill(e, body) for e in elims])
 
     if r.rule == RuleId.rho_case:

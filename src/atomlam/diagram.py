@@ -29,34 +29,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantViolation, NotARedex, RuleNotApplicable
-from .rules import CONNECTIVES, RuleId, expansion
+from .rules import CONNECTIVES, F_BETA_ETA, RuleId, expansion, rules_of_system
 from .syntax import Abort, Case, FVar, Term, hole_result, term_children
 from .rewriting import Redex, apply_script, replay, shift, step
 from .translate import RP_CHILD, at_term, rp_env, rp_formula, rp_term
 from .typecheck import Env, SystemId
-from .analysis import _ipc_redex, _simulation
+from .analysis import ATOMIZATION_RULES, _ROOT_SIM, _ipc_redex, _simulation
 # No leg is searched; the name stays bound here for perfbench/selftest.py.
 from .analysis import search_beta_eta  # noqa: F401
 
-OR_BOT_RULES = frozenset({RuleId.beta_or, RuleId.eta_or, RuleId.pi_imp,
-                          RuleId.pi_and, RuleId.pi_or, RuleId.pi_bot,
-                          RuleId.varpi_imp, RuleId.varpi_and,
-                          RuleId.varpi_or, RuleId.varpi_bot})
+#: the rules of disjunction and absurdity: IPC's rules that F does not have
+OR_BOT_RULES = rules_of_system(SystemId.IPC) - rules_of_system(SystemId.F)
 
-_ATOM = frozenset({RuleId.rho_case, RuleId.rho_abort})
-_BETA = frozenset({RuleId.beta_imp, RuleId.beta_and, RuleId.beta_all})
-_BETA_ETA = _BETA | frozenset({RuleId.eta_imp, RuleId.eta_and, RuleId.eta_all})
+_BETA = frozenset(row.beta for row in CONNECTIVES.values())
 _EPS = frozenset({RuleId.eps_case, RuleId.eps_abort})
 
 _LEG_RULES = {
-    "m_rp->m_at": _ATOM,
-    "n_rp->n_at": _ATOM,
-    "m_rp->n_rp": _BETA_ETA | _EPS | {RuleId.delta},
-    "m_rp->q1": _ATOM | {RuleId.delta},
-    "n_rp->q2": _ATOM | _EPS,
+    "m_rp->m_at": ATOMIZATION_RULES,
+    "n_rp->n_at": ATOMIZATION_RULES,
+    "m_rp->n_rp": F_BETA_ETA | _EPS | {RuleId.delta},
+    "m_rp->q1": ATOMIZATION_RULES | {RuleId.delta},
+    "n_rp->q2": ATOMIZATION_RULES | _EPS,
     "m_at->q1": _BETA,
     "n_at->q2": _BETA,
-    "q1->q2": _BETA_ETA,
+    "q1->q2": F_BETA_ETA,
 }
 _ADMIN_LEGS = ("m_at->q1", "n_at->q2")
 
@@ -204,8 +200,8 @@ _AT_ROOT = {RuleId.pi_imp: [(RuleId.beta_imp, ())],
             RuleId.varpi_imp: [(RuleId.beta_imp, ())],
             RuleId.pi_and: [(RuleId.beta_and, ())],
             RuleId.varpi_and: [(RuleId.beta_and, ())]}
-_AT_LEAVES = {RuleId.beta_or: [(RuleId.beta_all, (0,)), (RuleId.beta_imp, ()),
-                               (RuleId.beta_and, (0,)), (RuleId.beta_imp, ())],
+# a sum detour at a leaf is the one the simulation takes
+_AT_LEAVES = {RuleId.beta_or: _ROOT_SIM[RuleId.beta_or],
               RuleId.varpi_or: [(RuleId.beta_all, (0,)), (RuleId.beta_imp, ())],
               RuleId.varpi_bot: [(RuleId.beta_all, ())]}
 _AT_LEAVES[RuleId.pi_or] = _AT_LEAVES[RuleId.varpi_or]
@@ -284,9 +280,8 @@ _ETA_OR_ADMIN = [(RuleId.beta_all, (0, 0, 1, 0, 0, 0), True),
                  (RuleId.beta_all, (0, 0, 1, 1, 0, 0), True),
                  (RuleId.beta_imp, (0, 0, 1, 0, 0), True),
                  (RuleId.beta_imp, (0, 0, 1, 1, 0), True)]
-_ETA_OR_ETAS = [(RuleId.eta_imp, (0, 0, 1, 0)), (RuleId.eta_imp, (0, 0, 1, 1)),
-                (RuleId.eta_and, (0, 0, 1)), (RuleId.eta_imp, (0,)),
-                (RuleId.eta_all, ())]
+# the eta steps that follow the simulation's two delta steps
+_ETA_OR_ETAS = _ROOT_SIM[RuleId.eta_or][2:]
 
 
 def build_diagram(env: Env, m: Term, r: Redex) -> Diagram:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import NotFine, StaleRedex, StepLimitExceeded
-from .rules import _APPLIERS, RuleId, apply_rule, match_rule, rules_of_system
+from .rules import RULES, RuleId, match_rule, rules_of_system
 from .syntax import (TERM_SCOPES, InvalidPath, Term, _refill, replace_at,
                      subterm_at)
 from .typecheck import _NO_RENAMES, Env, Scan, SystemId, _bind, _fine_match
@@ -87,7 +87,7 @@ def step(sys: SystemId, env: Env, m: Term, r: Redex,
         raise StaleRedex(f"no {r.rule.value} redex at {list(r.position)}")
     if require_fine and not r.fine:
         raise NotFine(f"{r.rule.value} redex at {list(r.position)} is not fine")
-    return replace_at(m, r.position, apply_rule(r.rule, sub))
+    return replace_at(m, r.position, RULES[r.rule].contract(sub))
 
 
 def normalize(sys: SystemId, env: Env, m: Term, rules, strategy="leftmost-outermost",
@@ -185,7 +185,7 @@ def apply_script(sys: SystemId, env: Env, m: Term, script,
         fine = _fine_match(local, rule, payload, ren)
         if require_fine and not fine:
             raise NotFine(f"{rule.value} step at {list(pos)} is not fine")
-        current = _refill(spine, pos, _APPLIERS[rule](sub))
+        current = _refill(spine, pos, RULES[rule].contract(sub))
         trace.steps.append(TraceStep(rule, pos, local, current, fine, admin))
     return trace
 
@@ -199,7 +199,7 @@ def replay(trace: ReductionTrace) -> bool:
     for s in trace.steps:
         sub = subterm_at(current, s.position)
         if match_rule(s.rule, sub) is None or replace_at(
-                current, s.position, _APPLIERS[s.rule](sub)) != s.result:
+                current, s.position, RULES[s.rule].contract(sub)) != s.result:
             return False
         current = s.result
     return True

@@ -1,9 +1,13 @@
 """The reduction-rule catalogue for all three systems.
 
-Each rule has a shape matcher (returning a payload dict, or None) and an
-applier producing the contractum with deterministic fresh names: the
+RULES is the one place a rule is defined: one row per RuleId gives the
+systems it belongs to, the node classes its left-hand side can be rooted
+at, its fineness, a shape matcher (returning a payload dict, or None) and
+a contraction producing the contractum with deterministic fresh names: the
 smallest primed variant of the rule's suggested name not free in scope.
-Appliers are pure functions of the redex up to alpha-equivalence.
+Contractions are pure functions of the redex up to alpha-equivalence.
+Every other per-rule table (rules_of_system, matchers_by_class,
+F_BETA_ETA) is derived from the rows.
 
 The commuting conversions are one rule per principal term (case, abort,
 encoded case, encoded abort) over the elimination context around it: the
@@ -54,55 +58,6 @@ class RuleId(str, Enum):
     eps_abort = "eps_abort"
 
 
-_IPC_ONLY = frozenset({RuleId.beta_or, RuleId.eta_or, RuleId.pi_imp,
-                       RuleId.pi_and, RuleId.pi_or, RuleId.pi_bot,
-                       RuleId.varpi_imp, RuleId.varpi_and, RuleId.varpi_or,
-                       RuleId.varpi_bot})
-_POLY_ONLY = frozenset({RuleId.beta_all, RuleId.eta_all})
-_F_ONLY = frozenset({RuleId.rho_case, RuleId.rho_abort, RuleId.delta,
-                     RuleId.eps_case, RuleId.eps_abort})
-_SHARED = frozenset({RuleId.beta_imp, RuleId.beta_and,
-                     RuleId.eta_imp, RuleId.eta_and})
-
-#: beta/eta rules available in F (the steps analysis.search_beta_eta tries)
-F_BETA_ETA = _SHARED | _POLY_ONLY
-
-
-def rules_of_system(sys) -> frozenset:
-    """RuleIds valid in the given SystemId (by .value to avoid an import cycle)."""
-    name = getattr(sys, "value", sys)
-    if name == "ipc":
-        return _SHARED | _IPC_ONLY
-    if name in ("f", "fat"):
-        base = _SHARED | _POLY_ONLY
-        return base | _F_ONLY if name == "f" else base
-    raise ValueError(f"unknown system {sys!r}")
-
-
-def fineness_kind(rule: RuleId) -> str:
-    """'sum' / 'bot' for head-typed fineness, 'always' otherwise."""
-    if rule in (RuleId.rho_case, RuleId.delta, RuleId.eps_case):
-        return "sum"
-    if rule in (RuleId.rho_abort, RuleId.eps_abort):
-        return "bot"
-    return "always"
-
-
-# Node classes at which each rule's left-hand side can be rooted.
-_ROOTS = {
-    RuleId.beta_imp: (App,), RuleId.beta_and: (Proj,),
-    RuleId.beta_or: (Case,), RuleId.beta_all: (TyApp,),
-    RuleId.eta_imp: (Lam,), RuleId.eta_and: (Pair,),
-    RuleId.eta_or: (Case,), RuleId.eta_all: (TyLam,),
-    RuleId.pi_imp: (App,), RuleId.pi_and: (Proj,),
-    RuleId.pi_or: (Case,), RuleId.pi_bot: (Abort,),
-    RuleId.varpi_imp: (App,), RuleId.varpi_and: (Proj,),
-    RuleId.varpi_or: (Case,), RuleId.varpi_bot: (Abort,),
-    RuleId.rho_case: (App,), RuleId.rho_abort: (TyApp,), RuleId.delta: (App,),
-    RuleId.eps_case: (App, Proj, TyApp), RuleId.eps_abort: (App, Proj, TyApp),
-}
-
-
 def _case_spine(t):
     """Match M C <fun x:A => P, fun y:B => Q>; return its parts or None."""
     if (isinstance(t, App) and isinstance(t.fun, TyApp)
@@ -114,34 +69,16 @@ def _case_spine(t):
 
 # ------------------------------------------------------------- matchers
 # Each matcher returns a payload dict (possibly with "head"/"lann"/"rann"
-# for the fineness predicate) or None.
+# for the fineness predicate) or None. It is only called at one of its
+# rule's root classes (RULES), so it does not test the root's class.
 
-def _m_beta_imp(t):
-    if isinstance(t, App) and isinstance(t.fun, Lam):
-        return {}
-    return None
-
-
-def _m_beta_and(t):
-    if isinstance(t, Proj) and isinstance(t.body, Pair):
-        return {}
-    return None
-
-
-def _m_beta_or(t):
-    if isinstance(t, Case) and isinstance(t.scrut, Inj):
-        return {}
-    return None
-
-
-def _m_beta_all(t):
-    if isinstance(t, TyApp) and isinstance(t.fun, TyLam):
-        return {}
-    return None
+def _premiss_is(intro):
+    """Matcher of a beta rule: the main premiss is an `intro`."""
+    return lambda t: {} if term_children(t)[0].__class__ is intro else None
 
 
 def _m_eta_imp(t):
-    if (isinstance(t, Lam) and isinstance(t.body, App)
+    if (isinstance(t.body, App)
             and isinstance(t.body.arg, Var) and t.body.arg.name == t.var
             and t.var not in free_vars(t.body.fun)):
         return {}
@@ -149,8 +86,7 @@ def _m_eta_imp(t):
 
 
 def _m_eta_and(t):
-    if (isinstance(t, Pair)
-            and isinstance(t.fst, Proj) and t.fst.index == 1
+    if (isinstance(t.fst, Proj) and t.fst.index == 1
             and isinstance(t.snd, Proj) and t.snd.index == 2
             and t.fst.body == t.snd.body):
         return {}
@@ -158,8 +94,6 @@ def _m_eta_and(t):
 
 
 def _m_eta_or(t):
-    if not isinstance(t, Case):
-        return None
     l, r = t.lbody, t.rbody
     ok = (isinstance(l, Inj) and l.index == 1
           and isinstance(l.body, Var) and l.body.name == t.lvar
@@ -172,7 +106,7 @@ def _m_eta_or(t):
 
 
 def _m_eta_all(t):
-    if (isinstance(t, TyLam) and isinstance(t.body, TyApp)
+    if (isinstance(t.body, TyApp)
             and isinstance(t.body.arg, FVar) and t.body.arg.name == t.var
             and t.var not in free_type_vars(t.body.fun)):
         return {}
@@ -188,9 +122,7 @@ def _m_rho_case(t):
 
 
 def _m_rho_abort(t):
-    if isinstance(t, TyApp) and t.arg.__class__ in CONNECTIVES:
-        return {"head": t.fun}
-    return None
+    return {"head": t.fun} if t.arg.__class__ in CONNECTIVES else None
 
 
 def _m_delta(t):
@@ -214,39 +146,11 @@ def _rename_branch(var, body, avoid):
     return new, subst_term(Var(new), var, body)
 
 
-def _a_beta_imp(t):
-    return subst_term(t.arg, t.fun.var, t.fun.body)
-
-
-def _a_beta_and(t):
-    return t.body.fst if t.index == 1 else t.body.snd
-
-
 def _a_beta_or(t):
     inj = t.scrut
     if inj.index == 1:
         return subst_term(inj.body, t.lvar, t.lbody)
     return subst_term(inj.body, t.rvar, t.rbody)
-
-
-def _a_beta_all(t):
-    return subst_type(t.arg, t.fun.var, t.fun.body)
-
-
-def _a_eta_imp(t):
-    return t.body.fun
-
-
-def _a_eta_and(t):
-    return t.fst.body
-
-
-def _a_eta_or(t):
-    return t.scrut
-
-
-def _a_eta_all(t):
-    return t.body.fun
 
 
 # ------------------------------------------------------------ connectives
@@ -323,7 +227,8 @@ def _a_rho_case(t, base="w", cancel=False):
     head, c, bl, br = _case_spine(t)
     row, name, elims = expansion(c, base, (head, bl.body, br.body),
                                  (bl.ann, br.ann, c), (bl.var, br.var))
-    push = (lambda e, b: _APPLIERS[row.beta](fill(e, b))) if cancel else fill
+    beta = RULES[row.beta].contract
+    push = (lambda e, b: beta(fill(e, b))) if cancel else fill
     return row.intro(c, name, *[
         mk_case(head, bl.var, bl.ann, push(e, bl.body),
                 br.var, br.ann, push(e, br.body), hole_result(e, c))
@@ -372,15 +277,12 @@ def _encoded_abort_principal(p):
     return (p.arg, {"head": p.fun}) if isinstance(p, TyApp) else None
 
 
-def _pushes_into(rule, principal):
-    """Matcher of a commuting rule: a root of one of the rule's context
-    kinds whose main premiss (its first term child) `principal` accepts,
-    with a result formula the root eliminates."""
-    roots = _ROOTS[rule]
+def _pushes_into(principal):
+    """Matcher of a commuting rule: the root's main premiss (its first term
+    child) is a principal `principal` accepts, with a result formula the
+    root eliminates."""
 
     def match(t):
-        if t.__class__ not in roots:
-            return None
         found = principal(term_children(t)[0])
         if found is None or hole_result(t, found[0]) is None:
             return None
@@ -418,33 +320,77 @@ def _a_eps_abort(t):
     return TyApp(inst.fun, hole_result(e, inst.arg))
 
 
-_PI = (RuleId.pi_imp, RuleId.pi_and, RuleId.pi_or, RuleId.pi_bot)
-_VARPI = (RuleId.varpi_imp, RuleId.varpi_and, RuleId.varpi_or,
-          RuleId.varpi_bot)
+# ------------------------------------------------------------ the catalogue
 
-_MATCHERS = {
-    RuleId.beta_imp: _m_beta_imp, RuleId.beta_and: _m_beta_and,
-    RuleId.beta_or: _m_beta_or, RuleId.beta_all: _m_beta_all,
-    RuleId.eta_imp: _m_eta_imp, RuleId.eta_and: _m_eta_and,
-    RuleId.eta_or: _m_eta_or, RuleId.eta_all: _m_eta_all,
-    RuleId.rho_case: _m_rho_case, RuleId.rho_abort: _m_rho_abort,
-    RuleId.delta: _m_delta,
-    **{rule: _pushes_into(rule, _case_principal) for rule in _PI},
-    **{rule: _pushes_into(rule, _abort_principal) for rule in _VARPI},
-    RuleId.eps_case: _pushes_into(RuleId.eps_case, _encoded_case_principal),
-    RuleId.eps_abort: _pushes_into(RuleId.eps_abort, _encoded_abort_principal),
+class Rule(NamedTuple):
+    """A row of RULES: the systems the rule belongs to (SystemId values),
+    the node classes its left-hand side can be rooted at, its fineness
+    ('sum' or 'bot': the redex's head must have the sum or empty encoding;
+    'always'), its matcher, called only at a root class, and its
+    contraction, called only on a match."""
+
+    systems: tuple
+    roots: tuple
+    fineness: str
+    match: Callable
+    contract: Callable
+
+
+_ALL, _IPC, _POLY, _F = ("ipc", "f", "fat"), ("ipc",), ("f", "fat"), ("f",)
+_PI = _pushes_into(_case_principal)
+_VARPI = _pushes_into(_abort_principal)
+_ELIMS = (App, Proj, TyApp)
+
+
+RULES = {
+    RuleId.beta_imp: Rule(_ALL, (App,), "always", _premiss_is(Lam),
+                          lambda t: subst_term(t.arg, t.fun.var, t.fun.body)),
+    RuleId.beta_and: Rule(_ALL, (Proj,), "always", _premiss_is(Pair),
+                          lambda t: t.body.fst if t.index == 1 else t.body.snd),
+    RuleId.beta_or: Rule(_IPC, (Case,), "always", _premiss_is(Inj),
+                         _a_beta_or),
+    RuleId.beta_all: Rule(_POLY, (TyApp,), "always", _premiss_is(TyLam),
+                          lambda t: subst_type(t.arg, t.fun.var, t.fun.body)),
+    RuleId.eta_imp: Rule(_ALL, (Lam,), "always", _m_eta_imp,
+                         lambda t: t.body.fun),
+    RuleId.eta_and: Rule(_ALL, (Pair,), "always", _m_eta_and,
+                         lambda t: t.fst.body),
+    RuleId.eta_or: Rule(_IPC, (Case,), "always", _m_eta_or,
+                        lambda t: t.scrut),
+    RuleId.eta_all: Rule(_POLY, (TyLam,), "always", _m_eta_all,
+                         lambda t: t.body.fun),
+    RuleId.pi_imp: Rule(_IPC, (App,), "always", _PI, _a_pi),
+    RuleId.pi_and: Rule(_IPC, (Proj,), "always", _PI, _a_pi),
+    RuleId.pi_or: Rule(_IPC, (Case,), "always", _PI, _a_pi),
+    RuleId.pi_bot: Rule(_IPC, (Abort,), "always", _PI, _a_pi),
+    RuleId.varpi_imp: Rule(_IPC, (App,), "always", _VARPI, _a_varpi),
+    RuleId.varpi_and: Rule(_IPC, (Proj,), "always", _VARPI, _a_varpi),
+    RuleId.varpi_or: Rule(_IPC, (Case,), "always", _VARPI, _a_varpi),
+    RuleId.varpi_bot: Rule(_IPC, (Abort,), "always", _VARPI, _a_varpi),
+    RuleId.rho_case: Rule(_F, (App,), "sum", _m_rho_case, _a_rho_case),
+    RuleId.rho_abort: Rule(_F, (TyApp,), "bot", _m_rho_abort, _a_rho_abort),
+    RuleId.delta: Rule(_F, (App,), "sum", _m_delta, _a_delta),
+    RuleId.eps_case: Rule(_F, _ELIMS, "sum",
+                          _pushes_into(_encoded_case_principal), _a_eps_case),
+    RuleId.eps_abort: Rule(_F, _ELIMS, "bot",
+                           _pushes_into(_encoded_abort_principal),
+                           _a_eps_abort),
 }
 
-_APPLIERS = {
-    RuleId.beta_imp: _a_beta_imp, RuleId.beta_and: _a_beta_and,
-    RuleId.beta_or: _a_beta_or, RuleId.beta_all: _a_beta_all,
-    RuleId.eta_imp: _a_eta_imp, RuleId.eta_and: _a_eta_and,
-    RuleId.eta_or: _a_eta_or, RuleId.eta_all: _a_eta_all,
-    RuleId.rho_case: _a_rho_case, RuleId.rho_abort: _a_rho_abort,
-    RuleId.delta: _a_delta,
-    **dict.fromkeys(_PI, _a_pi), **dict.fromkeys(_VARPI, _a_varpi),
-    RuleId.eps_case: _a_eps_case, RuleId.eps_abort: _a_eps_abort,
-}
+_OF_SYSTEM = {sys: frozenset(rule for rule, row in RULES.items()
+                             if sys in row.systems) for sys in _ALL}
+
+#: beta/eta rules available in F: the connectives' beta and eta rules
+F_BETA_ETA = frozenset(rule for row in CONNECTIVES.values()
+                       for rule in (row.beta, row.eta))
+
+
+def rules_of_system(sys) -> frozenset:
+    """RuleIds valid in the given SystemId (by .value to avoid an import cycle)."""
+    name = getattr(sys, "value", sys)
+    if name not in _OF_SYSTEM:
+        raise ValueError(f"unknown system {sys!r}")
+    return _OF_SYSTEM[name]
 
 
 @lru_cache(maxsize=64)
@@ -455,15 +401,17 @@ def matchers_by_class(rules: frozenset) -> dict:
     out = {}
     for rule in RuleId:
         if rule in rules:
-            for cls in _ROOTS[rule]:
+            row = RULES[rule]
+            for cls in row.roots:
                 out.setdefault(cls, []).append(
-                    (rule, _MATCHERS[rule], fineness_kind(rule)))
+                    (rule, row.match, row.fineness))
     return {cls: tuple(entries) for cls, entries in out.items()}
 
 
 def match_rule(rule: RuleId, m: Term):
     """Payload dict if m is a root redex of `rule`, else None."""
-    return _MATCHERS[rule if rule.__class__ is RuleId else RuleId(rule)](m)
+    row = RULES[rule if rule.__class__ is RuleId else RuleId(rule)]
+    return row.match(m) if m.__class__ in row.roots else None
 
 
 def apply_rule(rule: RuleId, m: Term) -> Term:
@@ -479,4 +427,4 @@ def apply_rule(rule: RuleId, m: Term) -> Term:
                 and m.arg.__class__ is FVar:
             raise AtomicInstantiation("atomization of an atomic instantiation")
         raise ShapeMismatch(f"term is not a {rule.value} redex")
-    return _APPLIERS[rule](m)
+    return RULES[rule].contract(m)

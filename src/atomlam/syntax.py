@@ -601,7 +601,8 @@ def split(t: Term):
     return hole(*args), main
 
 
-_ELIMINATES = {App: Imp, Proj: And, Case: Or, Abort: Bot, TyApp: Forall}
+#: the connective each elimination's root class eliminates
+ELIMINATES = {App: Imp, Proj: And, Case: Or, Abort: Bot, TyApp: Forall}
 
 
 def hole_result(e, a: Formula):
@@ -613,7 +614,7 @@ def hole_result(e, a: Formula):
     matcher can ask without building the context.
     """
     root = _ROOT_OF.get(e.__class__, e.__class__)
-    eliminated = _ELIMINATES.get(root)
+    eliminated = ELIMINATES.get(root)
     if eliminated is None:
         raise AtomlamError(f"not an elimination: {e!r}")
     if a.__class__ is not eliminated:

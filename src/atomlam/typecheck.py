@@ -160,7 +160,7 @@ def is_fine_redex(env: Env, m: Term, rule) -> bool:
 
 def _fine_match(env: Env, rule, payload, ren=_NO_RENAMES) -> bool:
     """is_fine_redex of the match `payload`, typing only the redex's head."""
-    kind = _rules.fineness_kind(rule)
+    kind = _rules.RULES[rule].fineness
     return kind == "always" or _head_fine(
         kind, Scan(env, payload["head"], (), ren, SystemId.F).root.ty, payload)
 
@@ -290,7 +290,7 @@ class Scan:
         self.rules = frozenset(rules)
         self._match = _rules.matchers_by_class(self.rules)
         self.typed = system is not None or any(
-            _rules.fineness_kind(r) != "always" for r in self.rules)
+            _rules.RULES[r].fineness != "always" for r in self.rules)
         self.system = system or SystemId.F
         self.strict_proviso = strict_proviso
         self.root = self._build(m, env, _ren)

@@ -414,9 +414,9 @@ def _reference_env_and_subterm(env, m, pos):
 
 
 def _reference_fine(env, sub, rule):
-    from atomlam.rules import fineness_kind
+    from atomlam.rules import RULES
     payload = match_rule(rule, sub)
-    kind = fineness_kind(rule)
+    kind = RULES[rule].fineness
     if kind == "always":
         return True
     from reference_typecheck import reference_typecheck
@@ -483,7 +483,7 @@ def test_scripted_steps_agree_with_redex_search():
 
 
 def test_rule_roots_cover_every_match():
-    from atomlam.rules import _ROOTS
+    from atomlam.rules import RULES
     from atomlam.syntax import term_children
 
     def nodes(t):
@@ -499,7 +499,7 @@ def test_rule_roots_cover_every_match():
         for node in nodes(t):
             for rule in RuleId:
                 if match_rule(rule, node) is not None:
-                    assert type(node) in _ROOTS[rule], (rule, node)
+                    assert type(node) in RULES[rule].roots, (rule, node)
                     matched.add(rule)
     assert matched == set(RuleId)
 

@@ -1,16 +1,105 @@
-"""The connective table behind the atomization rules, and the fresh names
-the rules and the atomic translation choose where names clash."""
+"""The rule catalogue and the connective table behind the atomization
+rules, and the fresh names the rules and the atomic translation choose
+where names clash."""
+
+import re
+from pathlib import Path
 
 import pytest
 
 from atomlam import (Env, RuleId, SystemId, Var, apply_rule, encode_bot,
                      encode_or, expand_rho, fill, find_redexes, hole_result,
-                     mk_abort_at, mk_case_at, parse_formula, parse_term,
-                     print_term, typecheck)
-from atomlam.rules import CONNECTIVES, expansion
+                     match_rule, mk_abort_at, mk_case_at, parse_formula,
+                     parse_term, print_term, typecheck)
+from atomlam.diagram import OR_BOT_RULES
+from atomlam.rules import (CONNECTIVES, F_BETA_ETA, RULES, Rule, expansion,
+                           matchers_by_class, rules_of_system)
+from atomlam.syntax import term_children
+
+import corpus
 
 pf, pt = parse_formula, parse_term
 F = SystemId.F
+
+
+# --------------------------------------------------------- the rule table
+
+def test_one_row_per_rule_in_ruleid_order():
+    assert list(RULES) == list(RuleId)
+    assert all(type(row) is Rule for row in RULES.values())
+
+
+def _ids(names):
+    return frozenset(RuleId(n) for n in names.split())
+
+
+def test_derived_rule_sets_are_the_catalogue():
+    # the sets as they were written out before they were read off RULES
+    shared = "beta_imp beta_and eta_imp eta_and"
+    assert rules_of_system(SystemId.IPC) == _ids(
+        shared + " beta_or eta_or pi_imp pi_and pi_or pi_bot"
+        " varpi_imp varpi_and varpi_or varpi_bot")
+    assert rules_of_system(SystemId.F) == _ids(
+        shared + " beta_all eta_all rho_case rho_abort delta"
+        " eps_case eps_abort")
+    assert rules_of_system(SystemId.FAT) == _ids(shared + " beta_all eta_all")
+    assert F_BETA_ETA == _ids(shared + " beta_all eta_all")
+    assert OR_BOT_RULES == _ids(
+        "beta_or eta_or pi_imp pi_and pi_or pi_bot"
+        " varpi_imp varpi_and varpi_or varpi_bot")
+    with pytest.raises(ValueError):
+        rules_of_system("stlc")
+
+
+def _nodes(t):
+    yield t
+    for child in term_children(t):
+        yield from _nodes(child)
+
+
+def test_no_match_off_the_rule_roots():
+    # match_rule tests the root class once for every rule, so no matcher
+    # is asked about a node it cannot be rooted at; the traversal's
+    # per-class table offers each class exactly the rules rooted there
+    from atomlam import at_term, rp_term
+    by_class = matchers_by_class(frozenset(RuleId))
+    terms = [t for _, t in corpus.f_corpus(61, 60)]
+    for _, t in corpus.ipc_corpus(67, 60):
+        terms += [t, rp_term(t), at_term(t)]
+    off = 0
+    for t in terms:
+        for node in _nodes(t):
+            offered = [rule for rule, _, _ in by_class.get(node.__class__, ())]
+            assert offered == [rule for rule, row in RULES.items()
+                               if node.__class__ in row.roots]
+            for rule in RuleId:
+                if rule not in offered:
+                    assert match_rule(rule, node) is None, (rule, node)
+                    off += 1
+    assert off > 10000
+
+
+def _catalogue_rows():
+    """(ids, systems) per row of README's "Rule catalogue" table."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    table = text.split("## Rule catalogue", 1)[1].split("\n\n")[1]
+    rows = [[cell.strip() for cell in line.strip("|").split(" | ")]
+            for line in table.splitlines()[2:]]
+    systems = {"all": {"ipc", "f", "fat"}, "IPC": {"ipc"}, "F": {"f"},
+               "Fat": {"fat"}}
+    return [(re.findall(r"`(\w+)`", ids),
+             set().union(*(systems[s] for s in sys.split(", "))))
+            for ids, sys, _ in rows]
+
+
+def test_readme_catalogue_systems_agree_with_the_rule_table():
+    listed = []
+    for ids, systems in _catalogue_rows():
+        for name in ids:
+            listed.append(name)
+            assert systems == {s.value for s in SystemId
+                               if RuleId(name) in rules_of_system(s)}, name
+    assert sorted(listed) == sorted(r.value for r in RuleId)
 
 
 # ------------------------------------------------------ the table's columns
@@ -153,3 +242,26 @@ def test_expand_rho_names(decls, term, expansion_, final):
     expanded, trace = expand_rho(env, t, r)
     assert print_term(expanded) == expansion_
     assert print_term(trace.final) == final
+
+
+def test_expand_rho_type_binder_avoids_the_instantiation():
+    # the left branch mentions X, so its type binder is primed; it must
+    # also avoid the X' free in C, which the expansion would capture
+    env = Env([("h", pf("forall W. ((Y -> W) & (Z -> W)) -> W")),
+               ("g", pf("forall X. X -> X'")), ("k", pf("X"))])
+    rules = {RuleId.rho_case, RuleId.rho_abort}
+    for right, binder in (("g", "X"), ("(fun v:X => g) k", "X''")):
+        t = pt("h [forall X. X -> X'] "
+               f"<fun a:Y => (fun u:X => g) k, fun b:Z => {right}>")
+        [r] = [r for r in find_redexes(F, env, t, rules) if r.fine]
+        expanded, trace = expand_rho(env, t, r)
+        assert print_term(expanded) == (
+            "h [forall X. X -> X'] <fun a:Y => tfun X'' => (fun u:X => g) k"
+            f" [X''], fun b:Z => tfun {binder} => {right} [{binder}]>")
+        assert print_term(trace.final) == (
+            "tfun X'' => h [X'' -> X'] <fun a:Y => (fun u:X => g) k [X''],"
+            f" fun b:Z => {right} [X'']>")
+    # with no binder named after a type variable of the environment, the
+    # expansion types under the strict proviso
+    assert typecheck(F, env, expanded, strict_proviso=True) == \
+        typecheck(F, env, t)
