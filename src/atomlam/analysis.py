@@ -295,8 +295,9 @@ def _leg(env, m, first, scan, other) -> ReductionTrace:
         if (rule2, True) not in info.own:
             raise InternalInvariantViolation(
                 f"residual {rule2.value} at {list(pos)} is not a fine redex")
+        local = scan.env_at(pos)
         scan = scan.after(pos, rule2)
-        trace.steps.append(TraceStep(rule2, pos, info.env, scan.root.term))
+        trace.steps.append(TraceStep(rule2, pos, local, scan.root.term))
     return trace
 
 

@@ -248,17 +248,30 @@ class Diagram:
 
     def verify(self):
         """Replay every leg and check endpoints, rule classes and the
-        placement of administrative tags; returns a list of problems."""
-        problems = []
+        placement of administrative tags; returns a list of problems. A
+        trace that is several legs (the bridge, also the leg to a midpoint
+        that is the atomic image) is replayed once, and each pair of a leg
+        end and a corner is compared once, but a problem is reported under
+        each of the leg's names."""
+        problems, replayed, equal = [], {}, {}
+
+        def same(a, b):
+            key = (id(a), id(b))  # both stay alive until verify returns
+            if key not in equal:
+                equal[key] = a == b
+            return equal[key]
+
         for name, rules in _LEG_RULES.items():
             src, dst = name.split("->")
             leg = self.legs[name]
-            if not replay(leg):
+            if id(leg) not in replayed:
+                replayed[id(leg)] = replay(leg)
+            if not replayed[id(leg)]:
                 problems.append(f"{name}: does not replay")
                 continue
-            if leg.initial != self.corner(src):
+            if not same(leg.initial, self.corner(src)):
                 problems.append(f"{name}: start is not corner {src}")
-            if leg.final != self.corner(dst):
+            if not same(leg.final, self.corner(dst)):
                 problems.append(f"{name}: end is not corner {dst}")
             used = {s.rule for s in leg.steps}
             if not used <= rules:
@@ -269,9 +282,12 @@ class Diagram:
                     problems.append(f"{name}: administrative tag outside "
                                     "the translated-step legs")
                     break
-        if self.q1 == self.m_at and self.legs["m_rp->q1"] is not self.legs["m_rp->m_at"]:
+        legs = self.legs
+        if (same(self.q1, self.m_at)
+                and legs["m_rp->q1"] is not legs["m_rp->m_at"]):
             problems.append("q1 = m_at but the m_rp->q1 leg is not the bridge")
-        if self.q2 == self.n_at and self.legs["n_rp->q2"] is not self.legs["n_rp->n_at"]:
+        if (same(self.q2, self.n_at)
+                and legs["n_rp->q2"] is not legs["n_rp->n_at"]):
             problems.append("q2 = n_at but the n_rp->q2 leg is not the bridge")
         return problems
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 from .errors import NotFine, StaleRedex, StepLimitExceeded
 from .rules import RULES, RuleId, match_rule, rules_of_system
-from .syntax import (TERM_SCOPES, InvalidPath, Term, _refill, replace_at,
-                     subterm_at)
-from .typecheck import _NO_RENAMES, Env, Scan, SystemId, _bind, _fine_match
+from .syntax import Term, _refill, replace_at, subterm_at
+from .typecheck import Env, Scan, SystemId, _fine_match, descend
 
 STRATEGIES = ("leftmost-outermost", "leftmost-innermost", "random")
 _STRATEGY_ALIASES = {"lo": "leftmost-outermost", "li": "leftmost-innermost",
@@ -144,25 +143,9 @@ def reduce_scan(scan: Scan, trace: ReductionTrace, strategy, max_steps, seed,
     return trace
 
 
-def _descend(env: Env, m: Term, pos):
-    """The subterm at `pos` in m, the environment and binder renaming in
-    force there as Scan has them, and the nodes above it, root first."""
-    ren, spine = _NO_RENAMES, []
-    for i in pos:
-        values, scopes = TERM_SCOPES[m.__class__]
-        if not 0 <= i < len(scopes):
-            raise InvalidPath(f"no child {i} at {type(m).__name__}")
-        vals, (j, k, a) = values(m), scopes[i]
-        if k is not None:
-            env, ren = _bind(env, ren, vals[k], vals[a], vals[j])
-        spine.append(m)
-        m = vals[j]
-    return m, env, ren, spine
-
-
 def env_at(env: Env, m: Term, pos) -> Env:
     """Environment in force at `pos` inside m (binders extend it)."""
-    return _descend(env, m, pos)[1]
+    return descend(env, m, pos)[1]
 
 
 def apply_script(sys: SystemId, env: Env, m: Term, script,
@@ -178,7 +161,7 @@ def apply_script(sys: SystemId, env: Env, m: Term, script,
     for instr in script:
         rule, pos = RuleId(instr[0]), tuple(instr[1])
         admin = bool(instr[2]) if len(instr) > 2 else False
-        sub, local, ren, spine = _descend(env, current, pos)
+        sub, local, ren, spine = descend(env, current, pos)
         payload = match_rule(rule, sub)
         if payload is None:
             raise StaleRedex(f"no {rule.value} redex at {list(pos)}")

@@ -2,9 +2,10 @@
 
 RULES is the one place a rule is defined: one row per RuleId gives the
 systems it belongs to, the node classes its left-hand side can be rooted
-at, its fineness, a shape matcher (returning a payload dict, or None) and
-a contraction producing the contractum with deterministic fresh names: the
-smallest primed variant of the rule's suggested name not free in scope.
+at, its fineness, how deep its matcher reads, a shape matcher (returning a
+payload dict, or None) and a contraction producing the contractum with
+deterministic fresh names: the smallest primed variant of the rule's
+suggested name not free in scope.
 Contractions are pure functions of the redex up to alpha-equivalence.
 Every other per-rule table (rules_of_system, matchers_by_class,
 F_BETA_ETA) is derived from the rows.
@@ -326,12 +327,19 @@ class Rule(NamedTuple):
     """A row of RULES: the systems the rule belongs to (SystemId values),
     the node classes its left-hand side can be rooted at, its fineness
     ('sum' or 'bot': the redex's head must have the sum or empty encoding;
-    'always'), its matcher, called only at a root class, and its
-    contraction, called only on a match."""
+    'always'), its read depth, its matcher, called only at a root class,
+    and its contraction, called only on a match.
+
+    The read depth is that of the deepest node whose class or fields the
+    matcher reads, or whose type the fineness reads (the head's); a
+    subterm below it can change without changing the match or the
+    fineness, as long as its type stays. None: the matcher reads
+    unboundedly deep (an eta rule's freshness or equal components)."""
 
     systems: tuple
     roots: tuple
     fineness: str
+    depth: int | None
     match: Callable
     contract: Callable
 
@@ -343,36 +351,37 @@ _ELIMS = (App, Proj, TyApp)
 
 
 RULES = {
-    RuleId.beta_imp: Rule(_ALL, (App,), "always", _premiss_is(Lam),
+    RuleId.beta_imp: Rule(_ALL, (App,), "always", 1, _premiss_is(Lam),
                           lambda t: subst_term(t.arg, t.fun.var, t.fun.body)),
-    RuleId.beta_and: Rule(_ALL, (Proj,), "always", _premiss_is(Pair),
+    RuleId.beta_and: Rule(_ALL, (Proj,), "always", 1, _premiss_is(Pair),
                           lambda t: t.body.fst if t.index == 1 else t.body.snd),
-    RuleId.beta_or: Rule(_IPC, (Case,), "always", _premiss_is(Inj),
+    RuleId.beta_or: Rule(_IPC, (Case,), "always", 1, _premiss_is(Inj),
                          _a_beta_or),
-    RuleId.beta_all: Rule(_POLY, (TyApp,), "always", _premiss_is(TyLam),
+    RuleId.beta_all: Rule(_POLY, (TyApp,), "always", 1, _premiss_is(TyLam),
                           lambda t: subst_type(t.arg, t.fun.var, t.fun.body)),
-    RuleId.eta_imp: Rule(_ALL, (Lam,), "always", _m_eta_imp,
+    RuleId.eta_imp: Rule(_ALL, (Lam,), "always", None, _m_eta_imp,
                          lambda t: t.body.fun),
-    RuleId.eta_and: Rule(_ALL, (Pair,), "always", _m_eta_and,
+    RuleId.eta_and: Rule(_ALL, (Pair,), "always", None, _m_eta_and,
                          lambda t: t.fst.body),
-    RuleId.eta_or: Rule(_IPC, (Case,), "always", _m_eta_or,
+    RuleId.eta_or: Rule(_IPC, (Case,), "always", 2, _m_eta_or,
                         lambda t: t.scrut),
-    RuleId.eta_all: Rule(_POLY, (TyLam,), "always", _m_eta_all,
+    RuleId.eta_all: Rule(_POLY, (TyLam,), "always", None, _m_eta_all,
                          lambda t: t.body.fun),
-    RuleId.pi_imp: Rule(_IPC, (App,), "always", _PI, _a_pi),
-    RuleId.pi_and: Rule(_IPC, (Proj,), "always", _PI, _a_pi),
-    RuleId.pi_or: Rule(_IPC, (Case,), "always", _PI, _a_pi),
-    RuleId.pi_bot: Rule(_IPC, (Abort,), "always", _PI, _a_pi),
-    RuleId.varpi_imp: Rule(_IPC, (App,), "always", _VARPI, _a_varpi),
-    RuleId.varpi_and: Rule(_IPC, (Proj,), "always", _VARPI, _a_varpi),
-    RuleId.varpi_or: Rule(_IPC, (Case,), "always", _VARPI, _a_varpi),
-    RuleId.varpi_bot: Rule(_IPC, (Abort,), "always", _VARPI, _a_varpi),
-    RuleId.rho_case: Rule(_F, (App,), "sum", _m_rho_case, _a_rho_case),
-    RuleId.rho_abort: Rule(_F, (TyApp,), "bot", _m_rho_abort, _a_rho_abort),
-    RuleId.delta: Rule(_F, (App,), "sum", _m_delta, _a_delta),
-    RuleId.eps_case: Rule(_F, _ELIMS, "sum",
+    RuleId.pi_imp: Rule(_IPC, (App,), "always", 1, _PI, _a_pi),
+    RuleId.pi_and: Rule(_IPC, (Proj,), "always", 1, _PI, _a_pi),
+    RuleId.pi_or: Rule(_IPC, (Case,), "always", 1, _PI, _a_pi),
+    RuleId.pi_bot: Rule(_IPC, (Abort,), "always", 1, _PI, _a_pi),
+    RuleId.varpi_imp: Rule(_IPC, (App,), "always", 1, _VARPI, _a_varpi),
+    RuleId.varpi_and: Rule(_IPC, (Proj,), "always", 1, _VARPI, _a_varpi),
+    RuleId.varpi_or: Rule(_IPC, (Case,), "always", 1, _VARPI, _a_varpi),
+    RuleId.varpi_bot: Rule(_IPC, (Abort,), "always", 1, _VARPI, _a_varpi),
+    RuleId.rho_case: Rule(_F, (App,), "sum", 2, _m_rho_case, _a_rho_case),
+    RuleId.rho_abort: Rule(_F, (TyApp,), "bot", 1, _m_rho_abort,
+                           _a_rho_abort),
+    RuleId.delta: Rule(_F, (App,), "sum", 3, _m_delta, _a_delta),
+    RuleId.eps_case: Rule(_F, _ELIMS, "sum", 3,
                           _pushes_into(_encoded_case_principal), _a_eps_case),
-    RuleId.eps_abort: Rule(_F, _ELIMS, "bot",
+    RuleId.eps_abort: Rule(_F, _ELIMS, "bot", 2,
                            _pushes_into(_encoded_abort_principal),
                            _a_eps_abort),
 }

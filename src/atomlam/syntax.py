@@ -246,14 +246,14 @@ def _getter(names):
 
 class _Shape:
     """One row of GRAMMAR in the forms the traversals read. `values` gives
-    a node's fields in order, `data` the indices of its DATA fields and
-    `names` those of its DATA and binder fields. `walk` lists its TERM and
-    FORMULA fields in order, each as (field index, index of the binder
-    over it or None, that binder's sort: 0 for a term variable, 1 for a
-    type variable)."""
+    a node's fields in order, `data` the indices of its DATA fields,
+    `names` those of its DATA and binder fields and `kid_fields` the names
+    of its TERM fields. `walk` lists its TERM and FORMULA fields in order,
+    each as (field index, index of the binder over it or None, that
+    binder's sort: 0 for a term variable, 1 for a type variable)."""
 
     __slots__ = ("values", "kids", "children", "formulas", "data", "walk",
-                 "names")
+                 "names", "kid_fields")
 
     def __init__(self, cls, roles):
         names = [f.name for f in fields(cls)]
@@ -269,6 +269,7 @@ class _Shape:
             else (j, None, None) for j in sorted(self.kids + forms))
         self.names = tuple(j for j, r in enumerate(roles)
                            if r not in (TERM, FORMULA))
+        self.kid_fields = tuple(names[j] for j in self.kids)
 
 
 _SHAPES = {cls: _Shape(cls, roles) for cls, roles in GRAMMAR.items()}
@@ -559,12 +560,18 @@ def subterm_at(t: Term, pos) -> Term:
 
 
 def _with_child(t: Term, i: int, new: Term) -> Term:
-    shape = _SHAPES[t.__class__]
-    if not 0 <= i < len(shape.kids):
+    """t with its i-th child replaced by `new`: t's fields copied into a
+    new node, not passed through the dataclass's __init__ (which would
+    set each one through object.__setattr__, as t is frozen)."""
+    cls = t.__class__
+    fields_ = _SHAPES[cls].kid_fields
+    if not 0 <= i < len(fields_):
         raise InvalidPath(f"no child {i} at {type(t).__name__}")
-    args = list(shape.values(t))
-    args[shape.kids[i]] = new
-    return t.__class__(*args)
+    node = object.__new__(cls)
+    state = node.__dict__
+    state.update(t.__dict__)
+    state[fields_[i]] = new
+    return node
 
 
 def replace_at(t: Term, pos, new: Term) -> Term:
@@ -582,12 +589,19 @@ def _refill(spine, pos, new: Term) -> Term:
     return new
 
 
+# each hole's root built directly: the main premiss is the root's first
+# field, except for a projection's, which follows its index
+_FILL = {AppHole: lambda e, m: App(m, e.arg),
+         ProjHole: lambda e, m: Proj(e.index, m),
+         CaseHole: lambda e, m: Case(m, e.lvar, e.lann, e.lbody, e.rvar,
+                                     e.rann, e.rbody, e.ann),
+         AbortHole: lambda e, m: Abort(m, e.ann),
+         TyAppHole: lambda e, m: TyApp(m, e.arg)}
+
+
 def fill(e: ElimContext, m: Term) -> Term:
     """Fill the main-premiss hole of e with m."""
-    root = _ROOT_OF[e.__class__]
-    args = list(_SHAPES[e.__class__].values(e))
-    args.insert(_SHAPES[root].kids[0], m)
-    return root(*args)
+    return _FILL[e.__class__](e, m)
 
 
 def split(t: Term):

@@ -24,11 +24,11 @@ from .errors import (DuplicateDeclaration, ForallProvisoViolated,
                      NonAtomicInstantiation, NotARedex, NotInSystem,
                      TypeMismatch, UnboundVariable)
 from .syntax import (TERM_SCOPES, Abort, And, App, Bot, Case, ElimContext,
-                     Forall, Formula, FVar, Imp, Inj, Lam, Or, Pair, Proj,
-                     Term, TyApp, TyLam, Var, _with_child, fill,
+                     Forall, Formula, FVar, Imp, Inj, InvalidPath, Lam, Or,
+                     Pair, Proj, Term, TyApp, TyLam, Var, _with_child, fill,
                      formula_children, formula_size, free_type_vars,
                      free_vars, fresh_name, hole_result, is_encoded_bot,
-                     match_encoded_or, replace_at, subst_type)
+                     match_encoded_or, subst_type)
 
 
 class SystemId(Enum):
@@ -57,9 +57,8 @@ class Env:
     def extend(self, name: str, formula: Formula) -> "Env":
         if name in self._map:
             raise DuplicateDeclaration(f"variable {name!r} declared twice")
-        new = Env()
-        new._map = dict(self._map)
-        new._map[name] = formula
+        new = object.__new__(Env)
+        new._map, new._ftv = {**self._map, name: formula}, None
         return new
 
     def lookup(self, name: str):
@@ -93,9 +92,10 @@ def formula_in_system(f: Formula, sys: SystemId) -> bool:
     todo = [f]
     while todo:
         g = todo.pop()
-        if isinstance(g, excluded):
-            return False
-        todo.extend(formula_children(g))
+        if g.__class__ is not FVar:
+            if isinstance(g, excluded):
+                return False
+            todo.extend(formula_children(g))
     return True
 
 
@@ -168,15 +168,47 @@ def _fine_match(env: Env, rule, payload, ren=_NO_RENAMES) -> bool:
 # ------------------------------------------------------- typed traversal
 
 class _Info:
-    """The traversal's result at one position: the subterm, the
-    environment and binder renaming in force there, the children's
+    """The traversal's result at one position: the subterm, the children's
     results, and (when typing) the subterm's type, or None and `why` it
     has none, its weight `w` and this node's own weight term `pre` (0 if
     the node is no pre-redex). `own` lists the (rule, fine) matches at the
-    node in RuleId order; `nfine` counts the fine ones in the subterm."""
+    node in RuleId order; `nfine` counts the fine ones in the subterm.
 
-    __slots__ = ("term", "env", "ren", "kids", "ty", "why", "w", "pre", "own",
-                 "nfine")
+    A result depends only on its subterm and on the types of the
+    subterm's free variables (and, under the strict proviso, on the type
+    variables free in the environment), never on the names the
+    environment gives them: the environment in force at a position is
+    read off the term on the way down to it (descend, and the views of a
+    Scan). So one result can stand at several positions, and a step
+    reuses the results of the subterms it copies.
+    """
+
+    __slots__ = ("term", "kids", "ty", "why", "w", "pre", "own", "nfine",
+                 "free")
+
+
+_NO_NAMES = frozenset()
+
+
+def _free_of(info):
+    """The free term variables of info's subterm, kept on info (`free`)
+    once asked for: a renamed binder asks for its body's, and a step for
+    those of each subterm it copies."""
+    free = info.free
+    if free is None:
+        t = info.term
+        if t.__class__ is Var:
+            free = frozenset((t.name,))
+        else:  # a child's own set where it is the only one with names
+            values, scopes = TERM_SCOPES[t.__class__]
+            vals, free = values(t), _NO_NAMES
+            for (_, k, _), kid in zip(scopes, info.kids):
+                below = _free_of(kid)
+                if k is not None and vals[k] in below:
+                    below = below - {vals[k]}
+                free = free | below if free else below
+        info.free = free
+    return free
 
 
 class _Fail(Exception):
@@ -213,7 +245,7 @@ def _expect(ok, message, i, expected, found):
 def _within(sys, *formulas):
     """NotInSystem for the first of `formulas` that is not in sys."""
     for f in formulas:
-        if not formula_in_system(f, sys):
+        if f.__class__ is not FVar and not formula_in_system(f, sys):
             raise _Fail(NotInSystem(f"formula not in {sys.value}: {f!r}"))
 
 
@@ -235,37 +267,107 @@ def _bind(env, ren, var, ann, body):
     A binder that shadows a declared variable gets the smallest primed
     variant not declared and not free in the body: the name renaming by
     substitution gives it, since a free variable that substitution renames
-    is declared, and so is its new name.
+    is declared, and so is its new name. `body` is the scoped term, or
+    its scan result, which keeps the term's free variables (_free_of).
     """
     if var not in env:
         return env.extend(var, ann), ren
-    new = fresh_name(var, set(env.names()) | free_vars(body))
+    free = _free_of(body) if body.__class__ is _Info else free_vars(body)
+    names, new = env.names(), var
+    while new in names or new in free:  # fresh_name, without the union
+        new += "'"
     return env.extend(new, ann), {**ren, var: new}
 
 
-def _weight_terms(t, kids):
-    """(W of the subterm, this node's own weight term) from the children.
+def _scope(t, i, env, ren, kid=None):
+    """Child i of t, with the environment and renaming map in force in it
+    when env and ren are in force at t; `kid` is the child's scan result,
+    if there is one."""
+    values, scopes = TERM_SCOPES[t.__class__]
+    if not 0 <= i < len(scopes):
+        raise InvalidPath(f"no child {i} at {type(t).__name__}")
+    vals, (j, k, a) = values(t), scopes[i]
+    if k is None:
+        return vals[j], env, ren
+    return (vals[j], *_bind(env, ren, vals[k], vals[a], kid or vals[j]))
+
+
+def descend(env: Env, m: Term, pos):
+    """The subterm at `pos` in m, the environment and binder renaming in
+    force there as Scan has them, and the nodes above it, root first."""
+    ren, spine = _NO_RENAMES, []
+    for i in pos:
+        spine.append(m)
+        m, env, ren = _scope(m, i, env, ren)
+    return m, env, ren, spine
+
+
+def _lookup(env, ren, name):
+    """The type env gives the variable `name`, read through ren."""
+    return env._map.get(ren.get(name, name))
+
+
+#: how deep W's pre-redex test reads: an application's function's class
+#: and instantiation, and the type of that instantiation's head
+_W_DEPTH = 2
+
+
+def _pre_size(t, kids):
+    """|C| if the application or instantiation t is a pre-redex (read off
+    its children's results), else 0.
 
     A pre-redex is an instantiation M C, C non-atomic, whose head M has
     the empty-type encoding, or a spine M C Q whose head has a sum
-    encoding; its term is |C| * (1 + W of its subterms).
+    encoding; its weight term is |C| * (1 + W of its subterms).
     """
-    cls = t.__class__
-    if cls is TyApp:
-        sub = kids[0].w
+    if t.__class__ is TyApp:
         if t.arg.__class__ is not FVar and is_encoded_bot(kids[0].ty):
-            size = formula_size(t.arg)
-            return (size + 1) * sub + size, size * (1 + sub)
-        return sub, 0
-    if cls is App:
-        fun = kids[0]
-        sub = fun.w + kids[1].w
-        if (fun.term.__class__ is TyApp and fun.term.arg.__class__ is not FVar
-                and match_encoded_or(fun.kids[0].ty) is not None):
-            size = formula_size(fun.term.arg)
-            return (size + 1) * sub + size, size * (1 + sub)
-        return sub, 0
-    return sum(k.w for k in kids), 0
+            return formula_size(t.arg)
+        return 0
+    fun = kids[0]
+    if (fun.term.__class__ is TyApp and fun.term.arg.__class__ is not FVar
+            and match_encoded_or(fun.kids[0].ty) is not None):
+        return formula_size(fun.term.arg)
+    return 0
+
+
+def _reused(hit, env, ren):
+    """The result of `hit`, a (result, binders, environment, renaming)
+    recorded for a subterm by _record, if each of its free variables has
+    in env and ren the type it had there; else None."""
+    info, binders, was_env, was_ren = hit
+    if env is was_env and not binders:
+        return info
+    for name in _free_of(info):
+        was = (binders[name] if name in binders
+               else _lookup(was_env, was_ren, name))
+        ty = _lookup(env, ren, name)
+        if ty is not was and ty != was:
+            return None
+    return info
+
+
+def _below(info, env, ren):
+    """(result, environment, renaming) of each child of info's subterm, in
+    position order, when env and ren are in force at it."""
+    t = info.term
+    return [(kid, *_scope(t, i, env, ren, kid)[1:])
+            for i, kid in enumerate(info.kids)]
+
+
+def _record(info, binders, env, ren, depth, out):
+    """Record in `out`, by the identity of their subterms, the results
+    below info down to `depth` levels, each with the binders between the
+    redex and it ({name: annotation}, innermost last) and the environment
+    and renaming in force at the redex, env and ren."""
+    t = info.term
+    values, scopes = TERM_SCOPES[t.__class__]
+    vals = values(t)
+    for (_, k, a), kid in zip(scopes, info.kids):
+        inner = binders if k is None else {**binders, vals[k]: vals[a]}
+        out[id(kid.term)] = kid, inner, env, ren
+        if depth > 1 and kid.kids:
+            _record(kid, inner, env, ren, depth - 1, out)
 
 
 class Scan:
@@ -279,9 +381,16 @@ class Scan:
     context typing are views of such a scan), and otherwise in System F
     when a rule's fineness depends on a head's type (rho_*, delta, eps_*);
     else it types nothing. Binders extend the environment as in redex
-    search; positions are those of the term. A Scan is never mutated:
-    `after` returns a new one that shares every result off the contracted
-    redex's ancestor path.
+    search; positions are those of the term. A Scan's results are never
+    mutated: `after` returns a new scan that shares every result off the
+    contracted redex's ancestor path, and the results of the subterms the
+    contraction copies. A scan keeps only its last descent (`_trail`: a
+    position, the environments along it and, once found, the results),
+    which the next one resumes from.
+
+    `depth` is how deep the results' matches, fineness and pre-redex
+    tests read: the largest read depth of its rules' RULES rows and of
+    W's pre-redex test, or None if a rule reads unboundedly deep.
     """
 
     def __init__(self, env: Env, m: Term, rules=frozenset(), _ren=_NO_RENAMES,
@@ -293,9 +402,15 @@ class Scan:
             _rules.RULES[r].fineness != "always" for r in self.rules)
         self.system = system or SystemId.F
         self.strict_proviso = strict_proviso
+        depths = [_W_DEPTH] + [_rules.RULES[r].depth for r in self.rules]
+        self.depth = None if None in depths else max(depths)
+        # the last descent: its position, environments and results
+        self._trail = (), [(env, _ren)], None
         self.root = self._build(m, env, _ren)
 
-    def _build(self, t, env, ren):
+    def _build(self, t, env, ren, found=None):
+        """t's result in env and ren. With `found` (see _record), a child
+        whose subterm has a result there that _reused accepts keeps it."""
         build = self._build
         if t.__class__ is TyLam and not self._match and self.typed:
             # a scan that only types builds a capturing binder's body
@@ -309,24 +424,30 @@ class Scan:
             vals, kids = values(t), []
             for j, k, a in scopes:
                 c = vals[j]
-                kids.append(build(c, env, ren) if k is None else
-                            build(c, *_bind(env, ren, vals[k], vals[a], c)))
+                if k is None:
+                    kid_env, kid_ren = env, ren
+                else:
+                    kid_env, kid_ren = _bind(env, ren, vals[k], vals[a], c)
+                kid = found and found.get(id(c))
+                if kid:
+                    kid = _reused(kid, kid_env, kid_ren)
+                kids.append(kid or build(c, kid_env, kid_ren, found))
             kids = tuple(kids)
         info = _Info()
-        info.term, info.env, info.ren, info.kids = t, env, ren, kids
-        self._finish(info, self._type(info) if self.typed else None)
+        info.term, info.kids, info.free = t, kids, None
+        self._finish(info, self._type(info, env, ren) if self.typed else None)
         return info
 
-    def _type(self, info):
-        """Type of info's subterm from its children's; None, with
-        `info.why` set, where typecheck raises. A node's system and
-        annotation checks come first, then each child's error followed by
-        the checks that use its type."""
+    def _type(self, info, env, ren):
+        """Type of info's subterm, in env and ren, from its children's;
+        None, with `info.why` set, where typecheck raises. A node's system
+        and annotation checks come first, then each child's error followed
+        by the checks that use its type."""
         t, kids, sys = info.term, info.kids, self.system
         cls = t.__class__
         try:
             if cls is Var:
-                ty = info.env.lookup(info.ren.get(t.name, t.name))
+                ty = _lookup(env, ren, t.name)
                 if ty is None:
                     raise _Fail(UnboundVariable(f"unbound variable {t.name!r}"))
                 return ty
@@ -360,7 +481,7 @@ class Scan:
             if cls is TyLam:
                 if sys is SystemId.IPC:
                     raise _Fail(NotInSystem("type abstraction not in ipc"))
-                var = _capture(t, info.env)
+                var = _capture(t, env)
                 if var is None:
                     return Forall(t.var, _typed(kids[0]))
                 if self.strict_proviso:
@@ -370,9 +491,8 @@ class Scan:
                     return Forall(var, _typed(kids[0]))
                 # kids[0] keeps the body's own names for the matches in it;
                 # type the renamed body aside
-                inner = Scan(info.env,
-                             subst_type(FVar(var), t.var, t.body), (),
-                             info.ren, sys).root
+                inner = Scan(env, subst_type(FVar(var), t.var, t.body), (),
+                             ren, sys).root
                 if inner.ty is None:
                     raise _Fail(_error(inner, (0,)))
                 return Forall(var, inner.ty)
@@ -418,12 +538,20 @@ class Scan:
             info.w = info.pre = info.nfine = 0
             info.own = ()
             return
-        info.w, info.pre = (0, 0) if ty is None else _weight_terms(t, kids)
-        own = ()
-        nfine = 0
+        nfine = sub = 0
         for kid in kids:
             nfine += kid.nfine
-        for rule, match, kind in self._match.get(t.__class__, ()):
+            sub += kid.w
+        cls = t.__class__
+        if ty is None:
+            info.w = info.pre = 0
+        else:  # W is the children's plus this node's weight term
+            pre = _pre_size(t, kids) if cls is App or cls is TyApp else 0
+            if pre:
+                pre *= 1 + sub
+            info.w, info.pre = sub + pre, pre
+        own = ()
+        for rule, match, kind in self._match.get(cls, ()):
             payload = match(t)
             if payload is None:
                 continue
@@ -438,34 +566,52 @@ class Scan:
             nfine += fine
         info.own, info.nfine = own, nfine
 
+    def _above(self, parent, i, new, scope, retype):
+        """parent's result with child i's replaced by `new`, matched again;
+        typed again if parent has no type, or if `retype`, in `scope`, the
+        (environment, renaming) in force at parent."""
+        kids = parent.kids
+        info = _Info()
+        info.term = _with_child(parent.term, i, new.term)
+        info.kids = kids[:i] + (new,) + kids[i + 1:]
+        info.free, ty = None, parent.ty
+        if retype or ty is None and self.typed:
+            ty = self._type(info, *scope)
+        self._finish(info, ty)
+        return info
+
     # ------------------------------------------------------------ views
 
     def redexes(self) -> list:
         """(position, rule, local env, fine) of every match, pre-order."""
         out = []
 
-        def walk(info, pos):
+        def walk(info, pos, env, ren):
             for rule, fine in info.own:
-                out.append((pos, rule, info.env, fine))
-            for i, kid in enumerate(info.kids):
-                walk(kid, pos + (i,))
+                out.append((pos, rule, env, fine))
+            for i, (kid, kid_env, kid_ren) in enumerate(
+                    _below(info, env, ren)):
+                walk(kid, pos + (i,), kid_env, kid_ren)
 
-        walk(self.root, ())
+        walk(self.root, (), self.env, _NO_RENAMES)
         return out
 
     def fine_redex(self, k: int):
         """(position, rule, local env) of the k-th fine redex in pre-order,
         which is the order of (position, RuleId order)."""
-        info, pos = self.root, ()
+        path, pos = [self.root], []
         while True:
+            info = path[-1]
             for rule, fine in info.own:
                 if fine:
                     if k == 0:
-                        return pos, rule, info.env
+                        pos = tuple(pos)
+                        return pos, rule, self._envs(pos, path)[-1][0]
                     k -= 1
             for i, kid in enumerate(info.kids):
                 if k < kid.nfine:
-                    info, pos = kid, pos + (i,)
+                    path.append(kid)
+                    pos.append(i)
                     break
                 k -= kid.nfine
             else:
@@ -474,32 +620,61 @@ class Scan:
     def innermost_fine_redex(self):
         """(position, rule, local env) of the first fine redex in pre-order
         with no fine redex strictly below it."""
-        info, pos = self.root, ()
+        path, pos = [self.root], []
         while True:
-            for i, kid in enumerate(info.kids):
+            for i, kid in enumerate(path[-1].kids):
                 if kid.nfine:
-                    info, pos = kid, pos + (i,)
+                    path.append(kid)
+                    pos.append(i)
                     break
             else:
-                for rule, fine in info.own:
+                for rule, fine in path[-1].own:
                     if fine:
-                        return pos, rule, info.env
+                        pos = tuple(pos)
+                        return pos, rule, self._envs(pos, path)[-1][0]
                 raise IndexError("no fine redex")
+
+    def env_at(self, pos) -> Env:
+        """The environment in force at `pos`."""
+        path = [self.root]
+        for i in pos:
+            path.append(path[-1].kids[i])
+        return self._envs(pos, path)[-1][0]
+
+    def _envs(self, pos, path):
+        """The (environment, renaming) in force at each node of `path`,
+        the results along pos, root first. The descent resumes below the
+        longest prefix pos shares with the last one made on this scan, or
+        inherited from the step that made it (see after)."""
+        last, scopes, _ = self._trail
+        n = len(last)
+        if pos[:n] != last:
+            n = 0
+            while n < len(pos) and pos[n] == last[n]:
+                n += 1
+        scopes = scopes[:n + 1]
+        for level in range(n, len(pos)):
+            _, env, ren = _scope(path[level].term, pos[level], *scopes[level],
+                                 path[level + 1])
+            scopes.append((env, ren))
+        self._trail = pos, scopes, path
+        return scopes
 
     def weight_terms(self) -> list:
         """(position, local env, term) of every pre-redex, children first
         and an application's argument before its function."""
         out = []
 
-        def walk(info, pos):
-            kids = info.kids
-            order = (1, 0) if info.term.__class__ is App else range(len(kids))
-            for i in order:
-                walk(kids[i], pos + (i,))
+        def walk(info, pos, env, ren):
+            kids = list(enumerate(_below(info, env, ren)))
+            if info.term.__class__ is App:
+                kids.reverse()
+            for i, (kid, kid_env, kid_ren) in kids:
+                walk(kid, pos + (i,), kid_env, kid_ren)
             if info.pre:
-                out.append((pos, info.env, info.pre))
+                out.append((pos, env, info.pre))
 
-        walk(self.root, ())
+        walk(self.root, (), self.env, _NO_RENAMES)
         return out
 
     # ------------------------------------------------------- one step
@@ -507,39 +682,75 @@ class Scan:
     def after(self, pos, rule) -> "Scan":
         """The scan of the term with the `rule` redex at `pos` contracted.
 
-        Only the contractum is traversed, in the environment in force at
-        `pos`; the ancestors' results are recombined from their children.
-        Their types stay as they were (untypable ones are typed again, to
-        record why from the new children): the contractum must have the
-        redex's type (subject reduction), and InternalInvariantViolation
-        is raised if it does not.
+        Only the nodes the contraction creates are traversed, in the
+        environment in force at `pos`. A subterm it copies from the redex
+        (one found among the redex's results down to one below the rule's
+        read depth) keeps its result wherever each of its free variables
+        keeps its type. The contractum must have the redex's type (subject
+        reduction), and InternalInvariantViolation is raised if it does
+        not. The ancestors keep their types (untypable ones are typed
+        again, to record why from the new children); those within the
+        scan's depth of `pos` are matched again, and the others keep their
+        matches and pre-redex tests and recombine only w, pre and nfine.
         """
-        path = [self.root]
-        for i in pos:
-            path.append(path[-1].kids[i])
-        old = path[-1]
-        new = self._build(_rules.apply_rule(rule, old.term), old.env, old.ren)
+        rule = rule if rule.__class__ is _rules.RuleId else _rules.RuleId(rule)
+        last, scopes, path = self._trail
+        if last is not pos or path is None:  # not just found by fine_redex
+            path = [self.root]
+            for i in pos:
+                path.append(path[-1].kids[i])
+            scopes = self._envs(pos, path)
+        old, (env, ren) = path[-1], scopes[-1]
+        if (rule, True) in old.own or (rule, False) in old.own:
+            contractum = _rules.RULES[rule].contract(old.term)
+        else:
+            contractum = _rules.apply_rule(rule, old.term)
+        depth, found = _rules.RULES[rule].depth, None
+        if depth is not None and not self.strict_proviso:
+            found = {}
+            _record(old, {}, env, ren, depth + 1, found)
+        hit = found and found.get(id(contractum))
+        new = (hit and _reused(hit, env, ren)
+               or self._build(contractum, env, ren, found))
         if self.typed and old.ty is not None and new.ty != old.ty:
             raise InternalInvariantViolation(
                 f"subject reduction failed: {rule.value} at {list(pos)} "
                 f"changed the type")
-        if old.ren and free_vars(new.term) != free_vars(old.term):
-            # a renamed binder above took its name from its body's free
-            # variables, which have changed: traverse the whole term again
-            return Scan(self.env, replace_at(self.root.term, pos, new.term),
-                        self.rules, system=self.system if self.typed else None,
-                        strict_proviso=self.strict_proviso)
+        out = object.__new__(Scan)
+        out.__dict__.update(self.__dict__)
+        # the renamed binders above pos keep their names, and the
+        # environments their entries, if its free variables stay
+        out._trail = ((pos, scopes, None)
+                      if not ren or _free_of(old) == _free_of(new)
+                      else ((), scopes[:1], None))
         retype = self.typed and old.ty is None
-        for parent, i in zip(reversed(path[:-1]), reversed(pos)):
+        far = 0 if self.depth is None else max(len(pos) - self.depth, 0)
+        for level in range(len(pos) - 1, far - 1, -1):
+            new = self._above(path[level], pos[level], new, scopes[level],
+                              retype)
+        # above the scan's depth from pos the types, matches and pre-redex
+        # tests stay, and the changes of W and nfine carry up. W is sub +
+        # pre, where sub is the children's W and pre = |C| * (1 + sub) at
+        # a pre-redex (else 0), so |C| is read back off the old w and pre.
+        dw, dn = new.w - path[far].w, new.nfine - path[far].nfine
+        for level in range(far - 1, -1, -1):
+            parent, i = path[level], pos[level]
+            if retype or parent.ty is None and self.typed:
+                new = self._above(parent, i, new, scopes[level], retype)
+                dw, dn = new.w - parent.w, new.nfine - parent.nfine
+                continue
+            kids = parent.kids
             info = _Info()
             info.term = _with_child(parent.term, i, new.term)
-            info.env, info.ren = parent.env, parent.ren
-            info.kids = parent.kids[:i] + (new,) + parent.kids[i + 1:]
-            ty = parent.ty
-            if retype or ty is None and self.typed:
-                ty = self._type(info)
-            self._finish(info, ty)
+            info.kids = kids[:i] + (new,) + kids[i + 1:]
+            info.free, info.ty, info.own = None, parent.ty, parent.own
+            pre = parent.pre
+            if pre:
+                size = pre // (1 + parent.w - pre)
+                pre += size * dw
+                dw *= size + 1
+            info.w, info.pre = parent.w + dw, pre
+            info.nfine = parent.nfine + dn
             new = info
-        out = copy.copy(self)
         out.root = new
         return out

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from atomlam import (Abort, And, Case, Env, FVar, RuleId, SystemId, Var,
                      alpha_eq, at_term, find_redexes, parse_formula,
                      parse_term, replay, rp_term, step, subterm_at, typecheck)
+import atomlam.diagram
+from atomlam.syntax import Term
 from atomlam.diagram import (OR_BOT_RULES, at_copy_positions, build_diagram)
 from atomlam.errors import RuleNotApplicable
 
@@ -100,6 +103,39 @@ def test_conjunction_annotation_flags_faithful_admin_count():
     # component: four in total at a conjunction level
     assert len(leg.steps) == 4 and all(s.admin for s in leg.steps)
     assert d.verify() == []
+
+
+def test_verify_replays_each_trace_once(monkeypatch):
+    # the bridges are also the legs to the midpoints that equal the atomic
+    # images; no pair of terms is compared twice, in replay or after it
+    env, t, r, d = _diagram_for(RuleId.pi_imp)
+    replayed, full = [], atomlam.diagram.replay
+    monkeypatch.setattr(atomlam.diagram, "replay",
+                        lambda leg: replayed.append(leg) or full(leg))
+    compared, eq = [], Term.__eq__
+
+    def counted(a, b):
+        compared.append((id(a), id(b)))
+        return eq(a, b)
+
+    monkeypatch.setattr(Term, "__eq__", counted)
+    assert d.verify() == []
+    assert len(replayed) == len({id(leg) for leg in d.legs.values()}) == 6
+    assert len(compared) == len(set(compared))
+
+
+def test_a_broken_shared_leg_is_reported_under_each_of_its_names():
+    env, t, r, d = _diagram_for(RuleId.varpi_and)
+    bridge = d.legs["m_rp->m_at"]
+    assert d.legs["m_rp->q1"] is bridge
+    # short of its last step the bridge replays, but ends before m_at = q1
+    bridge.steps.pop()
+    assert d.verify() == ["m_rp->m_at: end is not corner m_at",
+                          "m_rp->q1: end is not corner q1"]
+    # a step that does not reproduce its result does not replay
+    bridge.steps[0] = dataclasses.replace(bridge.steps[0], result=Var("z"))
+    assert d.verify() == ["m_rp->m_at: does not replay",
+                          "m_rp->q1: does not replay"]
 
 
 def test_duplicating_context():

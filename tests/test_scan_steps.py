@@ -1,0 +1,267 @@
+"""A stepped Scan is the scan of the term it steps to.
+
+`Scan.after` traverses only the nodes a contraction creates: it reuses the
+results of the subterms the contraction copies where their free variables
+keep their types, and above the scan's read depth it carries the changes of
+W and of the fine-redex count up the path without matching again. Each
+stepped scan here is compared with a fresh scan of its term: the root's
+W and fine count, every weight term and every redex with its position,
+rule, fineness and local environment.
+"""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from atomlam import (Env, FVar, Forall, Imp, Lam, Pair, Proj, RuleId,
+                     SystemId, TyApp, Var, atomic_nf, encode_bot, encode_or,
+                     is_fine_redex, parse_term, print_term, replace_at,
+                     rp_env, rp_term, subterm_at)
+import atomlam.rules
+from atomlam.analysis import ATOMIZATION_RULES
+from atomlam.errors import (AtomicInstantiation, InternalInvariantViolation,
+                            ShapeMismatch)
+from atomlam.rewriting import ReductionTrace, env_at, reduce_scan
+from atomlam.rules import RULES, match_rule, rules_of_system
+from atomlam.typecheck import Scan
+
+import corpus
+from test_ladder import ENV, ladder
+
+X, Y, Z = FVar("X"), FVar("Y"), FVar("Z")
+
+
+def _env(env):
+    return [(name, formula) for name, formula in env.items()]
+
+
+def _view(scan):
+    root = scan.root
+    return (root.term, root.ty, root.w, root.nfine,
+            [(pos, _env(env), term) for pos, env, term in scan.weight_terms()],
+            [(pos, rule, _env(env), fine)
+             for pos, rule, env, fine in scan.redexes()])
+
+
+def _check_steps(env, m, rules, strategy="leftmost-outermost", seed=None,
+                 every=1):
+    """Reduce m by `rules` with a kept scan, comparing every `every`-th
+    stepped scan with a fresh one; the number of steps."""
+
+    def check(trace, redex, before, after, scan):
+        if len(trace.steps) % every == 0:
+            assert _view(scan) == _view(Scan(env, after, rules)), \
+                (len(trace.steps), redex)
+
+    trace = reduce_scan(Scan(env, m, rules), ReductionTrace(SystemId.F, env, m),
+                        strategy, 10 ** 5, seed, check)
+    return len(trace.steps)
+
+
+# ------------------------------------------------------------- the oracle
+
+@pytest.mark.parametrize("d, k, every", [(4, 1, 1), (2, 2, 1), (6, 1, 10)])
+def test_stepped_scans_are_fresh_scans_on_the_ladder(d, k, every):
+    assert _check_steps(rp_env(ENV), rp_term(ladder(d, k)), ATOMIZATION_RULES,
+                        every=every) > 0
+
+
+@pytest.mark.parametrize("strategy, seed", [("leftmost-innermost", None),
+                                            ("random", 3), ("random", 8)])
+def test_stepped_scans_are_fresh_scans_in_any_order(strategy, seed):
+    assert _check_steps(rp_env(ENV), rp_term(ladder(2, 2)), ATOMIZATION_RULES,
+                        strategy, seed) > 0
+
+
+def test_stepped_scans_are_fresh_scans_for_every_f_rule():
+    # beta steps drop free variables, eta rules read unboundedly deep and
+    # the commuting and delta rules copy deeper than the atomization rules
+    rules, steps = rules_of_system(SystemId.F), 0
+    for i, (env, t) in enumerate(corpus.f_corpus(41, 30)
+                                 + [(rp_env(e), rp_term(m))
+                                    for e, m in corpus.ipc_corpus(43, 15)]):
+        steps += _check_steps(env, t, rules, "random", i)
+    assert steps > 100
+
+
+def test_stepped_scans_are_fresh_scans_without_typing():
+    rules, steps = rules_of_system(SystemId.IPC), 0
+    for i, (env, t) in enumerate(corpus.ipc_corpus(47, 30)):
+        steps += _check_steps(env, t, rules, "random", i)
+    assert steps > 30
+
+
+# ------------------------------------------------- reusing copied results
+
+SUM, BOT = encode_or(X, Y), encode_bot()
+ID = Forall("Z", Imp(Z, Z))
+
+
+def _step(env, t, rule, pos=()):
+    scan = Scan(env, t, ATOMIZATION_RULES)
+    stepped = scan.after(pos, rule)
+    assert _view(stepped) == _view(Scan(env, stepped.root.term,
+                                        ATOMIZATION_RULES))
+    return scan, stepped
+
+
+def _result(scan, pos):
+    info = scan.root
+    for i in pos:
+        info = info.kids[i]
+    return info
+
+
+def test_a_copy_whose_free_variable_is_bound_at_another_type_is_rebuilt(
+        monkeypatch):
+    # u [X -> X] contracted to fun u:X => u: the copied head u is bound by
+    # the new binder, at X instead of forall X. X
+    row = RULES[RuleId.rho_abort]
+    monkeypatch.setitem(RULES, RuleId.rho_abort,
+                        row._replace(contract=lambda t: Lam("u", X, t.fun)))
+    scan, stepped = _step(Env([("u", BOT)]), TyApp(Var("u"), Imp(X, X)),
+                          RuleId.rho_abort)
+    assert _result(stepped, (0,)) is not _result(scan, (0,))
+    assert _result(stepped, (0,)).ty == X
+
+
+def test_a_copy_keeps_its_result_under_a_binder_that_shadows_its_own():
+    # rho_case at X -> (Y -> Y) names its binder w, which the branches bind
+    # inside: their rho_abort redexes see w and the renamed w'
+    env = Env([("s", SUM), ("u", BOT)])
+    t = parse_term("s [X -> Y -> Y] <fun x:X => fun w:X => u [Y -> Y],"
+                   " fun y:Y => fun w:X => u [Y -> Y]>")
+    scan, stepped = _step(env, t, RuleId.rho_case)
+    assert print_term(stepped.root.term).startswith("fun w:X =>")
+    assert _result(stepped, (0, 1, 0, 0, 0)) is _result(scan, (1, 0, 0))
+    [(pos, rule, local, fine)] = [r for r in stepped.redexes()
+                                  if r[0] == (0, 1, 0, 0, 0, 0)]
+    assert (rule, fine) == (RuleId.rho_abort, True)
+    assert list(local.names()) == ["s", "u", "w", "x", "w'"]
+
+
+def test_a_copy_keeps_its_result_under_a_capturing_type_binder():
+    # the type binder Z of the expansion at forall Z. Z -> Z captures the Z
+    # free in the environment (k : Z); the branches are copied below it
+    env = Env([("s", SUM), ("u", BOT), ("g", ID), ("k", Z)])
+    t = parse_term("s [forall Z. Z -> Z] <fun x:X => u [forall Z. Z -> Z],"
+                   " fun y:Y => g>")
+    scan, stepped = _step(env, t, RuleId.rho_case)
+    assert print_term(stepped.root.term).startswith("tfun Z =>")
+    assert _result(stepped, (0, 1, 0, 0, 0)) is _result(scan, (1, 0, 0))
+    assert _check_steps(env, t, ATOMIZATION_RULES) == 4
+
+
+def test_a_contraction_that_changes_the_type_is_caught(monkeypatch):
+    # the head alone, a copy whose result would be reused, has another type
+    row = RULES[RuleId.rho_abort]
+    monkeypatch.setitem(RULES, RuleId.rho_abort,
+                        row._replace(contract=lambda t: t.fun))
+    with pytest.raises(InternalInvariantViolation, match="subject reduction"):
+        atomic_nf(rp_env(ENV), rp_term(ladder(2, 1)))
+
+
+def test_a_recorded_match_is_contracted_without_matching_again(monkeypatch):
+    scan = Scan(Env([("u", BOT)]), TyApp(Var("u"), Imp(X, Y)),
+                ATOMIZATION_RULES)
+
+    def apply_rule(*args):
+        raise AssertionError("matched again")
+
+    monkeypatch.setattr(atomlam.rules, "apply_rule", apply_rule)
+    assert print_term(scan.after((), RuleId.rho_abort).root.term) == \
+        "fun w:X => u [Y]"
+
+
+def test_a_match_not_recorded_is_contracted_as_apply_rule_does():
+    env = Env([("u", BOT)])
+    scan = Scan(env, TyApp(Var("u"), X), ATOMIZATION_RULES)
+    with pytest.raises(AtomicInstantiation):
+        scan.after((), RuleId.rho_abort)
+    with pytest.raises(ShapeMismatch):
+        scan.after((), RuleId.rho_case)
+    # a rule outside the scan's set
+    scan = Scan(env, TyApp(Var("u"), Imp(X, Y)), {RuleId.rho_case})
+    assert print_term(scan.after((), RuleId.rho_abort).root.term) == \
+        "fun w:X => u [Y]"
+
+
+# ------------------------------------------------------ work per step
+
+def _counted(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(Scan, name)
+
+        def counting(*args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Scan, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("d, k, builds, matched", [(4, 1, 561, 738),
+                                                   (2, 2, 343, 468)])
+def test_atomic_nf_builds_only_the_nodes_its_steps_create(monkeypatch, d, k,
+                                                          builds, matched):
+    # before reuse and the read depth: 1,350 / 3,243 and 839 / 1,863
+    counts = _counted(monkeypatch, "_build", "_finish")
+    atomic_nf(rp_env(ENV), rp_term(ladder(d, k)))
+    assert (counts["_build"], counts["_finish"]) == (builds, matched)
+
+
+# ---------------------------------------------------------- read depth
+
+def _pools():
+    """Per rule, its redexes in the redex corpora; per class, every node
+    of that class in the corpora (as (env, term, position) triples)."""
+    redexes, nodes = {rule: [] for rule in RuleId}, {}
+    found = (corpus.f_redex_corpus(53, 44, rules_of_system(SystemId.F))
+             + corpus.ipc_redex_corpus(59, 32))
+    for env, t, r in found:
+        redexes[r.rule].append((env, t, r.position))
+    for env, t in [(env, t) for env, t, _ in found] + corpus.f_corpus(61, 10):
+        for p in corpus.positions(t):
+            nodes.setdefault(type(subterm_at(t, p)), []).append((env, t, p))
+    return redexes, nodes
+
+
+_REDEXES, _NODES = _pools()
+_BOUNDED = [rule for rule in RuleId if RULES[rule].depth is not None]
+# replacements that keep the type and change the class at the position
+_WRAPS = (lambda m: Proj(1, Pair(m, m)), lambda m: Proj(2, Pair(m, m)))
+
+
+def _pick(data, options):
+    # by index: hypothesis would hash a drawn term, by its alpha-key
+    return options[data.draw(st.integers(0, len(options) - 1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_each_rule_reads_no_deeper_than_its_read_depth(data):
+    rule = _pick(data, _BOUNDED)
+    env, t, p = _pick(data, _REDEXES[rule] if data.draw(st.booleans()) else
+                      [n for cls in RULES[rule].roots for n in _NODES[cls]])
+    node, depth = subterm_at(t, p), RULES[rule].depth
+    # mostly just below the read depth, where a dishonest one shows
+    below = [q for q in corpus.positions(node)
+             if len(q) == depth + 1 or len(q) > depth
+             and data.draw(st.booleans())]
+    assume(below)
+    q = _pick(data, below)
+    changed = replace_at(node, q, _pick(data, _WRAPS)(subterm_at(node, q)))
+    match = match_rule(rule, node)
+    assert (match is None) == (match_rule(rule, changed) is None)
+    if match is not None:
+        local = env_at(env, t, p)
+        assert is_fine_redex(local, changed, rule) == \
+            is_fine_redex(local, node, rule)
+
+
+def test_read_depths_cover_the_copies_of_each_atomization_step():
+    # what rho_case and rho_abort copy sits one below their read depth
+    assert {rule: RULES[rule].depth for rule in ATOMIZATION_RULES} == \
+        {RuleId.rho_case: 2, RuleId.rho_abort: 1}
+    assert Scan(Env(), Var("x"), ATOMIZATION_RULES).depth == 2
+    assert Scan(Env(), Var("x"), rules_of_system(SystemId.F)).depth is None

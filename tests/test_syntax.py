@@ -383,6 +383,20 @@ def test_fill():
     assert fill(TyAppHole(FVar("B")), m) == TyApp(m, FVar("B"))
 
 
+def test_fill_puts_the_premiss_where_the_grammar_has_the_main_premiss():
+    # fill builds each root directly; the grammar inserts the premiss at
+    # the root's first term field among the hole's fields
+    from atomlam.syntax import _HOLES, _SHAPES, AbortHole, CaseHole
+    m, a, b = Var("m"), FVar("A"), FVar("B")
+    holes = [AppHole(Var("n")), ProjHole(2), AbortHole(a), TyAppHole(b),
+             CaseHole("x", a, Var("p"), "y", b, Var("q"), a)]
+    for root, hole in _HOLES.items():
+        [e] = [e for e in holes if type(e) is hole]
+        args = list(_SHAPES[hole].values(e))
+        args.insert(_SHAPES[root].kids[0], m)
+        assert repr(fill(e, m)) == repr(root(*args))
+
+
 def test_split_inverts_fill_and_hole_result_follows_the_connective():
     # (term, hole type, what the context yields, a hole type it rejects)
     cases = [("m n", "A -> B", "B", "A & B"),
