@@ -13,11 +13,7 @@ from .syntax import (Abort, And, App, AppHole, AbortHole, Bot, Case, CaseHole,
                      alpha_eq, canonical_key, encode_bot, encode_or, fill,
                      formula_size, free_type_vars, free_vars, fresh_name,
                      hole_result, match_encoded_or, replace_at, split,
-                     subst_term, subst_type, subterm_at,
-                     # the names from before these took a formula or a term
-                     free_type_vars as free_type_vars_term,
-                     subst_type as subst_type_in_formula,
-                     subst_type as subst_type_in_term)
+                     subst_term, subst_type, subterm_at)
 from .surface import parse_formula, parse_term, print_formula, print_term
 from .typecheck import (Env, SystemId, is_fine_redex, typecheck,
                         typecheck_elim_context)

@@ -432,40 +432,40 @@ def _subst(b, x, node, sort):
     would capture a free name of b is renamed to its smallest primed
     variant free in neither b nor its scope, and other than x. A subterm
     the substitution leaves unchanged is returned itself."""
-    occurrence, plans = _OCCURRENCE[sort], _PLANS[sort]
+    occurrence = _OCCURRENCE[sort]
     if b.__class__ is occurrence and b.name == x:
         return node  # [x/x] is the identity
-    free_b = None  # b's free names, computed at the first binder met
+    if node.__class__ is occurrence:
+        return b if node.name == x else node
+    return _subst_in(node, b, x, sort, occurrence, _PLANS[sort], [None])
 
-    def go(t):
-        nonlocal free_b
-        cls = t.__class__
-        if cls is occurrence:
-            return b if t.name == x else t
-        values, scopes = plans[cls]
-        if not scopes:
-            return t
-        old = values(t)
-        args = None
-        for j, k, _ in scopes:
-            kid = old[j]
-            if k is not None:
-                var = old[k]
-                if var == x:
-                    continue
-                free_b = _free((b,), sort) if free_b is None else free_b
-                if var in free_b and x in _free((kid,), sort):
-                    new = fresh_name(var, free_b | _free((kid,), sort) | {x})
-                    args = args or list(old)
-                    args[k], kid = new, _subst(occurrence(new), var, kid, sort)
-            new = ((b if kid.name == x else kid) if kid.__class__ is occurrence
-                   else go(kid))
-            if new is not old[j]:
+
+def _subst_in(t, b, x, sort, occurrence, plans, free_b):
+    """_subst below a node that is no occurrence; free_b holds b's free
+    names once a binder has asked for them. The state goes in arguments:
+    a closure over itself would leave a reference cycle per call."""
+    values, scopes = plans[t.__class__]
+    if not scopes:
+        return t
+    old, args = values(t), None
+    for j, k, _ in scopes:
+        kid = old[j]
+        if k is not None:
+            var = old[k]
+            if var == x:
+                continue
+            if free_b[0] is None:
+                free_b[0] = _free((b,), sort)
+            if var in free_b[0] and x in _free((kid,), sort):
+                new = fresh_name(var, free_b[0] | _free((kid,), sort) | {x})
                 args = args or list(old)
-                args[j] = new
-        return t if args is None else cls(*args)
-
-    return go(node)
+                args[k], kid = new, _subst(occurrence(new), var, kid, sort)
+        new = ((b if kid.name == x else kid) if kid.__class__ is occurrence
+               else _subst_in(kid, b, x, sort, occurrence, plans, free_b))
+        if new is not old[j]:
+            args = args or list(old)
+            args[j] = new
+    return t if args is None else t.__class__(*args)
 
 
 def subst_term(n: Term, x: str, m: Term) -> Term:

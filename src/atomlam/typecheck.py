@@ -8,9 +8,10 @@ fully annotated), so no unification is needed. Formula equality is
 alpha-equivalence throughout. A term binder that would shadow a declared
 variable is silently alpha-renamed through a renaming map, so subterms
 keep their names and positions. A type binder that would capture a type
-variable free in the environment is renamed by substitution into its body,
-unless the universal-introduction proviso is checked literally
-(strict_proviso), which rejects it.
+variable free in the environment is renamed the same way: the map takes the
+bound variable to its new name, and every formula a node reads (annotations
+and instantiations) is read through it. The proviso of universal
+introduction, checked literally (strict_proviso), rejects such a binder.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .syntax import (TERM_SCOPES, Abort, And, App, Bot, Case, ElimContext,
                      Pair, Proj, Term, TyApp, TyLam, Var, _with_child, fill,
                      formula_children, formula_size, free_type_vars,
                      free_vars, fresh_name, hole_result, is_encoded_bot,
-                     match_encoded_or, subst_type)
+                     match_encoded_or, subst_type, _refill, _PLANS)
 
 
 class SystemId(Enum):
@@ -58,7 +59,7 @@ class Env:
         if name in self._map:
             raise DuplicateDeclaration(f"variable {name!r} declared twice")
         new = object.__new__(Env)
-        new._map, new._ftv = {**self._map, name: formula}, None
+        new._map, new._ftv = {**self._map, name: formula}, (self, formula)
         return new
 
     def lookup(self, name: str):
@@ -77,9 +78,12 @@ class Env:
         return self._map.items()
 
     def free_type_vars(self) -> frozenset:
-        if self._ftv is None:  # asked at every type binder: keep it
-            self._ftv = free_type_vars(*self._map.values())
-        return self._ftv
+        ftv = self._ftv  # None, or (env extended, formula), until asked
+        if ftv.__class__ is not frozenset:  # asked at every type binder
+            self._ftv = ftv = (
+                free_type_vars(*self._map.values()) if ftv is None
+                else ftv[0].free_type_vars() | free_type_vars(ftv[1]))
+        return ftv
 
     def __repr__(self):
         inner = ", ".join(f"{k}: {v!r}" for k, v in self._map.items())
@@ -127,20 +131,25 @@ def typecheck_elim_context(sys: SystemId, env: Env, e: ElimContext,
     return typecheck(sys, env.extend(h, hole_type), fill(e, Var(h)))
 
 
-def _head_fine(kind: str, head_type, payload) -> bool:
+def _head_fine(kind: str, head_type, payload, subs) -> bool:
     """Fineness from the type of a redex's head (None if untypable):
-    'sum' needs the sum encoding of the branch annotations, 'bot' the
-    empty-type encoding."""
+    'sum' needs the sum encoding of the branch annotations, read through
+    the substitutions `subs` in force at the redex, 'bot' the empty-type
+    encoding."""
     if head_type is None:
         return False
     if kind == "sum":
         parts = match_encoded_or(head_type)
-        return (parts is not None and parts[0] == payload["lann"]
-                and parts[1] == payload["rann"])
+        return (parts is not None
+                and parts[0] == _renamed(payload["lann"], subs)
+                and parts[1] == _renamed(payload["rann"], subs))
     return is_encoded_bot(head_type)
 
 
 _NO_RENAMES = {}
+#: the key of a renaming map's type part: the substitutions [b/x] of the
+#: renamed type binders above, as (x, b) in the order they apply
+_TY = None
 
 
 def is_fine_redex(env: Env, m: Term, rule) -> bool:
@@ -162,7 +171,8 @@ def _fine_match(env: Env, rule, payload, ren=_NO_RENAMES) -> bool:
     """is_fine_redex of the match `payload`, typing only the redex's head."""
     kind = _rules.RULES[rule].fineness
     return kind == "always" or _head_fine(
-        kind, Scan(env, payload["head"], (), ren, SystemId.F).root.ty, payload)
+        kind, Scan(env, payload["head"], (), ren, SystemId.F).root.ty, payload,
+        ren.get(_TY, ()))
 
 
 # ------------------------------------------------------- typed traversal
@@ -173,18 +183,20 @@ class _Info:
     has none, its weight `w` and this node's own weight term `pre` (0 if
     the node is no pre-redex). `own` lists the (rule, fine) matches at the
     node in RuleId order; `nfine` counts the fine ones in the subterm.
+    `subs` is the type part of the renaming map it was built in.
 
-    A result depends only on its subterm and on the types of the
-    subterm's free variables (and, under the strict proviso, on the type
-    variables free in the environment), never on the names the
-    environment gives them: the environment in force at a position is
+    A result depends only on its subterm, on the types of the subterm's
+    free variables, on what `subs` does to its free type variables, and
+    on the environment's free type variables (which decide the type
+    binders inside that are renamed), never on the names the environment
+    gives the term variables: the environment in force at a position is
     read off the term on the way down to it (descend, and the views of a
     Scan). So one result can stand at several positions, and a step
     reuses the results of the subterms it copies.
     """
 
     __slots__ = ("term", "kids", "ty", "why", "w", "pre", "own", "nfine",
-                 "free")
+                 "free", "subs")
 
 
 _NO_NAMES = frozenset()
@@ -216,9 +228,10 @@ class _Fail(Exception):
     positioned from the node, or the child whose error comes first."""
 
 
-def _error(info, pos=()):
-    """The first typing error in info's untypable subterm, with its
-    position prefixed by `pos`."""
+def _error(info):
+    """The first typing error in info's untypable subterm, positioned
+    from info."""
+    pos = ()
     while info.why.__class__ is _Info:
         kid = info.why
         pos += (info.kids.index(kid),)
@@ -252,24 +265,31 @@ def _within(sys, *formulas):
 _IPC_ONLY = {Inj: "injection", Case: "case", Abort: "abort"}
 
 
-def _capture(t, env):
-    """The new name of the type binder t, renamed because it would capture
-    a type variable free in env; None if it would not."""
-    ftv = env.free_type_vars()
-    if t.var not in ftv:
-        return None
-    return fresh_name(t.var, ftv | free_type_vars(t.body))
+def _renamed(f, subs):
+    """The formula f read through the substitutions `subs`, in turn, as
+    substitution into each renamed binder's body would have applied them."""
+    for x, b in subs:
+        f = subst_type(FVar(b), x, f)
+    return f
 
 
 def _bind(env, ren, var, ann, body):
-    """Environment and renaming map for a binder's body.
+    """Environment and renaming map for a binder's body. `body` is the
+    scoped term, or its scan result, which keeps the term's free variables
+    (_free_of) and, below a type binder (`ann` None), the map's type part.
 
-    A binder that shadows a declared variable gets the smallest primed
-    variant not declared and not free in the body: the name renaming by
-    substitution gives it, since a free variable that substitution renames
-    is declared, and so is its new name. `body` is the scoped term, or
-    its scan result, which keeps the term's free variables (_free_of).
+    A term binder that shadows a declared variable gets the smallest
+    primed variant not declared and not free in the body: the name
+    renaming by substitution gives it, since a free variable that
+    substitution renames is declared, and so is its new name.
     """
+    subs = ren.get(_TY, ())
+    if ann is None:
+        new = (body.subs if body.__class__ is _Info
+               else _tybind(env, subs, var, body))
+        return env, ren if new is subs else {**ren, _TY: new}
+    if subs:
+        ann = _renamed(ann, subs)
     if var not in env:
         return env.extend(var, ann), ren
     free = _free_of(body) if body.__class__ is _Info else free_vars(body)
@@ -279,17 +299,48 @@ def _bind(env, ren, var, ann, body):
     return env.extend(new, ann), {**ren, var: new}
 
 
+def _tybind(env, subs, var, body):
+    """The substitutions in force in the body of the type binder `var`
+    when `subs` are in force at it: those of subs that reach the body, in
+    turn, as subst_type applies them (the one for var stops at it, and one
+    that would capture renames the binder first), then the binder's own
+    renaming where it would capture a type variable free in env, to the
+    name typecheck gives it."""
+    ftv = env.free_type_vars()
+    if not subs and var not in ftv:
+        return subs
+    free, out = free_type_vars(body), []  # the body's, as renamed so far
+    for x, b in subs:
+        if var != x:
+            if var == b and x in free:
+                new = fresh_name(var, free | {b, x})
+                out.append((var, new))
+                free, var = free - {var} | {new} if var in free else free, new
+            out.append((x, b))
+            if x in free:
+                free = free - {x} | {b}
+    if var in ftv:
+        out.append((var, fresh_name(var, ftv | free)))
+    out = tuple(out)
+    return subs if out == subs else out
+
+
+#: each term class's children as TERM_SCOPES has them, with the body of a
+#: type abstraction scoped by its binder (index 0, no annotation)
+_SCOPES = {**TERM_SCOPES, TyLam: _PLANS[1][TyLam]}
+
+
 def _scope(t, i, env, ren, kid=None):
     """Child i of t, with the environment and renaming map in force in it
     when env and ren are in force at t; `kid` is the child's scan result,
     if there is one."""
-    values, scopes = TERM_SCOPES[t.__class__]
+    values, scopes = _SCOPES[t.__class__]
     if not 0 <= i < len(scopes):
         raise InvalidPath(f"no child {i} at {type(t).__name__}")
     vals, (j, k, a) = values(t), scopes[i]
     if k is None:
         return vals[j], env, ren
-    return (vals[j], *_bind(env, ren, vals[k], vals[a], kid or vals[j]))
+    return (vals[j], *_bind(env, ren, vals[k], a and vals[a], kid or vals[j]))
 
 
 def descend(env: Env, m: Term, pos):
@@ -332,16 +383,22 @@ def _pre_size(t, kids):
 
 
 def _reused(hit, env, ren):
-    """The result of `hit`, a (result, binders, environment, renaming)
-    recorded for a subterm by _record, if each of its free variables has
-    in env and ren the type it had there; else None."""
-    info, binders, was_env, was_ren = hit
-    if env is was_env and not binders:
+    """The result of `hit`, a (result, environment, renaming) recorded for
+    a subterm by _record, if it stands in env and ren as it stood there:
+    each free variable has the same type, the type substitutions, where
+    they differ, leave the subterm alone, and the environment has the same
+    free type variables; else None."""
+    info, was_env, was_ren = hit
+    if env is was_env and ren is was_ren:
         return info
+    subs = ren.get(_TY, ())
+    if subs != info.subs and not free_type_vars(info.term).isdisjoint(
+            [x for x, _ in subs + info.subs]):
+        return None
+    if env.free_type_vars() != was_env.free_type_vars():
+        return None
     for name in _free_of(info):
-        was = (binders[name] if name in binders
-               else _lookup(was_env, was_ren, name))
-        ty = _lookup(env, ren, name)
+        was, ty = _lookup(was_env, was_ren, name), _lookup(env, ren, name)
         if ty is not was and ty != was:
             return None
     return info
@@ -355,19 +412,36 @@ def _below(info, env, ren):
             for i, kid in enumerate(info.kids)]
 
 
-def _record(info, binders, env, ren, depth, out):
+def _walk(info, pos, env, ren, out, post):
+    """`out` with (result, position, environment) appended for info, at
+    pos in env and ren, and for each result below it: in pre-order, or
+    with `post` children first and an application's argument before its
+    function."""
+    kids = list(enumerate(_below(info, env, ren)))
+    if not post:
+        out.append((info, pos, env))
+    elif info.term.__class__ is App:
+        kids.reverse()
+    for i, (kid, kid_env, kid_ren) in kids:
+        _walk(kid, pos + (i,), kid_env, kid_ren, out, post)
+    if post:
+        out.append((info, pos, env))
+    return out
+
+
+def _record(info, env, ren, depth, out):
     """Record in `out`, by the identity of their subterms, the results
-    below info down to `depth` levels, each with the binders between the
-    redex and it ({name: annotation}, innermost last) and the environment
-    and renaming in force at the redex, env and ren."""
+    below info down to `depth` levels, each with the environment and
+    renaming in force at it when env and ren are in force at info."""
     t = info.term
-    values, scopes = TERM_SCOPES[t.__class__]
+    values, scopes = _SCOPES[t.__class__]
     vals = values(t)
     for (_, k, a), kid in zip(scopes, info.kids):
-        inner = binders if k is None else {**binders, vals[k]: vals[a]}
-        out[id(kid.term)] = kid, inner, env, ren
+        kid_env, kid_ren = (env, ren) if k is None else _bind(
+            env, ren, vals[k], a and vals[a], kid)
+        out[id(kid.term)] = kid, kid_env, kid_ren
         if depth > 1 and kid.kids:
-            _record(kid, inner, env, ren, depth - 1, out)
+            _record(kid, kid_env, kid_ren, depth - 1, out)
 
 
 class Scan:
@@ -380,13 +454,15 @@ class Scan:
     `w`). The walk is typed in `system` when one is given (typecheck and
     context typing are views of such a scan), and otherwise in System F
     when a rule's fineness depends on a head's type (rho_*, delta, eps_*);
-    else it types nothing. Binders extend the environment as in redex
-    search; positions are those of the term. A Scan's results are never
-    mutated: `after` returns a new scan that shares every result off the
-    contracted redex's ancestor path, and the results of the subterms the
-    contraction copies. A scan keeps only its last descent (`_trail`: a
-    position, the environments along it and, once found, the results),
-    which the next one resumes from.
+    else it types nothing. Binders extend the environment, and renamed
+    ones the renaming map, as in redex search: a capturing type binder's
+    body is built once, in every kind of scan, with the formulas its nodes
+    read renamed through the map. Positions are those of the term. A
+    Scan's results are never mutated: `after` returns a new scan that
+    shares every result off the contracted redex's ancestor path, and the
+    results of the subterms the contraction copies. A scan keeps only its
+    last descent (`_trail`: a position, the environments along it and,
+    once found, the results), which the next one resumes from.
 
     `depth` is how deep the results' matches, fineness and pre-redex
     tests read: the largest read depth of its rules' RULES rows and of
@@ -411,30 +487,21 @@ class Scan:
     def _build(self, t, env, ren, found=None):
         """t's result in env and ren. With `found` (see _record), a child
         whose subterm has a result there that _reused accepts keeps it."""
-        build = self._build
-        if t.__class__ is TyLam and not self._match and self.typed:
-            # a scan that only types builds a capturing binder's body
-            # renamed, the body typecheck types
-            var = _capture(t, env)
-            body = t.body if var is None else subst_type(
-                FVar(var), t.var, t.body)
-            kids = (build(body, env, ren),)
-        else:
-            values, scopes = TERM_SCOPES[t.__class__]
-            vals, kids = values(t), []
-            for j, k, a in scopes:
-                c = vals[j]
-                if k is None:
-                    kid_env, kid_ren = env, ren
-                else:
-                    kid_env, kid_ren = _bind(env, ren, vals[k], vals[a], c)
-                kid = found and found.get(id(c))
-                if kid:
-                    kid = _reused(kid, kid_env, kid_ren)
-                kids.append(kid or build(c, kid_env, kid_ren, found))
-            kids = tuple(kids)
+        values, scopes = _SCOPES[t.__class__]
+        vals, kids = values(t), []
+        for j, k, a in scopes:
+            c = vals[j]
+            if k is None:
+                kid_env, kid_ren = env, ren
+            else:
+                kid_env, kid_ren = _bind(env, ren, vals[k], a and vals[a], c)
+            kid = found and found.get(id(c))
+            if kid:
+                kid = _reused(kid, kid_env, kid_ren)
+            kids.append(kid or self._build(c, kid_env, kid_ren, found))
         info = _Info()
-        info.term, info.kids, info.free = t, kids, None
+        info.term, info.kids, info.free = t, tuple(kids), None
+        info.subs = ren.get(_TY, ())
         self._finish(info, self._type(info, env, ren) if self.typed else None)
         return info
 
@@ -442,8 +509,9 @@ class Scan:
         """Type of info's subterm, in env and ren, from its children's;
         None, with `info.why` set, where typecheck raises. A node's system
         and annotation checks come first, then each child's error followed
-        by the checks that use its type."""
-        t, kids, sys = info.term, info.kids, self.system
+        by the checks that use its type. The formulas the node carries are
+        read through the substitutions of ren's type part, info.subs."""
+        t, kids, sys, subs = info.term, info.kids, self.system, info.subs
         cls = t.__class__
         try:
             if cls is Var:
@@ -460,17 +528,19 @@ class Scan:
             if cls is TyApp:
                 if sys is SystemId.IPC:
                     raise _Fail(NotInSystem("universal instantiation not in ipc"))
-                if sys is SystemId.FAT and t.arg.__class__ is not FVar:
+                arg = _renamed(t.arg, subs)
+                if sys is SystemId.FAT and arg.__class__ is not FVar:
                     raise _Fail(NonAtomicInstantiation(
-                        f"instantiation with non-atomic formula {t.arg!r}"))
-                _within(sys, t.arg)
+                        f"instantiation with non-atomic formula {arg!r}"))
+                _within(sys, arg)
                 tf = _typed(kids[0])
                 _expect(isinstance(tf, Forall),
                         "instantiated term is not universal", 0, None, tf)
-                return subst_type(t.arg, tf.var, tf.body)
+                return subst_type(arg, tf.var, tf.body)
             if cls is Lam:
-                _within(sys, t.ann)
-                return Imp(t.ann, _typed(kids[0]))
+                ann = _renamed(t.ann, subs)
+                _within(sys, ann)
+                return Imp(ann, _typed(kids[0]))
             if cls is Pair:
                 return And(_typed(kids[0]), _typed(kids[1]))
             if cls is Proj:
@@ -481,47 +551,42 @@ class Scan:
             if cls is TyLam:
                 if sys is SystemId.IPC:
                     raise _Fail(NotInSystem("type abstraction not in ipc"))
-                var = _capture(t, env)
-                if var is None:
-                    return Forall(t.var, _typed(kids[0]))
-                if self.strict_proviso:
+                # under the strict proviso a renamed binder above has failed
+                # already, so only the binder's own variable is in question
+                if self.strict_proviso and t.var in env.free_type_vars():
                     raise _Fail(ForallProvisoViolated(
                         f"type variable {t.var!r} occurs free in the environment"))
-                if not self._match:  # kids[0] is the renamed body's
-                    return Forall(var, _typed(kids[0]))
-                # kids[0] keeps the body's own names for the matches in it;
-                # type the renamed body aside
-                inner = Scan(env, subst_type(FVar(var), t.var, t.body), (),
-                             ren, sys).root
-                if inner.ty is None:
-                    raise _Fail(_error(inner, (0,)))
-                return Forall(var, inner.ty)
+                # the name the body's substitutions give the bound variable
+                var = _renamed(FVar(t.var), kids[0].subs).name
+                return Forall(var, _typed(kids[0]))
             if sys is not SystemId.IPC:
                 raise _Fail(NotInSystem(f"{_IPC_ONLY[cls]} not in {sys.value}"))
             if cls is Inj:
-                _within(sys, t.left, t.right)
-                want, tb = t.left if t.index == 1 else t.right, _typed(kids[0])
+                left, right = _renamed(t.left, subs), _renamed(t.right, subs)
+                _within(sys, left, right)
+                want, tb = left if t.index == 1 else right, _typed(kids[0])
                 _expect(tb == want, "injected term type mismatch", 0, want, tb)
-                return Or(t.left, t.right)
+                return Or(left, right)
+            ann = _renamed(t.ann, subs)
             if cls is Abort:
-                _within(sys, t.ann)
+                _within(sys, ann)
                 tb = _typed(kids[0])
                 _expect(isinstance(tb, Bot),
                         "aborted term is not of the empty type", 0, Bot(), tb)
-                return t.ann
-            _within(sys, t.lann, t.rann, t.ann)
+                return ann
+            lann, rann = _renamed(t.lann, subs), _renamed(t.rann, subs)
+            _within(sys, lann, rann, ann)
             ts = _typed(kids[0])
             _expect(isinstance(ts, Or), "case scrutinee is not a disjunction",
                     0, None, ts)
-            if ts.left != t.lann or ts.right != t.rann:
+            if ts.left != lann or ts.right != rann:
                 raise _Fail(TypeMismatch(
                     "case branch annotations do not match scrutinee",
-                    expected=Or(t.lann, t.rann), found=ts))
+                    expected=Or(lann, rann), found=ts))
             for i, side in ((1, "left"), (2, "right")):
                 tb = _typed(kids[i])
-                _expect(tb == t.ann, f"{side} branch type mismatch", i, t.ann,
-                        tb)
-            return t.ann
+                _expect(tb == ann, f"{side} branch type mismatch", i, ann, tb)
+            return ann
         except _Fail as e:
             info.why = e.args[0]
             return None
@@ -561,7 +626,7 @@ class Scan:
                 head = kids[0]
                 while head.term is not payload["head"]:
                     head = head.kids[0]
-                fine = _head_fine(kind, head.ty, payload)
+                fine = _head_fine(kind, head.ty, payload, info.subs)
             own += ((rule, fine),)
             nfine += fine
         info.own, info.nfine = own, nfine
@@ -574,7 +639,7 @@ class Scan:
         info = _Info()
         info.term = _with_child(parent.term, i, new.term)
         info.kids = kids[:i] + (new,) + kids[i + 1:]
-        info.free, ty = None, parent.ty
+        info.free, info.subs, ty = None, parent.subs, parent.ty
         if retype or ty is None and self.typed:
             ty = self._type(info, *scope)
         self._finish(info, ty)
@@ -584,17 +649,9 @@ class Scan:
 
     def redexes(self) -> list:
         """(position, rule, local env, fine) of every match, pre-order."""
-        out = []
-
-        def walk(info, pos, env, ren):
-            for rule, fine in info.own:
-                out.append((pos, rule, env, fine))
-            for i, (kid, kid_env, kid_ren) in enumerate(
-                    _below(info, env, ren)):
-                walk(kid, pos + (i,), kid_env, kid_ren)
-
-        walk(self.root, (), self.env, _NO_RENAMES)
-        return out
+        return [(pos, rule, env, fine) for info, pos, env in _walk(
+            self.root, (), self.env, _NO_RENAMES, [], False)
+            for rule, fine in info.own]
 
     def fine_redex(self, k: int):
         """(position, rule, local env) of the k-th fine redex in pre-order,
@@ -663,19 +720,8 @@ class Scan:
     def weight_terms(self) -> list:
         """(position, local env, term) of every pre-redex, children first
         and an application's argument before its function."""
-        out = []
-
-        def walk(info, pos, env, ren):
-            kids = list(enumerate(_below(info, env, ren)))
-            if info.term.__class__ is App:
-                kids.reverse()
-            for i, (kid, kid_env, kid_ren) in kids:
-                walk(kid, pos + (i,), kid_env, kid_ren)
-            if info.pre:
-                out.append((pos, env, info.pre))
-
-        walk(self.root, (), self.env, _NO_RENAMES)
-        return out
+        return [(pos, env, info.pre) for info, pos, env in _walk(
+            self.root, (), self.env, _NO_RENAMES, [], True) if info.pre]
 
     # ------------------------------------------------------- one step
 
@@ -708,7 +754,7 @@ class Scan:
         depth, found = _rules.RULES[rule].depth, None
         if depth is not None and not self.strict_proviso:
             found = {}
-            _record(old, {}, env, ren, depth + 1, found)
+            _record(old, env, ren, depth + 1, found)
         hit = found and found.get(id(contractum))
         new = (hit and _reused(hit, env, ren)
                or self._build(contractum, env, ren, found))
@@ -716,6 +762,13 @@ class Scan:
             raise InternalInvariantViolation(
                 f"subject reduction failed: {rule.value} at {list(pos)} "
                 f"changed the type")
+        if (self.typed and ren.get(_TY)
+                and free_type_vars(old.term) != free_type_vars(contractum)):
+            # a renamed type binder above avoids its body's free type
+            # variables, which the step changed: scan afresh
+            root = _refill([p.term for p in path[:-1]], pos, contractum)
+            return Scan(self.env, root, self.rules, scopes[0][1], self.system,
+                        self.strict_proviso)
         out = object.__new__(Scan)
         out.__dict__.update(self.__dict__)
         # the renamed binders above pos keep their names, and the
@@ -744,6 +797,7 @@ class Scan:
             info.term = _with_child(parent.term, i, new.term)
             info.kids = kids[:i] + (new,) + kids[i + 1:]
             info.free, info.ty, info.own = None, parent.ty, parent.own
+            info.subs = parent.subs
             pre = parent.pre
             if pre:
                 size = pre // (1 + parent.w - pre)

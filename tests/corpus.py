@@ -6,7 +6,8 @@ import random
 from atomlam import (Abort, And, App, Bot, Case, Env, Forall, FVar, Imp, Inj,
                      Lam, Or, Pair, Proj, RuleId, SystemId, TyApp, TyLam, Var,
                      encode_bot, encode_or, find_redexes, free_vars,
-                     fresh_name, mk_case, replace_at, subterm_at, typecheck)
+                     fresh_name, mk_case, replace_at, subst_type, subterm_at,
+                     typecheck)
 from atomlam.syntax import term_children
 
 X, Y = FVar("X"), FVar("Y")
@@ -122,9 +123,8 @@ def canon_f(rng, env, target, fat=False):
         return Pair(canon_f(rng, env, target.left, fat),
                     canon_f(rng, env, target.right, fat))
     if isinstance(target, Forall):
-        from atomlam import subst_type_in_formula
         v = fresh_name(target.var, env.free_type_vars())
-        body = subst_type_in_formula(FVar(v), target.var, target.body)
+        body = subst_type(FVar(v), target.var, target.body)
         return TyLam(v, canon_f(rng, env, body, fat))
     bot = _var_of(env, encode_bot())
     if bot is not None:
@@ -160,9 +160,8 @@ def gen_f(rng, env, target, fuel, fat=False):
             if isinstance(target, And):
                 return Pair(gen_f(rng, env, target.left, fuel - 1, fat),
                             gen_f(rng, env, target.right, fuel - 1, fat))
-            from atomlam import subst_type_in_formula
             v = fresh_name(target.var, env.free_type_vars())
-            body = subst_type_in_formula(FVar(v), target.var, target.body)
+            body = subst_type(FVar(v), target.var, target.body)
             return TyLam(v, gen_f(rng, env, body, fuel - 1, fat))
         if pick == "app":
             pool = FAT_POOL if fat else F_POOL

@@ -8,8 +8,7 @@ formula and on every error's class, message, position, expected and found.
 
 from atomlam import (Abort, And, App, Bot, Case, Forall, FVar, Imp, Inj, Lam,
                      Or, Pair, Proj, SystemId, TyApp, TyLam, Var, fresh_name,
-                     free_type_vars_term, free_vars, subst_term,
-                     subst_type_in_formula, subst_type_in_term)
+                     free_type_vars, free_vars, subst_term, subst_type)
 from atomlam.errors import (ForallProvisoViolated, NonAtomicInstantiation,
                             NotInSystem, TypeMismatch, UnboundVariable)
 from atomlam.typecheck import formula_in_system
@@ -26,6 +25,15 @@ def enter_binder(env, var, ann, body):
         return env.extend(var, ann), var, body
     new = fresh_name(var, set(env.names()) | free_vars(body))
     return env.extend(new, ann), new, subst_term(Var(new), var, body)
+
+
+def enter_type_binder(env, var, body):
+    """The name and body of a type binder, alpha-renamed by substitution
+    into its body if var is free in env."""
+    if var not in env.free_type_vars():
+        return var, body
+    new = fresh_name(var, env.free_type_vars() | free_type_vars(body))
+    return new, subst_type(FVar(new), var, body)
 
 
 def reference_typecheck(sys, env, m, strict_proviso=False):
@@ -106,15 +114,11 @@ def reference_typecheck(sys, env, m, strict_proviso=False):
         if isinstance(t, TyLam):
             if sys is SystemId.IPC:
                 raise NotInSystem("type abstraction not in ipc", pos)
-            var, body = t.var, t.body
-            if var in env.free_type_vars():
-                if strict_proviso:
-                    raise ForallProvisoViolated(
-                        f"type variable {var!r} occurs free in the environment",
-                        pos)
-                var = fresh_name(var, env.free_type_vars()
-                                 | free_type_vars_term(body))
-                body = subst_type_in_term(FVar(var), t.var, body)
+            if strict_proviso and t.var in env.free_type_vars():
+                raise ForallProvisoViolated(
+                    f"type variable {t.var!r} occurs free in the environment",
+                    pos)
+            var, body = enter_type_binder(env, t.var, t.body)
             return Forall(var, go(body, env, pos + (0,)))
         if isinstance(t, TyApp):
             if sys is SystemId.IPC:
@@ -127,7 +131,7 @@ def reference_typecheck(sys, env, m, strict_proviso=False):
             if not isinstance(tf, Forall):
                 raise TypeMismatch("instantiated term is not universal",
                                    pos + (0,), expected=None, found=tf)
-            return subst_type_in_formula(t.arg, tf.var, tf.body)
+            return subst_type(t.arg, tf.var, tf.body)
         raise TypeError(f"not a term: {t!r}")
 
     return go(m, env, ())

@@ -395,15 +395,18 @@ def _collapse(t):
 
 
 def _reference_env_and_subterm(env, m, pos):
-    """Walk to pos renaming each shadowing binder by substitution into its
-    body (the reference typechecker's binder handling)."""
-    from atomlam import Case, Lam
+    """Walk to pos renaming each shadowing binder, and each type binder
+    that captures, by substitution into its body (the reference
+    typechecker's binder handling)."""
+    from atomlam import Case, Lam, TyLam
     from atomlam.syntax import term_children
-    from reference_typecheck import enter_binder
+    from reference_typecheck import enter_binder, enter_type_binder
     cur = m
     for i in pos:
         if isinstance(cur, Lam):
             env, _, cur = enter_binder(env, cur.var, cur.ann, cur.body)
+        elif isinstance(cur, TyLam):
+            cur = enter_type_binder(env, cur.var, cur.body)[1]
         elif isinstance(cur, Case) and i:
             var, ann, body = ((cur.lvar, cur.lann, cur.lbody) if i == 1
                               else (cur.rvar, cur.rann, cur.rbody))
@@ -434,20 +437,23 @@ def test_redex_search_matches_substituting_binder_walk():
     # local environments and the fineness flags must be those of renaming
     # by substitution, primed names included. The binder u below shadows
     # the environment's u, and its body mentions the undeclared u', which
-    # the new name must avoid too.
-    from atomlam import Lam, Pair
+    # the new name must avoid too. The type binders X and Y wrapped around
+    # the terms capture the environment's X and Y, and are renamed too.
+    from atomlam import Lam, Pair, TyLam
     rules = rules_of_system(F)
-    renamed = 0
+    renamed = captured = 0
     for env, t in corpus.f_corpus(41, 60) + [
             (e, t) for e, t, _ in corpus.f_redex_corpus(43, 60, rules)]:
         for term in (t, _collapse(t),
-                     Lam("u", FVar("X"), Pair(_collapse(t), Var("u'")))):
+                     Lam("u", FVar("X"), Pair(_collapse(t), Var("u'"))),
+                     TyLam("X", t), TyLam("Y", TyLam("X", _collapse(t)))):
             for r in find_redexes(F, env, term, rules):
                 ref_env, sub = _reference_env_and_subterm(env, term, r.position)
                 assert list(r.local_env.items()) == list(ref_env.items())
                 assert r.fine == _reference_fine(ref_env, sub, r.rule)
                 renamed += any("'" in name for name in r.local_env.names())
-    assert renamed > 100
+                captured += any("'" in v for v in ref_env.free_type_vars())
+    assert renamed > 100 and captured > 100
 
 
 def test_scripted_step_under_a_shadowing_binder_is_not_fine():

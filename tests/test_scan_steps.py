@@ -9,13 +9,15 @@ W and fine count, every weight term and every redex with its position,
 rule, fineness and local environment.
 """
 
+import sys
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from atomlam import (Env, FVar, Forall, Imp, Lam, Pair, Proj, RuleId,
-                     SystemId, TyApp, Var, atomic_nf, encode_bot, encode_or,
-                     is_fine_redex, parse_term, print_term, replace_at,
-                     rp_env, rp_term, subterm_at)
+                     SystemId, TyApp, TyLam, Var, atomic_nf, encode_bot,
+                     encode_or, is_fine_redex, parse_term, print_formula,
+                     print_term, replace_at, rp_env, rp_term, subterm_at)
 import atomlam.rules
 from atomlam.analysis import ATOMIZATION_RULES
 from atomlam.errors import (AtomicInstantiation, InternalInvariantViolation,
@@ -81,6 +83,38 @@ def test_stepped_scans_are_fresh_scans_for_every_f_rule():
                                     for e, m in corpus.ipc_corpus(43, 15)]):
         steps += _check_steps(env, t, rules, "random", i)
     assert steps > 100
+
+
+def test_stepped_scans_are_fresh_scans_under_a_capturing_type_binder(
+        monkeypatch):
+    # tfun X captures the X of k : X, so the map renames X below it: every
+    # step builds its nodes, and reuses its copies, with a type entry in
+    # the map
+    tc = sys.modules[Scan.__module__]
+    reused, check = [], tc._reused
+    monkeypatch.setattr(tc, "_reused", lambda hit, env, ren: reused.append(
+        ren.get(tc._TY)) or check(hit, env, ren))
+    env = Env(list(rp_env(ENV).items()) + [("k", X)])
+    assert _check_steps(env, TyLam("X", rp_term(ladder(2, 1))),
+                        ATOMIZATION_RULES) == 18
+    assert reused and all(subs == (("X", "X'"),) for subs in reused)
+
+
+def test_a_step_that_frees_the_name_a_renamed_type_binder_avoided():
+    # tfun X captures the X of z : X and is renamed X'', away from the X'
+    # free in its body; once beta drops X', it is renamed X', in the
+    # stepped scan as in a fresh one
+    env, rules = Env([("z", X)]), rules_of_system(SystemId.F)
+    t = parse_term("tfun X => (fun d:X' -> X' => fun w:X => (fun v:X => v) w)"
+                   " (fun q:X' => q)")
+    scan = Scan(env, t, rules)
+    assert print_formula(scan.root.ty) == "forall X''. X'' -> X''"
+    stepped = scan.after((0,), RuleId.beta_imp)
+    assert print_formula(stepped.root.ty) == "forall X'. X' -> X'"
+    assert _view(stepped) == _view(Scan(env, stepped.root.term, rules))
+    [local] = [local for _, rule, local, _ in stepped.redexes()
+               if rule is RuleId.beta_imp]
+    assert print_formula(local.lookup("w")) == "X'"
 
 
 def test_stepped_scans_are_fresh_scans_without_typing():
@@ -149,6 +183,21 @@ def test_a_copy_keeps_its_result_under_a_capturing_type_binder():
     assert print_term(stepped.root.term).startswith("tfun Z =>")
     assert _result(stepped, (0, 1, 0, 0, 0)) is _result(scan, (1, 0, 0))
     assert _check_steps(env, t, ATOMIZATION_RULES) == 4
+
+
+def test_a_copy_whose_type_binder_now_captures_is_rebuilt():
+    # rho_case at W -> W binds w : W around the copied branch, so the type
+    # binder W inside it now captures the environment's W and renames it
+    env, rules = Env([("s", SUM), ("u", BOT)]), rules_of_system(SystemId.F)
+    t = parse_term("s [W -> W] <fun x:X => (tfun W => fun p:W =>"
+                   " (fun v:W => v) p) [W], fun y:Y => fun q:W => q>")
+    scan = Scan(env, t, rules)
+    stepped = scan.after((), RuleId.rho_case)
+    assert _view(stepped) == _view(Scan(env, stepped.root.term, rules))
+    assert _result(stepped, (0, 1, 0, 0, 0)) is not _result(scan, (1, 0, 0))
+    [local] = [local for pos, _, local, _ in stepped.redexes()
+               if pos == (0, 1, 0, 0, 0, 0, 0, 0)]
+    assert print_formula(local.lookup("p")) == "W'"
 
 
 def test_a_contraction_that_changes_the_type_is_caught(monkeypatch):

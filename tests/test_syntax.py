@@ -10,7 +10,7 @@ from atomlam import (Abort, And, App, AppHole, Bot, Case, Forall, Formula,
                      encode_or, fill, free_type_vars, free_vars, hole_result,
                      match_encoded_or, parse_formula, parse_term,
                      print_formula, print_term, split, subst_term,
-                     subst_type, subst_type_in_formula, subst_type_in_term)
+                     subst_type)
 
 pf, pt = parse_formula, parse_term
 
@@ -200,21 +200,36 @@ def test_free_names_of_several_nodes_are_the_union(ts):
     assert free_type_vars(*ts) == type_union
 
 
+def test_substitution_leaves_no_reference_cycle():
+    # with the collector off, a substitution into a term with binders
+    # leaves nothing behind for it to collect
+    import gc
+    t = pt("tfun Y => fun w:X -> Y => tfun Z => w [X]")
+    gc.collect()
+    gc.disable()
+    try:
+        assert print_term(subst_type(FVar("Y"), "X", t)) == \
+            "tfun Y' => fun w:Y -> Y' => tfun Z => w [Y]"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_type_subst_in_formula():
-    assert subst_type_in_formula(FVar("Y"), "X", pf("forall X. X")) == pf("forall X. X")
-    assert subst_type_in_formula(pf("Y -> Y"), "X", pf("X & X")) == pf("(Y -> Y) & (Y -> Y)")
+    assert subst_type(FVar("Y"), "X", pf("forall X. X")) == pf("forall X. X")
+    assert subst_type(pf("Y -> Y"), "X", pf("X & X")) == pf("(Y -> Y) & (Y -> Y)")
     # capture avoidance: [X/Y](forall X. Y -> X) renames the binder
-    out = subst_type_in_formula(FVar("X"), "Y", pf("forall X. Y -> X"))
+    out = subst_type(FVar("X"), "Y", pf("forall X. Y -> X"))
     assert out == pf("forall Z. X -> Z")
     assert out != pf("forall X. X -> X")
 
 
 def test_type_subst_in_term():
-    assert alpha_eq(subst_type_in_term(FVar("Y"), "X", pt("fun w:X => w")),
+    assert alpha_eq(subst_type(FVar("Y"), "X", pt("fun w:X => w")),
                     pt("fun w:Y => w"))
-    assert alpha_eq(subst_type_in_term(FVar("Y"), "X", pt("tfun X => fun w:X => w")),
+    assert alpha_eq(subst_type(FVar("Y"), "X", pt("tfun X => fun w:X => w")),
                     pt("tfun X => fun w:X => w"))
-    assert alpha_eq(subst_type_in_term(pf("forall Z. Z"), "X", pt("z [X]")),
+    assert alpha_eq(subst_type(pf("forall Z. Z"), "X", pt("z [X]")),
                     pt("z [forall Z. Z]"))
 
 
@@ -336,7 +351,7 @@ def test_fresh_names_are_pinned():
         ("Y", "X", "forall X. X -> Y", "forall X. X -> Y"),
     ]
     for b, x, a, out in cases:
-        assert print_formula(subst_type_in_formula(pf(b), x, pf(a))) == out
+        assert print_formula(subst_type(pf(b), x, pf(a))) == out
     cases = [
         ("Y", "X", "tfun Y => fun w:X => w [Y]", "tfun Y' => fun w:Y => w [Y']"),
         ("Y & Y'", "X", "tfun Y => tfun Y' => fun w:X -> Y => w [Y']",
@@ -345,7 +360,7 @@ def test_fresh_names_are_pinned():
          "fun w:forall Y'. Y -> Y' => tfun Y => w [Y]"),
     ]
     for b, x, m, out in cases:
-        assert print_term(subst_type_in_term(pf(b), x, pt(m))) == out
+        assert print_term(subst_type(pf(b), x, pt(m))) == out
 
 
 # -------------------------------------------------------------- encodings

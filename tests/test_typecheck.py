@@ -92,19 +92,25 @@ def test_forall_proviso():
 
 
 def test_nested_capturing_type_binders_built_once(monkeypatch):
-    # every binder captures the environment's X and is renamed; typing the
-    # renamed body in place of the original visits each node once
-    from atomlam import Forall, TyLam
+    # every binder captures the environment's X and is renamed through the
+    # scan's map: typing, and redex search in F, visit each node once, in
+    # one scan
+    from atomlam import Forall, TyLam, find_redexes, rules_of_system
     from atomlam.typecheck import Scan
-    builds = []
-    build = Scan._build
+    builds, scans = [], []
+    build, init = Scan._build, Scan.__init__
     monkeypatch.setattr(Scan, "_build",
                         lambda self, *a: builds.append(1) or build(self, *a))
-    t, want = Var("z"), FVar("X")
+    monkeypatch.setattr(Scan, "__init__", lambda self, *a, **k: scans.append(
+        1) or init(self, *a, **k))
+    env, t, want = Env([("z", FVar("X"))]), Var("z"), FVar("X")
     for _ in range(12):
         t, want = TyLam("X", t), Forall("X'", want)
-    assert repr(typecheck(F, Env([("z", FVar("X"))]), t)) == repr(want)
-    assert len(builds) == 13
+    assert repr(typecheck(F, env, t)) == repr(want)
+    assert (len(builds), len(scans)) == (13, 1)
+    del builds[:], scans[:]
+    assert find_redexes(F, env, t, rules_of_system(F)) == []
+    assert (len(builds), len(scans)) == (13, 1)
 
 
 def test_system_of_formula():
@@ -222,6 +228,56 @@ def _outcome(check, sys_id, env, t, strict):
                 repr(getattr(e, "found", None)))
 
 
+def _capturing_chains(rng, count):
+    """Hand-written and seeded terms whose type binders nest over X, X',
+    X'' and Y, in environments that mention X and X' or Y: most binders
+    capture, annotations and instantiations mention both the bound
+    variables and the environment's, and some binders are the target of
+    an outer binder's renaming (tfun X => tfun X' => ... X ...), which
+    substitution renames too."""
+    from atomlam import And, App, Forall, Imp, Lam, Pair, TyApp, TyLam
+    envs = [Env([("z", FVar("X"))]),
+            Env([("z", FVar("X")), ("y", FVar("X'"))]),
+            Env([("z", pf("X -> Y")), ("y", pf("forall X'. X'"))])]
+    out = [(envs[0], pt(text)) for text in (
+        "tfun X => tfun X' => fun w:X -> X' => w",
+        "tfun X => tfun X' => tfun X'' => fun w:X -> X' -> X'' => <w, z>",
+        "tfun X => fun w:forall X'. X' -> X => tfun X' => w [X']",
+        "tfun X => tfun X => fun w:X => fun v:X' => <w, z>",
+        "tfun X => tfun X' => tfun X => fun w:X' -> X => w",
+        "tfun X => (tfun X' => fun w:X -> X' => w) [X]")]
+    out += [(envs[1], t) for _, t in out]
+    names = ["X", "X'", "X''", "Y"]
+
+    def formula(d):
+        r = rng.random()
+        if d == 0 or r < 0.4:
+            return FVar(rng.choice(names))
+        if r < 0.75:
+            return (Imp if r < 0.6 else And)(formula(d - 1), formula(d - 1))
+        return Forall(rng.choice(names), formula(d - 1))
+
+    def term(names_in_scope, d):
+        r = rng.random()
+        if d == 0 or r < 0.2:
+            return Var(rng.choice(names_in_scope))
+        if r < 0.45:
+            return TyLam(rng.choice(names), term(names_in_scope, d - 1))
+        if r < 0.65:
+            v = rng.choice("wvz")
+            return Lam(v, formula(2), term(names_in_scope + [v], d - 1))
+        if r < 0.75:
+            return Pair(term(names_in_scope, d - 1), term(names_in_scope, d - 1))
+        if r < 0.9:
+            return TyApp(term(names_in_scope, d - 1), formula(1))
+        return App(term(names_in_scope, d - 1), term(names_in_scope, d - 1))
+
+    for _ in range(count):
+        env = rng.choice(envs)
+        out.append((env, term(list(env.names()), 6)))
+    return out
+
+
 def test_typecheck_agrees_with_reference_checker():
     # the corpora in each system, their rp/at images and seeded mutants
     # (wrong annotations, unbound variables, non-atomic instantiations,
@@ -235,6 +291,7 @@ def test_typecheck_agrees_with_reference_checker():
              + [(rp_env(e), at_term(t)) for e, t in ipc]
              + corpus.f_corpus(23, 80) + corpus.f_corpus(29, 80, fat=True))
     terms += [(e, corpus.mutant(rng, t)) for e, t in terms for _ in range(4)]
+    terms += _capturing_chains(rng, 400)
     errors = {}
     for env, t in terms:
         for sys_id in (IPC, F, FAT):
