@@ -272,14 +272,15 @@ def residuals(m: Term, p1, rule1: RuleId, p2) -> list:
     if len(p2) <= k or p2[:k] != p1:
         return [p2]
     marked = apply_rule(rule1, replace_at(subterm_at(m, p1), p2[k:], _MARK))
+    return _marks(marked, p1)
 
-    def marks(t, pos):
-        if t.__class__ is Var and t.name == _MARK.name:
-            return [pos]
-        return [q for i, c in enumerate(term_children(t))
-                for q in marks(c, pos + (i,))]
 
-    return marks(marked, p1)
+def _marks(t, pos):
+    """Positions of the markers in t, which sits at pos."""
+    if t.__class__ is Var and t.name == _MARK.name:
+        return [pos]
+    return [q for i, c in enumerate(term_children(t))
+            for q in _marks(c, pos + (i,))]
 
 
 def _leg(env, m, first, scan, other) -> ReductionTrace:
@@ -301,17 +302,13 @@ def _leg(env, m, first, scan, other) -> ReductionTrace:
     return trace
 
 
-def check_local_confluence(env: Env, m: Term,
-                           rules=ATOMIZATION_RULES) -> ConfluenceReport:
+def check_local_confluence(env: Env, m: Term) -> ConfluenceReport:
     """For every pair of distinct fine atomization redexes, build the join:
     each redex, then every residual of the other. Legs that do not meet
     raise InternalInvariantViolation."""
     scan = _atomization_scan(env, m)
-    rules = frozenset(RuleId(x) for x in rules)
-    if not rules <= ATOMIZATION_RULES:
-        raise ValueError("local confluence check covers atomization rules only")
     redexes = [(pos, rule, local) for pos, rule, local, fine in scan.redexes()
-               if fine and rule in rules]
+               if fine]
     contracted = [scan.after(pos, rule) for pos, rule, _ in redexes] \
         if len(redexes) > 1 else []
     report = ConfluenceReport()
@@ -334,16 +331,16 @@ def check_local_confluence(env: Env, m: Term,
 def enumerate_matches(t: Term, rules):
     """(rule, position) pairs for every rule match, pre-order."""
     out = []
-
-    def visit(cur, pos):
-        for rule in rules:
-            if match_rule(rule, cur) is not None:
-                out.append((rule, pos))
-        for i, child in enumerate(term_children(cur)):
-            visit(child, pos + (i,))
-
-    visit(t, ())
+    _collect_matches(t, (), rules, out)
     return out
+
+
+def _collect_matches(t, pos, rules, out):
+    for rule in rules:
+        if match_rule(rule, t) is not None:
+            out.append((rule, pos))
+    for i, child in enumerate(term_children(t)):
+        _collect_matches(child, pos + (i,), rules, out)
 
 
 def search_beta_eta(src: Term, dst: Term, max_depth: int = 32,

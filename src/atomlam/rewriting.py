@@ -90,19 +90,15 @@ def step(sys: SystemId, env: Env, m: Term, r: Redex,
 
 
 def normalize(sys: SystemId, env: Env, m: Term, rules, strategy="leftmost-outermost",
-              max_steps: int = 10000, seed=None, on_step=None) -> ReductionTrace:
+              max_steps: int = 10000, seed=None) -> ReductionTrace:
     """Reduce until no fine redex among `rules` remains.
 
     Raises StepLimitExceeded (carrying the partial trace) at max_steps.
-    `on_step` is called as on_step(trace, redex, before, after) after each
-    step; analysis hooks use it to assert engine invariants.
     """
     strategy = _strategy(strategy)
     scan = Scan(env, m, _validate_rules(sys, rules))
-    hook = None if on_step is None else (
-        lambda trace, r, before, after, _scan: on_step(trace, r, before, after))
     return reduce_scan(scan, ReductionTrace(sys, env, m), strategy, max_steps,
-                       seed, hook)
+                       seed)
 
 
 def _strategy(name):

@@ -106,31 +106,33 @@ _FIELDS = {cls: (shape.values,
            if cls in (Lam, App, Pair, Proj, Inj, Case, Abort)}
 
 
-def _translate(m: Term, case_fn, abort_fn) -> Term:
-    builders = {Lam: Lam, App: App, Pair: Pair, Proj: Proj, Inj: mk_in,
-                Case: case_fn, Abort: abort_fn}
+# each translation's image builder per IPC class
+_RP_BUILDERS = {Lam: Lam, App: App, Pair: Pair, Proj: Proj, Inj: mk_in,
+                Case: mk_case, Abort: mk_abort}
+_AT_BUILDERS = {**_RP_BUILDERS, Case: mk_case_at, Abort: mk_abort_at}
 
-    def go(t):
-        cls = t.__class__
-        if cls is Var:  # a variable is its own image
-            return t
-        build = builders.get(cls)
-        if build is None:
-            raise NotIPCTerm(f"not an IPC term: {t!r}")
-        values, steps = _FIELDS[cls]
-        args = list(values(t))
-        for j, is_term in steps:
-            args[j] = go(args[j]) if is_term else rp_formula(args[j])
-        return build(*args)
 
-    return go(m)
+def _translate(t: Term, builders) -> Term:
+    """The image of t. The recursion takes the builders as an argument: a
+    closure over itself would leave a reference cycle per call."""
+    cls = t.__class__
+    if cls is Var:  # a variable is its own image
+        return t
+    build = builders.get(cls)
+    if build is None:
+        raise NotIPCTerm(f"not an IPC term: {t!r}")
+    values, steps = _FIELDS[cls]
+    args = list(values(t))
+    for j, is_term in steps:
+        args[j] = _translate(args[j], builders) if is_term else rp_formula(args[j])
+    return build(*args)
 
 
 def rp_term(m: Term) -> Term:
     """Translation into F with full universal instantiation."""
-    return _translate(m, mk_case, mk_abort)
+    return _translate(m, _RP_BUILDERS)
 
 
 def at_term(m: Term) -> Term:
     """Translation into Fat: every universal instantiation is atomic."""
-    return _translate(m, mk_case_at, mk_abort_at)
+    return _translate(m, _AT_BUILDERS)

@@ -37,10 +37,6 @@ class SystemId(Enum):
     F = "f"
     FAT = "fat"
 
-    @classmethod
-    def parse(cls, name: str) -> "SystemId":
-        return cls(name.lower())
-
 
 class Env:
     """Ordered map from term variables to formulas; duplicates rejected."""

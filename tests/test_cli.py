@@ -152,6 +152,8 @@ _REDUCE_BOT = ["reduce", "--sys", "f", "--env", "z:forall X.X",
                "--rules", "rho_abort", "z [(X -> X) & X]"]
 _MISSING = str(GOLDEN / "no-such-file")
 _FOLDER = str(GOLDEN)
+_DATA = Path(__file__).parent / "data"
+_NEEDS = "parse error: environment binding needs 'name : formula': "
 
 # (name, argv, exit code, text expected on stderr)
 EXIT_CASES = [
@@ -260,6 +262,34 @@ EXIT_CASES = [
     ("check_fat_shadowing_binder", ["check", "--sys", "fat", "--env", "x:X",
                                     "fun x:Y => (fun y:X => y) x"], 1,
      "type error at [0, 1]: TypeMismatch: argument type mismatch\n"),
+    # a binding is an identifier that is not a keyword, a colon and a
+    # formula, from --env and --env-file alike
+    ("env_without_colon", ["check", "--env", "x", "x"], 2, _NEEDS + "'x'\n"),
+    ("env_empty_name", ["check", "--env", ": Y", "x"], 2, _NEEDS + "': Y'\n"),
+    ("env_keyword_name", ["check", "--env", "fun: X", "x"], 2,
+     _NEEDS + "'fun: X'\n"),
+    ("env_two_names", ["check", "--env", "x y: X", "x"], 2,
+     _NEEDS + "'x y: X'\n"),
+    ("env_name_not_a_token", ["check", "--env", "x-: X", "x"], 2,
+     _NEEDS + "'x-: X'\n"),
+    ("env_file_line_without_colon", ["check", "--env-file",
+                                     str(_DATA / "env_no_colon.txt"), "x"], 2,
+     _NEEDS + "'bad line'\n"),
+    ("env_file_empty_name", ["check", "--env-file",
+                             str(_DATA / "env_empty_name.txt"), "x"], 2,
+     _NEEDS + "': Y'\n"),
+    ("env_file_keyword_name", ["nf", "--env-file",
+                               str(_DATA / "env_keyword_name.txt"), "x"], 2,
+     _NEEDS + "'fun: X'\n"),
+    ("env_primed_name", ["check", "--env", " x' : X", "x'"], 0, ""),
+    # each command's system for the environment: translate reads none
+    ("translate_reads_no_env", ["translate", "--env", "bad", "--target", "rp",
+                                "x"], 0, ""),
+    ("translate_reads_no_env_file", ["translate", "--env-file", _MISSING,
+                                     "--target", "at", "x"], 0, ""),
+    ("nf_env_sum_in_ipc_only", ["nf", "--env", "x: X | Y", "x"], 1,
+     "type error at []: NotInSystem: environment formula of 'x' is not in f: "
+     "X | Y\n"),
 ]
 
 
@@ -333,3 +363,42 @@ def test_env_file_formulas_checked_against_system(tmp_path):
     assert code == 1 and "NotInSystem" in err
     code, out, _ = run_all(["check", "--sys", "ipc", "--env-file", str(envf), "s"])
     assert code == 0 and out.strip() == "X | Y"
+
+
+# one small input per subcommand, the term last
+PIPELINE_CASES = [
+    ["check", "--sys", "ipc", "--env", "x:X", "fun y:Y => x"],
+    ["reduce", "--sys", "f", "--env", "z:forall X.X", "--rules", "rho_abort",
+     "z [X & X]"],
+    ["translate", "--target", "at", "abort[X -> Y] m"],
+    ["nf", "--env", "z:forall X.X", "z [X -> Y]"],
+    ["weight", "--env", "z:forall X.X", "z [(X -> X) & X]"],
+    ["simulate", "--rule", "beta_imp", "--env", "y:X", "(fun x:X => x) y"],
+    ["diagram", "--rule", "varpi_bot", "--env", "u:bot",
+     "abort[X] (abort[bot] u)"],
+]
+
+
+@pytest.mark.parametrize("argv", PIPELINE_CASES,
+                         ids=[argv[0] for argv in PIPELINE_CASES])
+def test_json_opens_with_command_and_input_and_text_agrees(argv):
+    code, text = run(argv)
+    json_code, out = run(argv + ["--format", "json"])
+    assert code == json_code == 0
+    doc = json.loads(out)
+    assert list(doc)[:2] == ["command", "input"]
+    assert (doc["command"], doc["input"]) == (argv[0], argv[-1])
+    lines = text.splitlines()
+    if argv[0] == "check":
+        assert lines == [doc["formula"]] and doc["system"] == "ipc"
+    elif argv[0] == "translate":
+        assert lines == [doc["result"]] == ["fun z:X => m [Y]"]
+    elif argv[0] == "weight":
+        assert lines[0] == f"total weight: {doc['total']}" and doc["total"] > 0
+        assert lines[1:] == [f"  pre-redex at {c['position']}: {c['weight']}"
+                             for c in doc["contributions"]]
+    elif argv[0] == "diagram":
+        assert lines[0] == f"rule {doc['rule']} at {doc['position']}"
+        assert lines[-1] == "verified" and doc["verified"]
+    else:
+        assert lines[-1] == f"result: {doc['result']} [{len(doc['steps'])} steps]"

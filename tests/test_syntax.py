@@ -215,6 +215,27 @@ def test_substitution_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_translations_and_residuals_leave_no_reference_cycle():
+    # the same for both translations of a term with a case, and for the
+    # copies of the abort under the case's rho_case redex in the rp image
+    import gc
+    from atomlam import RuleId, at_term, rp_term
+    from atomlam.analysis import residuals
+    m = pt("case s of { x:X => <x, x> ; y:Y => abort[X & X] u } : X & X")
+    gc.collect()
+    gc.disable()
+    try:
+        image = rp_term(m)
+        assert print_term(image) == \
+            "s [X & X] <fun x:X => <x, x>, fun y:Y => u [X & X]>"
+        assert print_term(at_term(m)).startswith("<s [X] <")
+        assert residuals(image, (), RuleId.rho_case, (1, 1, 0)) == \
+            [(0, 1, 1, 0, 0), (1, 1, 1, 0, 0)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_type_subst_in_formula():
     assert subst_type(FVar("Y"), "X", pf("forall X. X")) == pf("forall X. X")
     assert subst_type(pf("Y -> Y"), "X", pf("X & X")) == pf("(Y -> Y) & (Y -> Y)")
