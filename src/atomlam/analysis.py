@@ -23,8 +23,8 @@ from .errors import (InternalInvariantViolation, NotARedex, NotTypable,
                      StepLimitExceeded, TypingError)
 from .rules import (CONNECTIVES, F_BETA_ETA, RuleId, apply_rule, expansion,
                     match_rule, mk_case)
-from .syntax import (ELIMINATES, Term, Var, canonical_key, fill, replace_at,
-                     subterm_at, term_children)
+from .syntax import (ELIMINATES, Case, Term, Var, canonical_key, fill,
+                     replace_at, subterm_at, term_children)
 from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
                         reduce_scan, shift, step)
 from .translate import RP_CHILD, rp_env, rp_term
@@ -73,13 +73,13 @@ def atomic_nf(env: Env, m: Term, strategy="leftmost-outermost", seed=None):
     scan = _atomization_scan(env, m)
     w = scan.root.w
 
-    def check(trace, redex, before, after, scan):
+    def check(trace, scan):
         last = trace.weights[-1] if trace.weights else w
         wn = scan.root.w
         if wn >= last:
             raise InternalInvariantViolation(
                 f"weight did not decrease: {last} -> {wn} "
-                f"at {list(redex.position)}")
+                f"at {list(trace.steps[-1].position)}")
         trace.weights.append(wn)
 
     trace = ReductionTrace(SystemId.F, env, m)
@@ -92,6 +92,15 @@ def atomic_nf(env: Env, m: Term, strategy="leftmost-outermost", seed=None):
 
 
 # ----------------------------------------------------------- decompositions
+
+def _checked_run(env, m, script, expected, what):
+    """apply_script's trace of `script` from m in F, which must end at
+    `expected`: InternalInvariantViolation "<what> endpoint mismatch"."""
+    trace = apply_script(SystemId.F, env, m, script)
+    if trace.final != expected:
+        raise InternalInvariantViolation(f"{what} endpoint mismatch")
+    return trace
+
 
 def _redex_subterm(m, r, expect_rules):
     if RuleId(r.rule) not in expect_rules:
@@ -113,14 +122,13 @@ def decompose_delta(env: Env, m: Term, r: Redex) -> ReductionTrace:
     contractum = apply_rule(RuleId.delta, sub)
     beta = CONNECTIVES[sub.fun.arg.__class__].beta
     p = r.position
-    # component i is child i of the contractum, a case with branches j
+    # component i is child i of the contractum, an encoded case whose
+    # branch j's body is at RP_CHILD[Case][j]
     script = [(RuleId.rho_case, p)] + [
-        (beta, p + (i, 1, j, 0))
-        for i in range(len(term_children(contractum))) for j in (0, 1)]
-    trace = apply_script(SystemId.F, env, m, script)
-    if trace.final != replace_at(m, p, contractum):
-        raise InternalInvariantViolation("delta decomposition endpoint mismatch")
-    return trace
+        (beta, p + (i,) + RP_CHILD[Case][j])
+        for i in range(len(term_children(contractum))) for j in (1, 2)]
+    return _checked_run(env, m, script, replace_at(m, p, contractum),
+                        "delta decomposition")
 
 
 def decompose_eps(env: Env, m: Term, r: Redex) -> ReductionTrace:
@@ -129,11 +137,9 @@ def decompose_eps(env: Env, m: Term, r: Redex) -> ReductionTrace:
     atom = RuleId.rho_case if r.rule == RuleId.eps_case else RuleId.rho_abort
     beta = CONNECTIVES[ELIMINATES[sub.__class__]].beta
     p = r.position
-    trace = apply_script(SystemId.F, env, m, [(atom, p + (0,)), (beta, p)])
-    expected = replace_at(m, p, apply_rule(r.rule, sub))
-    if trace.final != expected:
-        raise InternalInvariantViolation("eps decomposition endpoint mismatch")
-    return trace
+    return _checked_run(env, m, [(atom, p + (0,)), (beta, p)],
+                        replace_at(m, p, apply_rule(r.rule, sub)),
+                        "eps decomposition")
 
 
 def expand_rho(env: Env, m: Term, r: Redex):
@@ -164,11 +170,9 @@ def expand_rho(env: Env, m: Term, r: Redex):
         script = [(RuleId.eps_abort, p + (i,))
                   for i in range(len(term_children(sub_eta)))]
     expanded = replace_at(m, p, sub_eta)
-    trace = apply_script(SystemId.F, env, expanded, script)
-    expected = replace_at(m, p, apply_rule(r.rule, sub))
-    if trace.final != expected:
-        raise InternalInvariantViolation("expansion witness endpoint mismatch")
-    return expanded, trace
+    return expanded, _checked_run(env, expanded, script,
+                                  replace_at(m, p, apply_rule(r.rule, sub)),
+                                  "expansion witness")
 
 
 # -------------------------------------------------------- strict simulation
@@ -234,10 +238,7 @@ def _simulation(renv: Env, m: Term, r: Redex, m_rp: Term, n_rp: Term):
     """simulate_step's trace for m and r, checked by _ipc_redex, from
     renv = rp_env(env) and the images m_rp, n_rp of m and of its reduct."""
     script = shift(_ROOT_SIM[RuleId(r.rule)], rp_position(m, r.position))
-    trace = apply_script(SystemId.F, renv, m_rp, script)
-    if trace.final != n_rp:
-        raise InternalInvariantViolation("simulation endpoint mismatch")
-    return trace
+    return _checked_run(renv, m_rp, script, n_rp, "simulation")
 
 
 # ------------------------------------------------------- local confluence
@@ -328,38 +329,24 @@ def check_local_confluence(env: Env, m: Term) -> ConfluenceReport:
 
 # ------------------------------------------------------ beta-eta path search
 
-def enumerate_matches(t: Term, rules):
-    """(rule, position) pairs for every rule match, pre-order."""
-    out = []
-    _collect_matches(t, (), rules, out)
-    return out
+#: the search's bounds: the longest path, and the terms it expands
+_MAX_DEPTH, _MAX_NODES = 32, 20000
 
 
-def _collect_matches(t, pos, rules, out):
-    for rule in rules:
-        if match_rule(rule, t) is not None:
-            out.append((rule, pos))
-    for i, child in enumerate(term_children(t)):
-        _collect_matches(child, pos + (i,), rules, out)
-
-
-def search_beta_eta(src: Term, dst: Term, max_depth: int = 32,
-                    max_nodes: int = 20000):
+def search_beta_eta(src: Term, dst: Term):
     """Breadth-first search for a detour/eta reduction path src ->* dst in
     the polymorphic systems; returns a (rule, position) script or None."""
     if src == dst:
         return []
-    rules = sorted(F_BETA_ETA, key=lambda r: r.value)
-    start_key = canonical_key(src)
-    seen = {start_key}
+    seen = {canonical_key(src)}
     queue = deque([(src, [])])
     expanded = 0
-    while queue and expanded < max_nodes:
+    while queue and expanded < _MAX_NODES:
         cur, script = queue.popleft()
-        if len(script) >= max_depth:
+        if len(script) >= _MAX_DEPTH:
             continue
         expanded += 1
-        for rule, pos in enumerate_matches(cur, rules):
+        for pos, rule, _, _ in Scan(Env(), cur, F_BETA_ETA).redexes():
             nxt = replace_at(cur, pos, apply_rule(rule, subterm_at(cur, pos)))
             if nxt == dst:
                 return script + [(rule, pos)]

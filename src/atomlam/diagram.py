@@ -29,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantViolation, NotARedex, RuleNotApplicable
-from .rules import CONNECTIVES, F_BETA_ETA, RuleId, expansion, rules_of_system
-from .syntax import Abort, Case, FVar, Term, hole_result, term_children
+from .rules import (CONNECTIVES, F_BETA_ETA, RULES, RuleId, expansion,
+                    rules_of_system)
+from .syntax import (ELIMINATES, Abort, Case, FVar, Term, hole_result,
+                     subterm_at, term_children)
 from .rewriting import Redex, apply_script, replay, shift, step
 from .translate import RP_CHILD, at_term, rp_env, rp_formula, rp_term
 from .typecheck import Env, SystemId
@@ -87,7 +89,7 @@ def at_copy_positions(m: Term, path):
     if type(m) not in RP_CHILD:
         raise NotARedex(f"no context mapping through {type(m).__name__}")
     i, rest = path[0], tuple(path[1:])
-    tails = at_copy_positions(term_children(m)[i], rest)
+    tails = at_copy_positions(subterm_at(m, (i,)), rest)
     head = RP_CHILD[type(m)][i]
     if isinstance(m, (Case, Abort)):
         heads = _unfold_holes(rp_formula(m.ann), head, () if i == 0 else (0,))
@@ -151,8 +153,8 @@ def _nested_scripts(c, eps, leaf, counts, below=()):
              for p in _unfold_holes(ci, RP_CHILD[Case][j], (0,))]
     counts.append((type(c).__name__.lower(), len(holes), 2 * len(parts)))
     admins = [(CONNECTIVES[type(c)].beta, p, True) for p in holes]
-    rhsp = [(RuleId.rho_case, ())] + [(eps, (i, 1, j, 0)) for i, _ in parts
-                                      for j in (0, 1)]
+    rhsp = [(RuleId.rho_case, ())] + [(eps, (i,) + RP_CHILD[Case][j])
+                                      for i, _ in parts for j in (1, 2)]
     for i, ci in parts:
         below_admins, below_rhsp = _nested_scripts(ci, eps, leaf, counts,
                                                    below + (0,))
@@ -162,29 +164,22 @@ def _nested_scripts(c, eps, leaf, counts, below=()):
 
 
 def _commuted_scripts(rule, sub, counts):
-    """The scripts of the pi_or or pi_bot redex `sub`; at an atomic result
-    formula, rhsp bridges the parts under the outer case (pi_or) or abort
-    (pi_bot)."""
-    inner = sub.scrut if rule is RuleId.pi_or else sub.body
-    bm, bp1, bp2 = (bridge_script(t)
-                    for t in (inner.scrut, inner.lbody, inner.rbody))
-    if rule is RuleId.pi_or:
-        bq1, bq2 = bridge_script(sub.lbody), bridge_script(sub.rbody)
+    """The scripts of the pi_or or pi_bot redex `sub`, whose child 0 is
+    the inner case; at an atomic result formula, rhsp bridges the inner
+    scrutinee and, in each inner branch, the outer node's children, with
+    the branch body as child 0 and the others under the levels `below`."""
+    inner, outer = term_children(sub)[0], RP_CHILD[type(sub)]
+    bm, *bp = (bridge_script(t) for t in term_children(inner))
+    bq = [bridge_script(t) for t in term_children(sub)[1:]]
 
-        def leaf(below):
-            return (shift(bm, (0, 0))
-                    + shift(bp1, (1, 0, 0, 0, 0))
-                    + shift(bq1, (1, 0, 0, 1, 0, 0) + below)
-                    + shift(bq2, (1, 0, 0, 1, 1, 0) + below)
-                    + shift(bp2, (1, 1, 0, 0, 0))
-                    + shift(bq1, (1, 1, 0, 1, 0, 0) + below)
-                    + shift(bq2, (1, 1, 0, 1, 1, 0) + below))
-        eps = RuleId.eps_case
-    else:
-        def leaf(below):
-            return (shift(bm, (0, 0)) + shift(bp1, (1, 0, 0, 0))
-                    + shift(bp2, (1, 1, 0, 0)))
-        eps = RuleId.eps_abort
+    def leaf(below):
+        script = shift(bm, RP_CHILD[Case][0])
+        for branch, body in zip(RP_CHILD[Case][1:], bp):
+            script += shift(body, branch + outer[0])
+            for at, payload in zip(outer[1:], bq):
+                script += shift(payload, branch + at + below)
+        return script
+    eps = RuleId.eps_case if rule is RuleId.pi_or else RuleId.eps_abort
     return _nested_scripts(rp_formula(sub.ann), eps, leaf, counts)
 
 
@@ -196,10 +191,6 @@ def _commuted_scripts(rule, sub, counts):
 # result formula (pi_or and pi_bot as varpi_or and varpi_bot); the sum
 # detour then closes each level by its eta step.
 
-_AT_ROOT = {RuleId.pi_imp: [(RuleId.beta_imp, ())],
-            RuleId.varpi_imp: [(RuleId.beta_imp, ())],
-            RuleId.pi_and: [(RuleId.beta_and, ())],
-            RuleId.varpi_and: [(RuleId.beta_and, ())]}
 # a sum detour at a leaf is the one the simulation takes
 _AT_LEAVES = {RuleId.beta_or: _ROOT_SIM[RuleId.beta_or],
               RuleId.varpi_or: [(RuleId.beta_all, (0,)), (RuleId.beta_imp, ())],
@@ -219,9 +210,11 @@ def _detour_script(c, leaf, eta):
 
 
 def _detour_leg(rule, sub):
-    """The per-copy script q1 ->> q2 of the redex `sub`."""
-    if rule in _AT_ROOT:
-        return _AT_ROOT[rule]
+    """The per-copy script q1 ->> q2 of the redex `sub`: at the root, the
+    beta rule of the connective the rule's root eliminates, if it has one."""
+    row = CONNECTIVES.get(ELIMINATES[RULES[rule].roots[0]])
+    if row is not None:
+        return [(row.beta, ())]
     return _detour_script(rp_formula(sub.ann), _AT_LEAVES[rule],
                           rule is RuleId.beta_or)
 

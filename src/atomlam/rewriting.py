@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotFine, StaleRedex, StepLimitExceeded
 from .rules import RULES, RuleId, match_rule, rules_of_system
-from .syntax import Term, _refill, replace_at, subterm_at
+from .syntax import InvalidPath, Term, _refill, replace_at, subterm_at
 from .typecheck import Env, Scan, SystemId, _fine_match, descend
 
 STRATEGIES = ("leftmost-outermost", "leftmost-innermost", "random")
@@ -95,7 +95,6 @@ def normalize(sys: SystemId, env: Env, m: Term, rules, strategy="leftmost-outerm
 
     Raises StepLimitExceeded (carrying the partial trace) at max_steps.
     """
-    strategy = _strategy(strategy)
     scan = Scan(env, m, _validate_rules(sys, rules))
     return reduce_scan(scan, ReductionTrace(sys, env, m), strategy, max_steps,
                        seed)
@@ -111,8 +110,8 @@ def _strategy(name):
 def reduce_scan(scan: Scan, trace: ReductionTrace, strategy, max_steps, seed,
                 on_step=None) -> ReductionTrace:
     """Contract fine redexes of `scan` by `strategy` until none is left,
-    appending each step to `trace` (see normalize); on_step(trace, redex,
-    before, after, scan after the step) runs after each step.
+    appending each step to `trace` (see normalize); on_step(trace, scan
+    after the step) runs after each step.
 
     Leftmost-outermost takes the first fine redex in (position, RuleId)
     order, leftmost-innermost the first with no fine redex below it, and
@@ -120,7 +119,6 @@ def reduce_scan(scan: Scan, trace: ReductionTrace, strategy, max_steps, seed,
     """
     strategy = _strategy(strategy)
     rng = random.Random(seed)
-    current = scan.root.term
     while scan.root.nfine:
         if len(trace.steps) >= max_steps:
             raise StepLimitExceeded(f"no normal form within {max_steps} steps", trace)
@@ -131,11 +129,9 @@ def reduce_scan(scan: Scan, trace: ReductionTrace, strategy, max_steps, seed,
                 range(scan.root.nfine))
             pos, rule, local = scan.fine_redex(k)
         scan = scan.after(pos, rule)
-        nxt = scan.root.term
-        trace.steps.append(TraceStep(rule, pos, local, nxt, True))
+        trace.steps.append(TraceStep(rule, pos, local, scan.root.term, True))
         if on_step is not None:
-            on_step(trace, Redex(pos, rule, local, True), current, nxt, scan)
-        current = nxt
+            on_step(trace, scan)
     return trace
 
 
@@ -171,12 +167,16 @@ def apply_script(sys: SystemId, env: Env, m: Term, script,
 
 def replay(trace: ReductionTrace) -> bool:
     """True iff each recorded step, re-applied at its position to the
-    recorded term before it, reproduces the recorded result up to alpha.
-    An engine trace shares what a step leaves with the term before, so
-    each check walks only the step's path and contractum."""
+    recorded term before it, reproduces the recorded result up to alpha;
+    False also at a position off that term. An engine trace shares what a
+    step leaves with the term before, so each check walks only the step's
+    path and contractum."""
     current = trace.initial
     for s in trace.steps:
-        sub = subterm_at(current, s.position)
+        try:
+            sub = subterm_at(current, s.position)
+        except InvalidPath:
+            return False
         if match_rule(s.rule, sub) is None or replace_at(
                 current, s.position, RULES[s.rule].contract(sub)) != s.result:
             return False
@@ -184,12 +184,8 @@ def replay(trace: ReductionTrace) -> bool:
     return True
 
 
-def shift(script, prefix, admin=None):
+def shift(script, prefix):
     """Shift a (rule, position[, admin]) script under a position prefix."""
     prefix = tuple(prefix)
-    out = []
-    for instr in script:
-        rule, pos = instr[0], prefix + tuple(instr[1])
-        a = instr[2] if len(instr) > 2 else False
-        out.append((rule, pos, a if admin is None else admin))
-    return out
+    return [(instr[0], prefix + tuple(instr[1]),
+             instr[2] if len(instr) > 2 else False) for instr in script]

@@ -429,12 +429,7 @@ def _record(info, env, ren, depth, out):
     """Record in `out`, by the identity of their subterms, the results
     below info down to `depth` levels, each with the environment and
     renaming in force at it when env and ren are in force at info."""
-    t = info.term
-    values, scopes = _SCOPES[t.__class__]
-    vals = values(t)
-    for (_, k, a), kid in zip(scopes, info.kids):
-        kid_env, kid_ren = (env, ren) if k is None else _bind(
-            env, ren, vals[k], a and vals[a], kid)
+    for kid, kid_env, kid_ren in _below(info, env, ren):
         out[id(kid.term)] = kid, kid_env, kid_ren
         if depth > 1 and kid.kids:
             _record(kid, kid_env, kid_ren, depth - 1, out)
@@ -627,20 +622,6 @@ class Scan:
             nfine += fine
         info.own, info.nfine = own, nfine
 
-    def _above(self, parent, i, new, scope, retype):
-        """parent's result with child i's replaced by `new`, matched again;
-        typed again if parent has no type, or if `retype`, in `scope`, the
-        (environment, renaming) in force at parent."""
-        kids = parent.kids
-        info = _Info()
-        info.term = _with_child(parent.term, i, new.term)
-        info.kids = kids[:i] + (new,) + kids[i + 1:]
-        info.free, info.subs, ty = None, parent.subs, parent.ty
-        if retype or ty is None and self.typed:
-            ty = self._type(info, *scope)
-        self._finish(info, ty)
-        return info
-
     # ------------------------------------------------------------ views
 
     def redexes(self) -> list:
@@ -659,7 +640,7 @@ class Scan:
                 if fine:
                     if k == 0:
                         pos = tuple(pos)
-                        return pos, rule, self._envs(pos, path)[-1][0]
+                        return pos, rule, self._along(pos, path)[1][-1][0]
                     k -= 1
             for i, kid in enumerate(info.kids):
                 if k < kid.nfine:
@@ -684,22 +665,26 @@ class Scan:
                 for rule, fine in path[-1].own:
                     if fine:
                         pos = tuple(pos)
-                        return pos, rule, self._envs(pos, path)[-1][0]
+                        return pos, rule, self._along(pos, path)[1][-1][0]
                 raise IndexError("no fine redex")
 
     def env_at(self, pos) -> Env:
         """The environment in force at `pos`."""
-        path = [self.root]
-        for i in pos:
-            path.append(path[-1].kids[i])
-        return self._envs(pos, path)[-1][0]
+        return self._along(pos)[1][-1][0]
 
-    def _envs(self, pos, path):
-        """The (environment, renaming) in force at each node of `path`,
-        the results along pos, root first. The descent resumes below the
-        longest prefix pos shares with the last one made on this scan, or
-        inherited from the step that made it (see after)."""
-        last, scopes, _ = self._trail
+    def _along(self, pos, path=None):
+        """The results along pos, root first (`path`, if the caller has
+        them), and the (environment, renaming) in force at each. The
+        descent resumes below the longest prefix pos shares with the last
+        one made on this scan, or inherited from the step that made it
+        (see after); a descent to pos itself (fine_redex's) is reused."""
+        last, scopes, last_path = self._trail
+        if last is pos and last_path is not None:
+            return last_path, scopes
+        if path is None:
+            path = [self.root]
+            for i in pos:
+                path.append(path[-1].kids[i])
         n = len(last)
         if pos[:n] != last:
             n = 0
@@ -711,7 +696,7 @@ class Scan:
                                  path[level + 1])
             scopes.append((env, ren))
         self._trail = pos, scopes, path
-        return scopes
+        return path, scopes
 
     def weight_terms(self) -> list:
         """(position, local env, term) of every pre-redex, children first
@@ -730,18 +715,14 @@ class Scan:
         read depth) keeps its result wherever each of its free variables
         keeps its type. The contractum must have the redex's type (subject
         reduction), and InternalInvariantViolation is raised if it does
-        not. The ancestors keep their types (untypable ones are typed
-        again, to record why from the new children); those within the
-        scan's depth of `pos` are matched again, and the others keep their
-        matches and pre-redex tests and recombine only w, pre and nfine.
+        not. The ancestors keep their types, but untypable ones (all of
+        them if the redex is) are typed again, to record why from the new
+        children. Those and the ones within the scan's depth of `pos` are
+        matched again; the others keep their matches and pre-redex tests
+        and recombine only w, pre and nfine.
         """
         rule = rule if rule.__class__ is _rules.RuleId else _rules.RuleId(rule)
-        last, scopes, path = self._trail
-        if last is not pos or path is None:  # not just found by fine_redex
-            path = [self.root]
-            for i in pos:
-                path.append(path[-1].kids[i])
-            scopes = self._envs(pos, path)
+        path, scopes = self._along(pos)
         old, (env, ren) = path[-1], scopes[-1]
         if (rule, True) in old.own or (rule, False) in old.own:
             contractum = _rules.RULES[rule].contract(old.term)
@@ -772,35 +753,32 @@ class Scan:
         out._trail = ((pos, scopes, None)
                       if not ren or _free_of(old) == _free_of(new)
                       else ((), scopes[:1], None))
-        retype = self.typed and old.ty is None
-        far = 0 if self.depth is None else max(len(pos) - self.depth, 0)
-        for level in range(len(pos) - 1, far - 1, -1):
-            new = self._above(path[level], pos[level], new, scopes[level],
-                              retype)
-        # above the scan's depth from pos the types, matches and pre-redex
-        # tests stay, and the changes of W and nfine carry up. W is sub +
-        # pre, where sub is the children's W and pre = |C| * (1 + sub) at
-        # a pre-redex (else 0), so |C| is read back off the old w and pre.
-        dw, dn = new.w - path[far].w, new.nfine - path[far].nfine
-        for level in range(far - 1, -1, -1):
+        # the parent lies within the scan's depth of pos, so dw and dn are
+        # set before they carry up. W is sub + pre, where sub is the
+        # children's W and pre = |C| * (1 + sub) at a pre-redex (else 0),
+        # so |C| is read back off the old w and pre.
+        far = 0 if self.depth is None else len(pos) - self.depth
+        for level in range(len(pos) - 1, -1, -1):
             parent, i = path[level], pos[level]
-            if retype or parent.ty is None and self.typed:
-                new = self._above(parent, i, new, scopes[level], retype)
-                dw, dn = new.w - parent.w, new.nfine - parent.nfine
-                continue
             kids = parent.kids
             info = _Info()
             info.term = _with_child(parent.term, i, new.term)
             info.kids = kids[:i] + (new,) + kids[i + 1:]
-            info.free, info.ty, info.own = None, parent.ty, parent.own
-            info.subs = parent.subs
-            pre = parent.pre
-            if pre:
-                size = pre // (1 + parent.w - pre)
-                pre += size * dw
-                dw *= size + 1
-            info.w, info.pre = parent.w + dw, pre
-            info.nfine = parent.nfine + dn
+            info.free, info.subs, ty = None, parent.subs, parent.ty
+            retype = ty is None and self.typed
+            if retype:
+                ty = self._type(info, *scopes[level])
+            if retype or level >= far:
+                self._finish(info, ty)
+                dw, dn = info.w - parent.w, info.nfine - parent.nfine
+            else:
+                info.ty, info.own, pre = ty, parent.own, parent.pre
+                if pre:
+                    size = pre // (1 + parent.w - pre)
+                    pre += size * dw
+                    dw *= size + 1
+                info.w, info.pre = parent.w + dw, pre
+                info.nfine = parent.nfine + dn
             new = info
         out.root = new
         return out

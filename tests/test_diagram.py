@@ -4,10 +4,11 @@ import random
 import pytest
 
 from atomlam import (Abort, And, Case, Env, FVar, RuleId, SystemId, Var,
-                     alpha_eq, at_term, find_redexes, parse_formula,
-                     parse_term, replay, rp_term, step, subterm_at, typecheck)
+                     alpha_eq, apply_script, at_term, find_redexes,
+                     parse_formula, parse_term, replay, rp_term, step,
+                     subterm_at, typecheck)
 import atomlam.diagram
-from atomlam.syntax import Term
+from atomlam.syntax import InvalidPath, Term
 from atomlam.diagram import (OR_BOT_RULES, at_copy_positions, build_diagram)
 from atomlam.errors import RuleNotApplicable
 
@@ -136,6 +137,21 @@ def test_a_broken_shared_leg_is_reported_under_each_of_its_names():
     bridge.steps[0] = dataclasses.replace(bridge.steps[0], result=Var("z"))
     assert d.verify() == ["m_rp->m_at: does not replay",
                           "m_rp->q1: does not replay"]
+
+
+def test_a_step_off_its_term_is_reported_as_not_replaying():
+    env, t, r, d = _diagram_for(RuleId.pi_or)
+    leg = d.legs["q1->q2"]
+    leg.steps[0] = dataclasses.replace(leg.steps[0], position=(5,))
+    assert d.verify() == ["q1->q2: does not replay"]
+
+
+@pytest.mark.parametrize("text, path", [
+    ("x", (0,)), ("f x", (2,)),
+    ("case s of { x:X => x ; y:Y => abort[X] u } : X", (3,))])
+def test_a_copy_path_off_the_term_is_an_invalid_path(text, path):
+    with pytest.raises(InvalidPath, match=f"no child {path[0]}"):
+        at_copy_positions(pt(text), path)
 
 
 def test_duplicating_context():
@@ -290,8 +306,9 @@ def test_constructed_legs_are_as_short_as_the_search():
         for cp in at_copy_positions(t, r.position):
             mine = [s for s in d.legs["q1->q2"].steps
                     if s.position[:len(cp)] == cp]
-            path = search_beta_eta(subterm_at(d.m_at, cp),
-                                   subterm_at(d.n_at, cp))
+            src, dst = subterm_at(d.m_at, cp), subterm_at(d.n_at, cp)
+            path = search_beta_eta(src, dst)
             assert path is not None and len(path) == len(mine), (r.rule, cp)
+            assert apply_script(SystemId.F, Env(), src, path).final == dst
             checked += 1
     assert checked >= 100

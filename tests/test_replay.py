@@ -7,10 +7,10 @@ import dataclasses
 import random
 from collections import Counter
 
-from atomlam import (ReductionTrace, RuleId, SystemId, apply_rule,
+from atomlam import (Env, FVar, ReductionTrace, RuleId, SystemId, apply_rule,
                      atomic_nf, find_redexes, fresh_name, normalize,
-                     replace_at, replay, rp_env, rp_term, simulate_step,
-                     subterm_at)
+                     parse_term, replace_at, replay, rp_env, rp_term,
+                     simulate_step, subterm_at)
 from atomlam import analysis, diagram, rewriting, syntax
 from atomlam.rules import F_BETA_ETA, match_rule, rules_of_system
 from atomlam.syntax import formula_children, term_children
@@ -100,6 +100,13 @@ def test_a_moved_position_does_not_replay():
                 assert not replay(_with_step(tr, k, position=p))
                 checked += 1
     assert checked > 300
+
+
+def test_a_position_off_the_term_does_not_replay():
+    trace = normalize(IPC, Env([("y", FVar("X"))]),
+                      parse_term("(fun x:X => x) y"), {RuleId.beta_imp})
+    assert replay(trace)
+    assert not replay(_with_step(trace, 0, position=(5,)))
 
 
 # ---------------------------------------------------- renaming binders

@@ -49,10 +49,10 @@ def _check_steps(env, m, rules, strategy="leftmost-outermost", seed=None,
     """Reduce m by `rules` with a kept scan, comparing every `every`-th
     stepped scan with a fresh one; the number of steps."""
 
-    def check(trace, redex, before, after, scan):
+    def check(trace, scan):
         if len(trace.steps) % every == 0:
-            assert _view(scan) == _view(Scan(env, after, rules)), \
-                (len(trace.steps), redex)
+            assert _view(scan) == _view(Scan(env, trace.final, rules)), \
+                (len(trace.steps), trace.steps[-1])
 
     trace = reduce_scan(Scan(env, m, rules), ReductionTrace(SystemId.F, env, m),
                         strategy, 10 ** 5, seed, check)
@@ -122,6 +122,19 @@ def test_stepped_scans_are_fresh_scans_without_typing():
     for i, (env, t) in enumerate(corpus.ipc_corpus(47, 30)):
         steps += _check_steps(env, t, rules, "random", i)
     assert steps > 30
+
+
+@pytest.mark.parametrize("text, steps", [
+    # the redex itself is untypable: its ancestors are typed again
+    ("s [X & X] <fun x:X => z [X & X], fun y:Y => w>", 3),
+    # steps below an untypable ancestor
+    ("(fun q:X => q) (s [X & X] <fun x:X => <x, x>, fun y:Y => z [X & X]>)",
+     3),
+    ("<w w, s [(X -> X) & X] <fun x:X => <fun a:X => x, x>,"
+     " fun y:Y => z [(X -> X) & X]>>", 6)])
+def test_stepped_scans_are_fresh_scans_on_untypable_terms(text, steps):
+    env = Env([("s", encode_or(X, Y)), ("z", encode_bot()), ("w", Y)])
+    assert _check_steps(env, parse_term(text), ATOMIZATION_RULES) == steps
 
 
 # ------------------------------------------------- reusing copied results
