@@ -179,20 +179,23 @@ class _Info:
     has none, its weight `w` and this node's own weight term `pre` (0 if
     the node is no pre-redex). `own` lists the (rule, fine) matches at the
     node in RuleId order; `nfine` counts the fine ones in the subterm.
-    `subs` is the type part of the renaming map it was built in.
+    `subs` is the type part of the renaming map it was built in, and
+    `tyb` whether the subterm has a type binder inside (_tyb_of).
 
     A result depends only on its subterm, on the types of the subterm's
     free variables, on what `subs` does to its free type variables, and
     on the environment's free type variables (which decide the type
-    binders inside that are renamed), never on the names the environment
-    gives the term variables: the environment in force at a position is
-    read off the term on the way down to it (descend, and the views of a
-    Scan). So one result can stand at several positions, and a step
-    reuses the results of the subterms it copies.
+    binders inside that are renamed, so only where it has one), never on
+    the names the environment gives the term variables: the environment
+    in force at a position is read off the term on the way down to it
+    (descend, and the views of a Scan). So one result can stand at
+    several positions, and a step reuses the results of the subterms it
+    copies, and those of the contractions made before on the same redex
+    object.
     """
 
     __slots__ = ("term", "kids", "ty", "why", "w", "pre", "own", "nfine",
-                 "free", "subs")
+                 "free", "subs", "tyb")
 
 
 _NO_NAMES = frozenset()
@@ -217,6 +220,16 @@ def _free_of(info):
                 free = free | below if free else below
         info.free = free
     return free
+
+
+def _tyb_of(info):
+    """Whether info's subterm has a type binder inside, kept on info
+    (`tyb`) once asked for: _reused asks for each result it reuses."""
+    tyb = info.tyb
+    if tyb is None:
+        tyb = info.tyb = info.term.__class__ is TyLam or any(
+            _tyb_of(kid) for kid in info.kids)
+    return tyb
 
 
 class _Fail(Exception):
@@ -383,7 +396,8 @@ def _reused(hit, env, ren):
     a subterm by _record, if it stands in env and ren as it stood there:
     each free variable has the same type, the type substitutions, where
     they differ, leave the subterm alone, and the environment has the same
-    free type variables; else None."""
+    free type variables where a type binder inside reads them; else
+    None."""
     info, was_env, was_ren = hit
     if env is was_env and ren is was_ren:
         return info
@@ -391,7 +405,7 @@ def _reused(hit, env, ren):
     if subs != info.subs and not free_type_vars(info.term).isdisjoint(
             [x for x, _ in subs + info.subs]):
         return None
-    if env.free_type_vars() != was_env.free_type_vars():
+    if _tyb_of(info) and env.free_type_vars() != was_env.free_type_vars():
         return None
     for name in _free_of(info):
         was, ty = _lookup(was_env, was_ren, name), _lookup(env, ren, name)
@@ -455,6 +469,11 @@ class Scan:
     last descent (`_trail`: a position, the environments along it and,
     once found, the results), which the next one resumes from.
 
+    A scan and the scans `after` derives from it share a memo (`_memo`,
+    made on the first step) of the contractions they have made, by redex
+    object and rule. So a lineage contracts each redex object once, and
+    the copies a step makes of a redex stay one shared contractum.
+
     `depth` is how deep the results' matches, fineness and pre-redex
     tests read: the largest read depth of its rules' RULES rows and of
     W's pre-redex test, or None if a rule reads unboundedly deep.
@@ -473,6 +492,7 @@ class Scan:
         self.depth = None if None in depths else max(depths)
         # the last descent: its position, environments and results
         self._trail = (), [(env, _ren)], None
+        self._memo = None
         self.root = self._build(m, env, _ren)
 
     def _build(self, t, env, ren, found=None):
@@ -491,7 +511,7 @@ class Scan:
                 kid = _reused(kid, kid_env, kid_ren)
             kids.append(kid or self._build(c, kid_env, kid_ren, found))
         info = _Info()
-        info.term, info.kids, info.free = t, tuple(kids), None
+        info.term, info.kids, info.free, info.tyb = t, tuple(kids), None, None
         info.subs = ren.get(_TY, ())
         self._finish(info, self._type(info, env, ren) if self.typed else None)
         return info
@@ -683,8 +703,12 @@ class Scan:
             return last_path, scopes
         if path is None:
             path = [self.root]
-            for i in pos:
-                path.append(path[-1].kids[i])
+            try:  # a negative index fails in _scope below
+                for i in pos:
+                    path.append(path[-1].kids[i])
+            except IndexError:
+                name = type(path[-1].term).__name__
+                raise InvalidPath(f"no child {i} at {name}") from None
         n = len(last)
         if pos[:n] != last:
             n = 0
@@ -713,28 +737,44 @@ class Scan:
         environment in force at `pos`. A subterm it copies from the redex
         (one found among the redex's results down to one below the rule's
         read depth) keeps its result wherever each of its free variables
-        keeps its type. The contractum must have the redex's type (subject
-        reduction), and InternalInvariantViolation is raised if it does
-        not. The ancestors keep their types, but untypable ones (all of
-        them if the redex is) are typed again, to record why from the new
-        children. Those and the ones within the scan's depth of `pos` are
-        matched again; the others keep their matches and pre-redex tests
-        and recombine only w, pre and nfine.
+        keeps its type. A redex object this scan's lineage has contracted
+        by `rule` before (see the memo in Scan) is not contracted again:
+        its contractum is reused, with its result where _reused accepts
+        it (else the result is built afresh, a contraction being a
+        function of the redex alone). The contractum must have the
+        redex's type (subject reduction), and InternalInvariantViolation
+        is raised if it does not. The ancestors keep their types, but
+        untypable ones (all of them if the redex is) are typed again, to
+        record why from the new children. Those and the ones within the
+        scan's depth of `pos` are matched again; the others keep their
+        matches and pre-redex tests and recombine only w, pre and nfine.
         """
         rule = rule if rule.__class__ is _rules.RuleId else _rules.RuleId(rule)
         path, scopes = self._along(pos)
         old, (env, ren) = path[-1], scopes[-1]
-        if (rule, True) in old.own or (rule, False) in old.own:
-            contractum = _rules.RULES[rule].contract(old.term)
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        # (redex, contractum's result, env, ren); the redex keeps its id
+        key = id(old.term), rule
+        made = memo.get(key)
+        if made:
+            contractum, new = made[1].term, _reused(made[1:], env, ren)
         else:
-            contractum = _rules.apply_rule(rule, old.term)
-        depth, found = _rules.RULES[rule].depth, None
-        if depth is not None and not self.strict_proviso:
-            found = {}
-            _record(old, env, ren, depth + 1, found)
-        hit = found and found.get(id(contractum))
-        new = (hit and _reused(hit, env, ren)
-               or self._build(contractum, env, ren, found))
+            if (rule, True) in old.own or (rule, False) in old.own:
+                contractum = _rules.RULES[rule].contract(old.term)
+            else:
+                contractum = _rules.apply_rule(rule, old.term)
+            new = None
+        if new is None:
+            depth, found = _rules.RULES[rule].depth, None
+            if depth is not None and not self.strict_proviso:
+                found = {}
+                _record(old, env, ren, depth + 1, found)
+            hit = found and found.get(id(contractum))
+            new = (hit and _reused(hit, env, ren)
+                   or self._build(contractum, env, ren, found))
+            memo[key] = old.term, new, env, ren
         if self.typed and old.ty is not None and new.ty != old.ty:
             raise InternalInvariantViolation(
                 f"subject reduction failed: {rule.value} at {list(pos)} "
@@ -744,8 +784,10 @@ class Scan:
             # a renamed type binder above avoids its body's free type
             # variables, which the step changed: scan afresh
             root = _refill([p.term for p in path[:-1]], pos, contractum)
-            return Scan(self.env, root, self.rules, scopes[0][1], self.system,
-                        self.strict_proviso)
+            fresh = Scan(self.env, root, self.rules, scopes[0][1], self.system,
+                         self.strict_proviso)
+            fresh._memo = memo
+            return fresh
         out = object.__new__(Scan)
         out.__dict__.update(self.__dict__)
         # the renamed binders above pos keep their names, and the
@@ -764,7 +806,8 @@ class Scan:
             info = _Info()
             info.term = _with_child(parent.term, i, new.term)
             info.kids = kids[:i] + (new,) + kids[i + 1:]
-            info.free, info.subs, ty = None, parent.subs, parent.ty
+            info.free = info.tyb = None
+            info.subs, ty = parent.subs, parent.ty
             retype = ty is None and self.typed
             if retype:
                 ty = self._type(info, *scopes[level])

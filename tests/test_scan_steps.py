@@ -2,8 +2,9 @@
 
 `Scan.after` traverses only the nodes a contraction creates: it reuses the
 results of the subterms the contraction copies where their free variables
-keep their types, and above the scan's read depth it carries the changes of
-W and of the fine-redex count up the path without matching again. Each
+keep their types, contracts each redex object once per scan lineage, and
+above the scan's read depth it carries the changes of W and of the
+fine-redex count up the path without matching again. Each
 stepped scan here is compared with a fresh scan of its term: the root's
 W and fine count, every weight term and every redex with its position,
 rule, fineness and local environment.
@@ -17,13 +18,15 @@ from hypothesis import assume, given, settings, strategies as st
 from atomlam import (Env, FVar, Forall, Imp, Lam, Pair, Proj, RuleId,
                      SystemId, TyApp, TyLam, Var, atomic_nf, encode_bot,
                      encode_or, is_fine_redex, parse_term, print_formula,
-                     print_term, replace_at, rp_env, rp_term, subterm_at)
+                     print_term, replace_at, rp_env, rp_term, subterm_at,
+                     typecheck)
 import atomlam.rules
 from atomlam.analysis import ATOMIZATION_RULES
 from atomlam.errors import (AtomicInstantiation, InternalInvariantViolation,
                             ShapeMismatch)
 from atomlam.rewriting import ReductionTrace, env_at, reduce_scan
 from atomlam.rules import RULES, match_rule, rules_of_system
+from atomlam.syntax import InvalidPath, term_children
 from atomlam.typecheck import Scan
 
 import corpus
@@ -213,6 +216,19 @@ def test_a_copy_whose_type_binder_now_captures_is_rebuilt():
     assert print_formula(local.lookup("p")) == "W'"
 
 
+def test_a_stepped_copy_whose_type_binder_now_captures_is_rebuilt():
+    # as above, with the copied branch body rebuilt by a step first: the
+    # flag that it holds a type binder is kept up the step's path too
+    env, rules = Env([("s", SUM), ("u", BOT)]), rules_of_system(SystemId.F)
+    t = parse_term("s [W -> W] <fun x:X => <(fun v:X => v) x, (tfun W =>"
+                   " fun p:W => (fun q:W => q) p) [W]>.2, fun y:Y => fun q:W"
+                   " => q>")
+    scan = Scan(env, t, rules).after((1, 0, 0, 0, 0), RuleId.beta_imp)
+    stepped = scan.after((), RuleId.rho_case)
+    assert _view(stepped) == _view(Scan(env, stepped.root.term, rules))
+    assert _result(stepped, (0, 1, 0, 0, 0)) is not _result(scan, (1, 0, 0))
+
+
 def test_a_contraction_that_changes_the_type_is_caught(monkeypatch):
     # the head alone, a copy whose result would be reused, has another type
     row = RULES[RuleId.rho_abort]
@@ -220,6 +236,43 @@ def test_a_contraction_that_changes_the_type_is_caught(monkeypatch):
                         row._replace(contract=lambda t: t.fun))
     with pytest.raises(InternalInvariantViolation, match="subject reduction"):
         atomic_nf(rp_env(ENV), rp_term(ladder(2, 1)))
+
+
+def test_a_memo_entry_made_below_a_renamed_type_binder_is_refused(
+        monkeypatch):
+    # one redex object R at (0, 0) and at (1,): tfun X captures the X of
+    # k : X and is renamed X', so the memo's result for R reads X as X'.
+    # At (1,) it is refused and the shared contractum is built afresh
+    tc = sys.modules[Scan.__module__]
+    refused, check = [], tc._reused
+
+    def reused(hit, env, ren):
+        info = check(hit, env, ren)
+        if info is None:
+            refused.append(hit[0].term)
+        return info
+
+    monkeypatch.setattr(tc, "_reused", reused)
+    r = TyApp(Var("u"), Imp(X, X))
+    env = Env([("u", Forall("Y", FVar("Y"))), ("k", X)])
+    t = Pair(TyLam("X", r), r)
+    nf, trace = atomic_nf(env, t)
+    assert [s.position for s in trace.steps] == [(0, 0), (1,)]
+    assert nf.fst.body is nf.snd
+    assert len(refused) == 1 and refused[0] is nf.snd
+    assert print_formula(typecheck(SystemId.F, env, nf)) == \
+        "(forall X'. X' -> X') & (X -> X)"
+    assert _check_steps(env, t, ATOMIZATION_RULES) == 2
+
+
+def test_a_position_off_the_term_is_an_invalid_path():
+    scan = Scan(Env(), parse_term("fun x:X => x"), ATOMIZATION_RULES)
+    with pytest.raises(InvalidPath, match="no child 3 at Lam"):
+        scan.env_at((3,))
+    with pytest.raises(InvalidPath, match="no child -1 at Lam"):
+        scan.env_at((-1,))
+    with pytest.raises(InvalidPath, match="no child 2 at Var"):
+        scan.after((0, 2), RuleId.rho_abort)
 
 
 def test_a_recorded_match_is_contracted_without_matching_again(monkeypatch):
@@ -262,14 +315,38 @@ def _counted(monkeypatch, *names):
     return counts
 
 
-@pytest.mark.parametrize("d, k, builds, matched", [(4, 1, 561, 738),
-                                                   (2, 2, 343, 468)])
-def test_atomic_nf_builds_only_the_nodes_its_steps_create(monkeypatch, d, k,
-                                                          builds, matched):
-    # before reuse and the read depth: 1,350 / 3,243 and 839 / 1,863
+def _distinct(t):
+    """The number of distinct term objects in t."""
+    seen, todo = set(), [t]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(term_children(node))
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "d, k, builds, matched, steps, contracted, distinct",
+    [(4, 1, 156, 333, 90, 16, 290), (2, 2, 143, 268, 64, 16, 177)],
+    ids=["4-1", "2-2"])
+def test_atomic_nf_builds_only_the_nodes_its_steps_create(
+        monkeypatch, d, k, builds, matched, steps, contracted, distinct):
+    # before reuse and the read depth: 1,350 / 3,243 and 839 / 1,863;
+    # before the contraction memo: 561 / 738 and 343 / 468, every step
+    # contracted, and 425 and 241 distinct objects in the normal form
     counts = _counted(monkeypatch, "_build", "_finish")
-    atomic_nf(rp_env(ENV), rp_term(ladder(d, k)))
+    made = []
+    for rule in ATOMIZATION_RULES:
+        row = RULES[rule]
+        monkeypatch.setitem(RULES, rule, row._replace(
+            contract=lambda t, _contract=row.contract: made.append(t)
+            or _contract(t)))
+    nf, trace = atomic_nf(rp_env(ENV), rp_term(ladder(d, k)))
     assert (counts["_build"], counts["_finish"]) == (builds, matched)
+    # the memo's misses contract, its hits do not
+    assert (len(trace.steps), len(made)) == (steps, contracted)
+    assert _distinct(nf) == distinct
 
 
 # ---------------------------------------------------------- read depth
