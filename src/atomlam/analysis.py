@@ -25,8 +25,8 @@ from .rules import (CONNECTIVES, F_BETA_ETA, RuleId, apply_rule, expansion,
                     match_rule, mk_case)
 from .syntax import (ELIMINATES, Case, Term, Var, canonical_key, fill,
                      replace_at, subterm_at, term_children)
-from .rewriting import (Redex, ReductionTrace, TraceStep, apply_script,
-                        reduce_scan, shift, step)
+from .rewriting import (Redex, ReductionTrace, _later_step, _settle,
+                        _stepped, apply_script, reduce_scan, shift, step)
 from .translate import RP_CHILD, rp_env, rp_term
 from .typecheck import Env, Scan, SystemId, typecheck
 
@@ -71,11 +71,11 @@ def atomic_nf(env: Env, m: Term, strategy="leftmost-outermost", seed=None):
     trace's `weights` holds W after each step.
     """
     scan = _atomization_scan(env, m)
-    w = scan.root.w
+    w = scan.w
 
     def check(trace, scan):
         last = trace.weights[-1] if trace.weights else w
-        wn = scan.root.w
+        wn = scan.w
         if wn >= last:
             raise InternalInvariantViolation(
                 f"weight did not decrease: {last} -> {wn} "
@@ -288,19 +288,15 @@ def _leg(env, m, first, scan, other) -> ReductionTrace:
     """The fine redex `first` of m (contracted, it gives `scan`), then
     every residual of the redex `other`, each fine where it lands."""
     (p1, rule1, local), (p2, rule2, _) = first, other
-    trace = ReductionTrace(SystemId.F, env, m,
-                           [TraceStep(rule1, p1, local, scan.root.term)])
+    trace = ReductionTrace(SystemId.F, env, m, [
+        _later_step(rule1, p1, local, m, scan.made)])
     for pos in residuals(m, p1, rule1, p2):
-        info = scan.root
-        for i in pos:
-            info = info.kids[i]
+        info, local = scan.at(pos)
         if (rule2, True) not in info.own:
             raise InternalInvariantViolation(
                 f"residual {rule2.value} at {list(pos)} is not a fine redex")
-        local = scan.env_at(pos)
-        scan = scan.after(pos, rule2)
-        trace.steps.append(TraceStep(rule2, pos, local, scan.root.term))
-    return trace
+        scan = _stepped(trace, scan, pos, rule2, local)
+    return _settle(trace, scan)
 
 
 def check_local_confluence(env: Env, m: Term) -> ConfluenceReport:

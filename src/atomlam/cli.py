@@ -128,9 +128,27 @@ def _render(args, source, result):
                   else None, _trace_lines(trace, truncated),
                   EXIT_CAP if truncated else EXIT_OK)
     fields, lines, code = result
-    print(json.dumps({"command": args.command, "input": source, **fields},
-                     indent=2) if args.format == "json" else "\n".join(lines))
+    print(_json({"command": args.command, "input": source, **fields})
+          if args.format == "json" else "\n".join(lines))
     return code
+
+
+def _json(value, indent=""):
+    """json.dumps(value, indent=2) for the dicts, lists and scalars a
+    command prints, each scalar through json.dumps. json.dumps with an
+    indent runs the pure-Python encoder, whose closures refer to each
+    other and leave a reference cycle per document."""
+    if not value or value.__class__ not in (dict, list, tuple):
+        return json.dumps(value)
+    inner = indent + "  "
+    if value.__class__ is dict:
+        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()]
+        opening, closing = "{", "}"
+    else:
+        items = [_json(v, inner) for v in value]
+        opening, closing = "[", "]"
+    body = f",\n{inner}".join(items)
+    return f"{opening}\n{inner}{body}\n{indent}{closing}"
 
 
 def _pick_redex(args, env, term):

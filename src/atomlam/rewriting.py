@@ -6,8 +6,9 @@ position, and the fineness flag of atomization/commuting redexes is
 computed against that local environment. A binder that would shadow a
 declared variable is alpha-renamed on the fly; positions are unaffected.
 Search and normalization are views over one typed traversal
-(typecheck.Scan); normalization keeps its results between steps and
-re-traverses only the contracted subterm.
+(typecheck.Scan); normalization keeps its results between steps, open at
+the last step's position, and re-traverses only the contracted subterm.
+A normalization step's result term is built when it is first read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 
 from .errors import NotFine, StaleRedex, StepLimitExceeded
 from .rules import RULES, RuleId, match_rule, rules_of_system
-from .syntax import InvalidPath, Term, _refill, replace_at, subterm_at
+from .syntax import (InvalidPath, Term, _refill, replace_at, subterm_at,
+                     term_children)
 from .typecheck import Env, Scan, SystemId, _fine_match, descend
 
 STRATEGIES = ("leftmost-outermost", "leftmost-innermost", "random")
@@ -44,6 +46,35 @@ class TraceStep:
     fine: bool = True
     admin: bool = False
 
+    def __getattr__(self, name):
+        """The result of a step made by _later_step, not built yet: built,
+        with each unbuilt one before it, oldest first, by putting each
+        step's contractum in place."""
+        if name != "result" or "_later" not in self.__dict__:
+            raise AttributeError(name)
+        chain, before = [], self
+        while before.__class__ is TraceStep and "result" not in before.__dict__:
+            chain.append(before)
+            before = before.__dict__["_later"][0]
+        term = before.result if before.__class__ is TraceStep else before
+        for s in reversed(chain):
+            contractum = s.__dict__.pop("_later")[1]
+            spine = []
+            for i in s.position:  # a step's position is on the term before
+                spine.append(term)
+                term = term_children(term)[i]
+            term = s.__dict__["result"] = _refill(spine, s.position, contractum)
+        return term
+
+
+def _later_step(rule, position, local_env, before, contractum) -> TraceStep:
+    """A fine step whose result is built when first read: `before` (the
+    step before it, or the initial term) with `contractum` at position."""
+    s = object.__new__(TraceStep)
+    s.__dict__.update(rule=rule, position=position, local_env=local_env,
+                      fine=True, admin=False, _later=(before, contractum))
+    return s
+
 
 @dataclass
 class ReductionTrace:
@@ -53,10 +84,19 @@ class ReductionTrace:
     steps: list = field(default_factory=list)
     #: W after each step, where the reduction tracks it (atomic_nf)
     weights: list = field(default_factory=list)
+    #: (last step, final term) where the scan that step made built the
+    #: final term (_settle); the steps' own results are built only if read
+    _settled: tuple = field(default=None, init=False, repr=False,
+                            compare=False)
 
     @property
     def final(self) -> Term:
-        return self.steps[-1].result if self.steps else self.initial
+        if not self.steps:
+            return self.initial
+        last = self.steps[-1]
+        if self._settled is not None and self._settled[0] is last:
+            return self._settled[1]
+        return last.result
 
     def __len__(self):
         return len(self.steps)
@@ -118,20 +158,37 @@ def reduce_scan(scan: Scan, trace: ReductionTrace, strategy, max_steps, seed,
     random a seeded uniform choice among all of them.
     """
     strategy = _strategy(strategy)
-    rng = random.Random(seed)
-    while scan.root.nfine:
+    rng = random.Random(seed) if strategy == "random" else None
+    while scan.nfine:
         if len(trace.steps) >= max_steps:
             raise StepLimitExceeded(f"no normal form within {max_steps} steps", trace)
         if strategy == "leftmost-innermost":
             pos, rule, local = scan.innermost_fine_redex()
         else:
             k = 0 if strategy == "leftmost-outermost" else rng.choice(
-                range(scan.root.nfine))
+                range(scan.nfine))
             pos, rule, local = scan.fine_redex(k)
-        scan = scan.after(pos, rule)
-        trace.steps.append(TraceStep(rule, pos, local, scan.root.term, True))
+        scan = _stepped(trace, scan, pos, rule, local)
         if on_step is not None:
             on_step(trace, scan)
+    return _settle(trace, scan)
+
+
+def _stepped(trace: ReductionTrace, scan: Scan, pos, rule, local) -> Scan:
+    """scan.after(pos, rule), with the step appended to trace (local is
+    the environment at pos); the step's result is built when first read,
+    from the result before it and the contractum."""
+    scan = scan.after(pos, rule)
+    before = trace.steps[-1] if trace.steps else trace.initial
+    trace.steps.append(_later_step(rule, pos, local, before, scan.made))
+    return scan
+
+
+def _settle(trace: ReductionTrace, scan: Scan) -> ReductionTrace:
+    """trace, whose last step made `scan`, with its final term read off the
+    scan: built without the terms between."""
+    if trace.steps:
+        trace._settled = trace.steps[-1], scan.term
     return trace
 
 

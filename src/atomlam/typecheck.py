@@ -12,6 +12,10 @@ variable free in the environment is renamed the same way: the map takes the
 bound variable to its new name, and every formula a node reads (annotations
 and instantiations) is read through it. The proviso of universal
 introduction, checked literally (strict_proviso), rejects such a binder.
+
+A Scan is kept open at a focus (Huet's zipper): the path from the root is
+a stack of frames, and a step, or a view that visits a position, moves the
+focus and rebuilds only the ancestors it moves up past.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .syntax import (TERM_SCOPES, Abort, And, App, Bot, Case, ElimContext,
                      Pair, Proj, Term, TyApp, TyLam, Var, _with_child, fill,
                      formula_children, formula_size, free_type_vars,
                      free_vars, fresh_name, hole_result, is_encoded_bot,
-                     match_encoded_or, subst_type, _refill, _PLANS)
+                     match_encoded_or, subst_type, _PLANS)
 
 
 class SystemId(Enum):
@@ -111,9 +115,10 @@ def typecheck(sys: SystemId, env: Env, m: Term,
     rejects it with ForallProvisoViolated instead.
     """
     scan = Scan(env, m, system=sys, strict_proviso=strict_proviso)
-    if scan.root.ty is None:
+    ty = scan.root.ty
+    if ty is None:
         raise scan.error()
-    return scan.root.ty
+    return ty
 
 
 def typecheck_elim_context(sys: SystemId, env: Env, e: ElimContext,
@@ -282,10 +287,12 @@ def _renamed(f, subs):
     return f
 
 
-def _bind(env, ren, var, ann, body):
+def _bind(env, ren, var, ann, body, memo=None):
     """Environment and renaming map for a binder's body. `body` is the
     scoped term, or its scan result, which keeps the term's free variables
-    (_free_of) and, below a type binder (`ann` None), the map's type part.
+    (_free_of) and, below a type binder (`ann` None), the map's type part;
+    `memo` holds the free names of binders' bodies (_body_vars) that a
+    term body is asked for.
 
     A term binder that shadows a declared variable gets the smallest
     primed variant not declared and not free in the body: the name
@@ -295,20 +302,21 @@ def _bind(env, ren, var, ann, body):
     subs = ren.get(_TY, ())
     if ann is None:
         new = (body.subs if body.__class__ is _Info
-               else _tybind(env, subs, var, body))
+               else _tybind(env, subs, var, body, memo))
         return env, ren if new is subs else {**ren, _TY: new}
     if subs:
         ann = _renamed(ann, subs)
-    if var not in env:
+    if var not in env._map:
         return env.extend(var, ann), ren
-    free = _free_of(body) if body.__class__ is _Info else free_vars(body)
+    free = (_free_of(body) if body.__class__ is _Info
+            else _body_vars(body, 0, memo))
     names, new = env.names(), var
     while new in names or new in free:  # fresh_name, without the union
         new += "'"
     return env.extend(new, ann), {**ren, var: new}
 
 
-def _tybind(env, subs, var, body):
+def _tybind(env, subs, var, body, memo):
     """The substitutions in force in the body of the type binder `var`
     when `subs` are in force at it: those of subs that reach the body, in
     turn, as subst_type applies them (the one for var stops at it, and one
@@ -318,7 +326,7 @@ def _tybind(env, subs, var, body):
     ftv = env.free_type_vars()
     if not subs and var not in ftv:
         return subs
-    free, out = free_type_vars(body), []  # the body's, as renamed so far
+    free, out = _body_vars(body, 1, memo), []  # as renamed so far
     for x, b in subs:
         if var != x:
             if var == b and x in free:
@@ -334,31 +342,72 @@ def _tybind(env, subs, var, body):
     return subs if out == subs else out
 
 
+def _body_vars(body, sort, memo):
+    """The free names of `sort` (0: term variables, 1: type variables) in
+    a binder's body, kept in memo[sort] by id (with the body, so the id
+    stays its own). Walking a body keeps those of the bodies of the
+    binders of that sort inside it, so a chain of binders that ask for
+    them (shadowing term binders, capturing type binders), asked from the
+    outermost down, is walked once."""
+    hit = memo[sort].get(id(body))
+    return _vars(body, sort, memo, True) if hit is None else hit[1]
+
+
+def _vars(t, sort, memo, kept=False):
+    """The free names of `sort` in the term t, kept in memo if `kept`
+    (t is a binder's body); each binder's body's is read from memo, or
+    walked and kept there."""
+    if t.__class__ is Var:
+        out = _NO_NAMES if sort else frozenset((t.name,))
+    else:
+        values, scopes = _PLANS[sort][t.__class__]
+        vals, out = values(t), _NO_NAMES
+        for j, k, _ in scopes:
+            v = vals[j]
+            if k is not None:
+                hit = memo[sort].get(id(v))
+                below = _vars(v, sort, memo, True) if hit is None else hit[1]
+                if vals[k] in below:
+                    below = below - {vals[k]}
+            elif isinstance(v, Formula):
+                below = free_type_vars(v)
+            else:
+                below = _vars(v, sort, memo)
+            out = out | below if out else below
+    if kept:
+        memo[sort][id(t)] = t, out
+    return out
+
+
 #: each term class's children as TERM_SCOPES has them, with the body of a
 #: type abstraction scoped by its binder (index 0, no annotation)
 _SCOPES = {**TERM_SCOPES, TyLam: _PLANS[1][TyLam]}
 
 
-def _scope(t, i, env, ren, kid=None):
-    """Child i of t, with the environment and renaming map in force in it
-    when env and ren are in force at t; `kid` is the child's scan result,
-    if there is one."""
+def _scope(t, i, env, ren, kid):
+    """The environment and renaming map in force in t's child i when env
+    and ren are in force at t; `kid` is the child's scan result."""
     values, scopes = _SCOPES[t.__class__]
-    if not 0 <= i < len(scopes):
-        raise InvalidPath(f"no child {i} at {type(t).__name__}")
-    vals, (j, k, a) = values(t), scopes[i]
+    _, k, a = scopes[i]
     if k is None:
-        return vals[j], env, ren
-    return (vals[j], *_bind(env, ren, vals[k], a and vals[a], kid or vals[j]))
+        return env, ren
+    vals = values(t)
+    return _bind(env, ren, vals[k], a and vals[a], kid)
 
 
 def descend(env: Env, m: Term, pos):
     """The subterm at `pos` in m, the environment and binder renaming in
     force there as Scan has them, and the nodes above it, root first."""
-    ren, spine = _NO_RENAMES, []
+    ren, spine, memo = _NO_RENAMES, [], ({}, {})
     for i in pos:
         spine.append(m)
-        m, env, ren = _scope(m, i, env, ren)
+        values, scopes = _SCOPES[m.__class__]
+        if not 0 <= i < len(scopes):
+            raise InvalidPath(f"no child {i} at {type(m).__name__}")
+        vals, (j, k, a) = values(m), scopes[i]
+        if k is not None:
+            env, ren = _bind(env, ren, vals[k], a and vals[a], vals[j], memo)
+        m = vals[j]
     return m, env, ren, spine
 
 
@@ -418,7 +467,7 @@ def _below(info, env, ren):
     """(result, environment, renaming) of each child of info's subterm, in
     position order, when env and ren are in force at it."""
     t = info.term
-    return [(kid, *_scope(t, i, env, ren, kid)[1:])
+    return [(kid, *_scope(t, i, env, ren, kid))
             for i, kid in enumerate(info.kids)]
 
 
@@ -449,35 +498,109 @@ def _record(info, env, ren, depth, out):
             _record(kid, kid_env, kid_ren, depth - 1, out)
 
 
+class _Frame:
+    """One level of the path from a scan's root to its focus: the parent's
+    result (as it was when the focus moved below it: only its child `i`
+    may have changed since), the child's position and the (environment,
+    renaming) in force at the child. The rest counts what lies off the
+    child's subterm: the root's W is `a` * W(child) + `b`, and of the
+    root's fine redexes `before` come before the child's subterm in
+    pre-order, `left` of those in the siblings left of the path, and
+    `outside` are not in the child's subterm at all. These hold while
+    the ancestors keep their matches and pre-redex tests, which a step
+    makes sure of by matching again those within the scan's read depth
+    (Scan._open). The root frame has no parent and holds the scan's
+    own environment."""
+
+    __slots__ = ("up", "parent", "i", "pos", "env", "ren", "a", "b",
+                 "before", "left", "outside")
+
+    def __init__(self, up, parent, i, pos, env, ren, a, b, before, left,
+                 outside):
+        self.up, self.parent, self.i, self.pos = up, parent, i, pos
+        self.env, self.ren, self.a, self.b = env, ren, a, b
+        self.before, self.left, self.outside = before, left, outside
+
+
+def _push(f, info, i, env, ren):
+    """The frame below f for child i of info, where env and ren are in
+    force at the child."""
+    kid, a, pre = info.kids[i], f.a, info.pre
+    if info.ty is None:  # an untypable node's W is 0
+        a, b = 0, f.b
+    elif pre:  # W is c * (the child's W) + d, with c = |C| + 1
+        sub = info.w - pre
+        c = 1 + pre // (1 + sub)
+        a, b = a * c, a * (c * (sub - kid.w) + c - 1) + f.b
+    else:
+        b = a * (info.w - kid.w) + f.b
+    left = own = 0
+    if i:
+        for k in info.kids[:i]:
+            left += k.nfine
+    for _, fine in info.own:
+        own += fine
+    return _Frame(f, info, i, f.pos + (i,), env, ren, a, b,
+                  f.before + own + left, f.left + left,
+                  f.outside + info.nfine - kid.nfine)
+
+
+def _refilled(f, t):
+    """The term with t at f's position: t put in place up the frames."""
+    while f.up is not None:
+        parent = f.parent
+        t = (parent.term if t is parent.kids[f.i].term
+             else _with_child(parent.term, f.i, t))
+        f = f.up
+    return t
+
+
 class Scan:
     """One bottom-up traversal of a term, with its result kept per position.
 
     Each node is visited once. The rules of `rules` that fit its node class
     are matched. A typed walk also types every node from its children's
     types, records why an untypable node fails, reads each match's
-    fineness off its head's type, and combines the weight W (the root's
-    `w`). The walk is typed in `system` when one is given (typecheck and
-    context typing are views of such a scan), and otherwise in System F
-    when a rule's fineness depends on a head's type (rho_*, delta, eps_*);
-    else it types nothing. Binders extend the environment, and renamed
-    ones the renaming map, as in redex search: a capturing type binder's
-    body is built once, in every kind of scan, with the formulas its nodes
-    read renamed through the map. Positions are those of the term. A
-    Scan's results are never mutated: `after` returns a new scan that
-    shares every result off the contracted redex's ancestor path, and the
-    results of the subterms the contraction copies. A scan keeps only its
-    last descent (`_trail`: a position, the environments along it and,
-    once found, the results), which the next one resumes from.
+    fineness off its head's type, and combines the weight W. The walk is
+    typed in `system` when one is given (typecheck and context typing are
+    views of such a scan), and otherwise in System F when a rule's
+    fineness depends on a head's type (rho_*, delta, eps_*); else it types
+    nothing. Binders extend the environment, and renamed ones the renaming
+    map, as in redex search: a capturing type binder's body is built once,
+    in every kind of scan, with the formulas its nodes read renamed
+    through the map. Positions are those of the term.
+
+    A scan is open at a focus: the result at one position, below a stack
+    of frames (_Frame) up to the root. The root's W and fine-redex count
+    (`w`, `nfine`) are read off the top frame in O(1). The views and
+    `after` move the focus: down pushes a frame, and up rebuilds the
+    parent only if the child has changed. `root` moves the focus to the
+    root; `term` builds the scanned term without moving it. A Scan's
+    results are never mutated, and the frames are shared: `after`
+    returns a new scan, open at the step's position (its contractum is
+    `made`), that shares every result and frame off the contracted
+    redex's path, and the results of the subterms the contraction
+    copies. Moving one scan's focus leaves the scans derived from it
+    alone.
 
     A scan and the scans `after` derives from it share a memo (`_memo`,
     made on the first step) of the contractions they have made, by redex
     object and rule. So a lineage contracts each redex object once, and
-    the copies a step makes of a redex stay one shared contractum.
+    the copies a step makes of a redex stay one shared contractum. They
+    also share the free names of the binders' bodies that shadowing and
+    capturing binders read (`_bodies`, see _body_vars).
 
     `depth` is how deep the results' matches, fineness and pre-redex
     tests read: the largest read depth of its rules' RULES rows and of
     W's pre-redex test, or None if a rule reads unboundedly deep.
     """
+
+    _memo = None
+    #: the contractum `after` put at the focus, in the scans it makes
+    made = None
+    #: the ancestors of the focus, up from it, that the step that made
+    #: this scan has left to be matched again (see _open)
+    _again = 0
 
     def __init__(self, env: Env, m: Term, rules=frozenset(), _ren=_NO_RENAMES,
                  system=None, strict_proviso=False):
@@ -490,10 +613,9 @@ class Scan:
         self.strict_proviso = strict_proviso
         depths = [_W_DEPTH] + [_rules.RULES[r].depth for r in self.rules]
         self.depth = None if None in depths else max(depths)
-        # the last descent: its position, environments and results
-        self._trail = (), [(env, _ren)], None
-        self._memo = None
-        self.root = self._build(m, env, _ren)
+        self._bodies = ({}, {})
+        self._focus = self._build(m, env, _ren)
+        self._frames = _Frame(None, None, None, (), env, _ren, 1, 0, 0, 0, 0)
 
     def _build(self, t, env, ren, found=None):
         """t's result in env and ren. With `found` (see _record), a child
@@ -505,7 +627,8 @@ class Scan:
             if k is None:
                 kid_env, kid_ren = env, ren
             else:
-                kid_env, kid_ren = _bind(env, ren, vals[k], a and vals[a], c)
+                kid_env, kid_ren = _bind(env, ren, vals[k], a and vals[a], c,
+                                         self._bodies)
             kid = found and found.get(id(c))
             if kid:
                 kid = _reused(kid, kid_env, kid_ren)
@@ -526,7 +649,7 @@ class Scan:
         cls = t.__class__
         try:
             if cls is Var:
-                ty = _lookup(env, ren, t.name)
+                ty = env._map.get(ren.get(t.name, t.name))
                 if ty is None:
                     raise _Fail(UnboundVariable(f"unbound variable {t.name!r}"))
                 return ty
@@ -534,12 +657,13 @@ class Scan:
                 tf, ta = _typed(kids[0]), _typed(kids[1])
                 _expect(isinstance(tf, Imp),
                         "applied term is not an implication", 0, None, tf)
-                _expect(ta == tf.left, "argument type mismatch", 1, tf.left, ta)
+                _expect(ta is tf.left or ta == tf.left,
+                        "argument type mismatch", 1, tf.left, ta)
                 return tf.right
             if cls is TyApp:
                 if sys is SystemId.IPC:
                     raise _Fail(NotInSystem("universal instantiation not in ipc"))
-                arg = _renamed(t.arg, subs)
+                arg = _renamed(t.arg, subs) if subs else t.arg
                 if sys is SystemId.FAT and arg.__class__ is not FVar:
                     raise _Fail(NonAtomicInstantiation(
                         f"instantiation with non-atomic formula {arg!r}"))
@@ -549,7 +673,7 @@ class Scan:
                         "instantiated term is not universal", 0, None, tf)
                 return subst_type(arg, tf.var, tf.body)
             if cls is Lam:
-                ann = _renamed(t.ann, subs)
+                ann = _renamed(t.ann, subs) if subs else t.ann
                 _within(sys, ann)
                 return Imp(ann, _typed(kids[0]))
             if cls is Pair:
@@ -642,6 +766,114 @@ class Scan:
             nfine += fine
         info.own, info.nfine = own, nfine
 
+    # ------------------------------------------------------------ focus
+
+    def _open(self):
+        """The top frame and the focus, once the ancestors the step that
+        made this scan has left (_again) are matched again, bottom up, and
+        their frames made anew, keeping their environments. Every read of
+        the scan but `term` starts here, as till then the matches and
+        frames of those ancestors are stale."""
+        if self._again:
+            again, f, new = [], self._frames, self._focus
+            for _ in range(self._again):
+                new = self._rebuilt(f, new, True)
+                again.append((f, new))
+                f = f.up
+            for g, parent in reversed(again):
+                f = _push(f, parent, g.i, g.env, g.ren)
+            self._frames, self._again = f, 0
+        return self._frames, self._focus
+
+    @property
+    def root(self):
+        """The root's result; the focus moves to the root."""
+        if self._again:
+            self._open()
+        while self._frames.up is not None:
+            self._up()
+        return self._focus
+
+    @property
+    def term(self):
+        """The scanned term, built up the frames; the focus stays."""
+        return _refilled(self._frames, self._focus.term)
+
+    @property
+    def w(self):
+        """The root's W, off the focus."""
+        f, info = self._open()
+        return f.a * info.w + f.b
+
+    @property
+    def nfine(self):
+        """The number of fine redexes in the term, off the focus."""
+        f, info = self._open()
+        return info.nfine + f.outside
+
+    def _up(self, again=False):
+        """Move the focus to its parent, rebuilt (_rebuilt) if the child
+        has changed."""
+        f, new = self._frames, self._focus
+        parent = f.parent
+        if new is not parent.kids[f.i]:
+            parent = self._rebuilt(f, new, again)
+        self._focus, self._frames = parent, f.up
+
+    def _rebuilt(self, f, new, again):
+        """The result of f's parent with `new` for its child: matched again
+        if `again` or if it is untypable (typed again, to record why from
+        the new child), else with the change of W and of the fine count
+        carried up. W is sub + pre, where sub is the children's W and
+        pre = |C| * (1 + sub) at a pre-redex (else 0), so |C| is read
+        back off the old w and pre."""
+        parent, i = f.parent, f.i
+        old = parent.kids[i]
+        info = _Info()
+        info.term = _with_child(parent.term, i, new.term)
+        info.kids = parent.kids[:i] + (new,) + parent.kids[i + 1:]
+        info.free = info.tyb = None
+        info.subs, ty = parent.subs, parent.ty
+        retype = ty is None and self.typed
+        if retype:
+            ty = self._type(info, f.up.env, f.up.ren)
+        if retype or again:
+            self._finish(info, ty)
+            return info
+        dw, pre = new.w - old.w, parent.pre
+        if pre:
+            size = pre // (1 + parent.w - pre)
+            pre += size * dw
+            dw *= size + 1
+        info.ty, info.own = ty, parent.own
+        info.w, info.pre = parent.w + dw, pre
+        info.nfine = parent.nfine + new.nfine - old.nfine
+        return info
+
+    def _at(self, pos):
+        """The result at pos, which becomes the focus: up to the longest
+        prefix pos shares with the focus's position, then down."""
+        here = self._open()[0].pos
+        if here != pos:
+            n = 0
+            for a, b in zip(here, pos):
+                if a != b:
+                    break
+                n += 1
+            while len(self._frames.pos) > n:
+                self._up()
+            f, info = self._frames, self._focus
+            for i in pos[n:]:
+                if not 0 <= i < len(info.kids):
+                    self._frames, self._focus = f, info
+                    raise InvalidPath(
+                        f"no child {i} at {type(info.term).__name__}")
+                kid = info.kids[i]
+                f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, kid))
+                info = kid
+            self._frames, self._focus = f, info
+        return self._focus
+
     # ------------------------------------------------------------ views
 
     def redexes(self) -> list:
@@ -652,75 +884,61 @@ class Scan:
 
     def fine_redex(self, k: int):
         """(position, rule, local env) of the k-th fine redex in pre-order,
-        which is the order of (position, RuleId order)."""
-        path, pos = [self.root], []
+        which is the order of (position, RuleId order): up until the
+        focus's subterm holds it, then down."""
+        self._open()
+        while not (self._frames.before <= k
+                   < self._frames.before + self._focus.nfine
+                   ) and self._frames.up is not None:
+            self._up()
+        f, info = self._frames, self._focus
+        k -= f.before
         while True:
-            info = path[-1]
             for rule, fine in info.own:
                 if fine:
                     if k == 0:
-                        pos = tuple(pos)
-                        return pos, rule, self._along(pos, path)[1][-1][0]
+                        self._frames, self._focus = f, info
+                        return f.pos, rule, f.env
                     k -= 1
             for i, kid in enumerate(info.kids):
                 if k < kid.nfine:
-                    path.append(kid)
-                    pos.append(i)
                     break
                 k -= kid.nfine
             else:
                 raise IndexError("fewer fine redexes than asked for")
+            f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, kid))
+            info = kid
 
     def innermost_fine_redex(self):
         """(position, rule, local env) of the first fine redex in pre-order
-        with no fine redex strictly below it."""
-        path, pos = [self.root], []
+        with no fine redex strictly below it: up until a descent from the
+        root, which takes the first child with a fine redex, reaches the
+        focus, then down."""
+        self._open()
+        while (self._frames.left or not self._focus.nfine
+               ) and self._frames.up is not None:
+            self._up()
+        f, info = self._frames, self._focus
         while True:
-            for i, kid in enumerate(path[-1].kids):
+            for i, kid in enumerate(info.kids):
                 if kid.nfine:
-                    path.append(kid)
-                    pos.append(i)
                     break
             else:
-                for rule, fine in path[-1].own:
+                for rule, fine in info.own:
                     if fine:
-                        pos = tuple(pos)
-                        return pos, rule, self._along(pos, path)[1][-1][0]
+                        self._frames, self._focus = f, info
+                        return f.pos, rule, f.env
                 raise IndexError("no fine redex")
+            f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, kid))
+            info = kid
+
+    def at(self, pos):
+        """The result at `pos` and the environment in force there."""
+        return self._at(pos), self._frames.env
 
     def env_at(self, pos) -> Env:
         """The environment in force at `pos`."""
-        return self._along(pos)[1][-1][0]
-
-    def _along(self, pos, path=None):
-        """The results along pos, root first (`path`, if the caller has
-        them), and the (environment, renaming) in force at each. The
-        descent resumes below the longest prefix pos shares with the last
-        one made on this scan, or inherited from the step that made it
-        (see after); a descent to pos itself (fine_redex's) is reused."""
-        last, scopes, last_path = self._trail
-        if last is pos and last_path is not None:
-            return last_path, scopes
-        if path is None:
-            path = [self.root]
-            try:  # a negative index fails in _scope below
-                for i in pos:
-                    path.append(path[-1].kids[i])
-            except IndexError:
-                name = type(path[-1].term).__name__
-                raise InvalidPath(f"no child {i} at {name}") from None
-        n = len(last)
-        if pos[:n] != last:
-            n = 0
-            while n < len(pos) and pos[n] == last[n]:
-                n += 1
-        scopes = scopes[:n + 1]
-        for level in range(n, len(pos)):
-            _, env, ren = _scope(path[level].term, pos[level], *scopes[level],
-                                 path[level + 1])
-            scopes.append((env, ren))
-        self._trail = pos, scopes, path
-        return path, scopes
+        return self.at(pos)[1]
 
     def weight_terms(self) -> list:
         """(position, local env, term) of every pre-redex, children first
@@ -731,7 +949,8 @@ class Scan:
     # ------------------------------------------------------- one step
 
     def after(self, pos, rule) -> "Scan":
-        """The scan of the term with the `rule` redex at `pos` contracted.
+        """The scan of the term with the `rule` redex at `pos` contracted,
+        open at pos.
 
         Only the nodes the contraction creates are traversed, in the
         environment in force at `pos`. A subterm it copies from the redex
@@ -743,15 +962,21 @@ class Scan:
         it (else the result is built afresh, a contraction being a
         function of the redex alone). The contractum must have the
         redex's type (subject reduction), and InternalInvariantViolation
-        is raised if it does not. The ancestors keep their types, but
-        untypable ones (all of them if the redex is) are typed again, to
-        record why from the new children. Those and the ones within the
-        scan's depth of `pos` are matched again; the others keep their
-        matches and pre-redex tests and recombine only w, pre and nfine.
+        is raised if it does not. The ancestors within the scan's depth
+        of `pos` are matched again, and their frames made anew, on the
+        new scan's first read but `term` (_open). The others keep
+        their matches and pre-redex tests until the focus moves up past
+        them (see _rebuilt). All of them are matched again at once, and
+        the new scan is open at the root, where the rules read
+        unboundedly deep or the redex is untypable (its ancestors are,
+        and may become typable); and the environments along the path are
+        read again from the root where a renamed term binder above must
+        avoid other free variables.
         """
         rule = rule if rule.__class__ is _rules.RuleId else _rules.RuleId(rule)
-        path, scopes = self._along(pos)
-        old, (env, ren) = path[-1], scopes[-1]
+        old = self._at(pos)
+        frames = self._frames
+        env, ren = frames.env, frames.ren
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
@@ -783,45 +1008,27 @@ class Scan:
                 and free_type_vars(old.term) != free_type_vars(contractum)):
             # a renamed type binder above avoids its body's free type
             # variables, which the step changed: scan afresh
-            root = _refill([p.term for p in path[:-1]], pos, contractum)
-            fresh = Scan(self.env, root, self.rules, scopes[0][1], self.system,
-                         self.strict_proviso)
-            fresh._memo = memo
+            top = frames
+            while top.up is not None:
+                top = top.up
+            fresh = Scan(self.env, _refilled(frames, contractum), self.rules,
+                         top.ren, self.system, self.strict_proviso)
+            fresh._memo, fresh._bodies = memo, self._bodies
+            fresh.made = contractum
             return fresh
         out = object.__new__(Scan)
         out.__dict__.update(self.__dict__)
-        # the renamed binders above pos keep their names, and the
-        # environments their entries, if its free variables stay
-        out._trail = ((pos, scopes, None)
-                      if not ren or _free_of(old) == _free_of(new)
-                      else ((), scopes[:1], None))
-        # the parent lies within the scan's depth of pos, so dw and dn are
-        # set before they carry up. W is sub + pre, where sub is the
-        # children's W and pre = |C| * (1 + sub) at a pre-redex (else 0),
-        # so |C| is read back off the old w and pre.
-        far = 0 if self.depth is None else len(pos) - self.depth
-        for level in range(len(pos) - 1, -1, -1):
-            parent, i = path[level], pos[level]
-            kids = parent.kids
-            info = _Info()
-            info.term = _with_child(parent.term, i, new.term)
-            info.kids = kids[:i] + (new,) + kids[i + 1:]
-            info.free = info.tyb = None
-            info.subs, ty = parent.subs, parent.ty
-            retype = ty is None and self.typed
-            if retype:
-                ty = self._type(info, *scopes[level])
-            if retype or level >= far:
-                self._finish(info, ty)
-                dw, dn = info.w - parent.w, info.nfine - parent.nfine
-            else:
-                info.ty, info.own, pre = ty, parent.own, parent.pre
-                if pre:
-                    size = pre // (1 + parent.w - pre)
-                    pre += size * dw
-                    dw *= size + 1
-                info.w, info.pre = parent.w + dw, pre
-                info.nfine = parent.nfine + dn
-            new = info
-        out.root = new
+        out._focus, out.made = new, contractum
+        if self.depth is None or self.typed and old.ty is None:
+            # every ancestor is matched again: the rules read unboundedly
+            # deep, or the redex is untypable and its ancestors may not be
+            while out._frames.up is not None:
+                out._up(True)
+            return out
+        out._again = min(self.depth, len(pos))
+        if ren and _free_of(old) != _free_of(new):
+            # a renamed term binder above avoids its body's free
+            # variables, which the step changed: the environments along
+            # the path are read again from the root
+            out.root
         return out

@@ -402,3 +402,18 @@ def test_json_opens_with_command_and_input_and_text_agrees(argv):
         assert lines[-1] == "verified" and doc["verified"]
     else:
         assert lines[-1] == f"result: {doc['result']} [{len(doc['steps'])} steps]"
+
+
+@pytest.mark.parametrize("argv", PIPELINE_CASES,
+                         ids=[argv[0] for argv in PIPELINE_CASES])
+def test_a_json_command_leaves_nothing_for_the_collector(argv):
+    import gc
+    run(argv + ["--format", "json"])  # builds the parser and warms caches
+    gc.collect()
+    gc.disable()
+    try:
+        code, out = run(argv + ["--format", "json"])
+        assert code == 0 and json.loads(out)["command"] == argv[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
