@@ -10,7 +10,7 @@ relating them.
 from .syntax import (Abort, And, App, AppHole, AbortHole, Bot, Case, CaseHole,
                      ElimContext, Forall, Formula, FVar, Imp, Inj, Lam, Or,
                      Pair, Proj, ProjHole, Term, TyApp, TyAppHole, TyLam, Var,
-                     alpha_eq, canonical_key, encode_bot, encode_or, fill,
+                     canonical_key, encode_bot, encode_or, fill,
                      formula_size, free_type_vars, free_vars, fresh_name,
                      hole_result, match_encoded_or, replace_at, split,
                      subst_term, subst_type, subterm_at)

@@ -30,7 +30,8 @@ from .diagram import build_diagram
 from .errors import (AtomlamError, InternalInvariantViolation, NotARedex,
                      NotInSystem, NotIPCFormula, NotIPCTerm, ParseError,
                      RuleNotApplicable, StepLimitExceeded, TypingError)
-from .rewriting import ReductionTrace, find_redexes, normalize, replay
+from .rewriting import (STRATEGIES, _STRATEGY_ALIASES, ReductionTrace,
+                        find_redexes, normalize, replay)
 from .rules import RuleId
 from .surface import _lex, parse_formula, parse_term, print_formula, print_term
 from .translate import at_term, rp_term
@@ -235,8 +236,7 @@ def _positive_int(text):
 
 def _add_strategy(p):
     p.add_argument("--strategy", default="leftmost-outermost",
-                   choices=("leftmost-outermost", "leftmost-innermost",
-                            "random", "lo", "li"))
+                   choices=STRATEGIES + tuple(_STRATEGY_ALIASES))
     p.add_argument("--seed", type=int, default=0)
 
 

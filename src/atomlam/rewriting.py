@@ -23,10 +23,7 @@ from .syntax import (InvalidPath, Term, _refill, replace_at, subterm_at,
 from .typecheck import Env, Scan, SystemId, _fine_match, descend
 
 STRATEGIES = ("leftmost-outermost", "leftmost-innermost", "random")
-_STRATEGY_ALIASES = {"lo": "leftmost-outermost", "li": "leftmost-innermost",
-                     "leftmost-outermost": "leftmost-outermost",
-                     "leftmost-innermost": "leftmost-innermost",
-                     "random": "random"}
+_STRATEGY_ALIASES = {"lo": "leftmost-outermost", "li": "leftmost-innermost"}
 
 
 @dataclass(frozen=True)
@@ -38,12 +35,9 @@ class Redex:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    rule: RuleId
-    position: tuple
-    local_env: Env
+class TraceStep(Redex):
+    """A contracted redex and the term it gave."""
     result: Term
-    fine: bool = True
     admin: bool = False
 
     def __getattr__(self, name):
@@ -141,8 +135,8 @@ def normalize(sys: SystemId, env: Env, m: Term, rules, strategy="leftmost-outerm
 
 
 def _strategy(name):
-    strategy = _STRATEGY_ALIASES.get(name)
-    if strategy is None:
+    strategy = _STRATEGY_ALIASES.get(name, name)
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy; expected one of {STRATEGIES}")
     return strategy
 
@@ -218,7 +212,7 @@ def apply_script(sys: SystemId, env: Env, m: Term, script,
         if require_fine and not fine:
             raise NotFine(f"{rule.value} step at {list(pos)} is not fine")
         current = _refill(spine, pos, RULES[rule].contract(sub))
-        trace.steps.append(TraceStep(rule, pos, local, current, fine, admin))
+        trace.steps.append(TraceStep(pos, rule, local, fine, current, admin))
     return trace
 
 

@@ -367,11 +367,6 @@ def _canonical(node, maps, depth):
     return tuple(key)
 
 
-def alpha_eq(a, b) -> bool:
-    """Alpha-equivalence of two terms (or two formulas)."""
-    return a == b
-
-
 def canonical_key(node):
     """Hashable key equal exactly on alpha-equivalent nodes."""
     return _canonical(node, ({}, {}), 0)

@@ -577,10 +577,10 @@ class Scan:
     parent only if the child has changed. `root` moves the focus to the
     root; `term` builds the scanned term without moving it. A Scan's
     results are never mutated, and the frames are shared: `after`
-    returns a new scan, open at the step's position (its contractum is
-    `made`), that shares every result and frame off the contracted
-    redex's path, and the results of the subterms the contraction
-    copies. Moving one scan's focus leaves the scans derived from it
+    returns a new scan, open at the step's position, that shares every
+    result and frame off the contracted redex's path, and the results of
+    the subterms the contraction copies, or else a fresh scan of the
+    term. Moving one scan's focus leaves the scans derived from it
     alone.
 
     A scan and the scans `after` derives from it share a memo (`_memo`,
@@ -811,22 +811,21 @@ class Scan:
         f, info = self._open()
         return info.nfine + f.outside
 
-    def _up(self, again=False):
+    def _up(self):
         """Move the focus to its parent, rebuilt (_rebuilt) if the child
         has changed."""
         f, new = self._frames, self._focus
         parent = f.parent
         if new is not parent.kids[f.i]:
-            parent = self._rebuilt(f, new, again)
+            parent = self._rebuilt(f, new, False)
         self._focus, self._frames = parent, f.up
 
     def _rebuilt(self, f, new, again):
-        """The result of f's parent with `new` for its child: matched again
-        if `again` or if it is untypable (typed again, to record why from
-        the new child), else with the change of W and of the fine count
-        carried up. W is sub + pre, where sub is the children's W and
-        pre = |C| * (1 + sub) at a pre-redex (else 0), so |C| is read
-        back off the old w and pre."""
+        """The result of f's parent, of the same type, with `new` for its
+        child: matched again if `again`, else with the change of W and of
+        the fine count carried up. W is sub + pre, where sub is the
+        children's W and pre = |C| * (1 + sub) at a pre-redex (else 0),
+        so |C| is read back off the old w and pre."""
         parent, i = f.parent, f.i
         old = parent.kids[i]
         info = _Info()
@@ -834,10 +833,7 @@ class Scan:
         info.kids = parent.kids[:i] + (new,) + parent.kids[i + 1:]
         info.free = info.tyb = None
         info.subs, ty = parent.subs, parent.ty
-        retype = ty is None and self.typed
-        if retype:
-            ty = self._type(info, f.up.env, f.up.ren)
-        if retype or again:
+        if again:
             self._finish(info, ty)
             return info
         dw, pre = new.w - old.w, parent.pre
@@ -936,10 +932,6 @@ class Scan:
         """The result at `pos` and the environment in force there."""
         return self._at(pos), self._frames.env
 
-    def env_at(self, pos) -> Env:
-        """The environment in force at `pos`."""
-        return self.at(pos)[1]
-
     def weight_terms(self) -> list:
         """(position, local env, term) of every pre-redex, children first
         and an application's argument before its function."""
@@ -950,7 +942,7 @@ class Scan:
 
     def after(self, pos, rule) -> "Scan":
         """The scan of the term with the `rule` redex at `pos` contracted,
-        open at pos.
+        open at pos (its contractum is `made`).
 
         Only the nodes the contraction creates are traversed, in the
         environment in force at `pos`. A subterm it copies from the redex
@@ -963,15 +955,17 @@ class Scan:
         function of the redex alone). The contractum must have the
         redex's type (subject reduction), and InternalInvariantViolation
         is raised if it does not. The ancestors within the scan's depth
-        of `pos` are matched again, and their frames made anew, on the
-        new scan's first read but `term` (_open). The others keep
-        their matches and pre-redex tests until the focus moves up past
-        them (see _rebuilt). All of them are matched again at once, and
-        the new scan is open at the root, where the rules read
-        unboundedly deep or the redex is untypable (its ancestors are,
-        and may become typable); and the environments along the path are
-        read again from the root where a renamed term binder above must
-        avoid other free variables.
+        of `pos` (all of them where a rule reads unboundedly deep) are
+        matched again, and their frames made anew, on the new scan's
+        first read but `term` (_open); the others keep their matches and
+        pre-redex tests until the focus moves up past them (_rebuilt).
+
+        The refilled term is scanned afresh instead, as this scan was
+        built and in its lineage, where the frames would not hold: in a
+        typed scan whose redex or an ancestor of it is untypable (a
+        frame's `a` is 0 below one), as the ancestors may become
+        typable; and where a binder renamed above `pos` avoids the free
+        names of its body, which the step changed.
         """
         rule = rule if rule.__class__ is _rules.RuleId else _rules.RuleId(rule)
         old = self._at(pos)
@@ -993,7 +987,7 @@ class Scan:
             new = None
         if new is None:
             depth, found = _rules.RULES[rule].depth, None
-            if depth is not None and not self.strict_proviso:
+            if depth is not None:
                 found = {}
                 _record(old, env, ren, depth + 1, found)
             hit = found and found.get(id(contractum))
@@ -1004,31 +998,17 @@ class Scan:
             raise InternalInvariantViolation(
                 f"subject reduction failed: {rule.value} at {list(pos)} "
                 f"changed the type")
-        if (self.typed and ren.get(_TY)
-                and free_type_vars(old.term) != free_type_vars(contractum)):
-            # a renamed type binder above avoids its body's free type
-            # variables, which the step changed: scan afresh
-            top = frames
-            while top.up is not None:
-                top = top.up
+        if self.typed and (old.ty is None or not frames.a) or ren and (
+                _free_of(old) != _free_of(new) or ren.get(_TY) and
+                free_type_vars(old.term) != free_type_vars(contractum)):
             fresh = Scan(self.env, _refilled(frames, contractum), self.rules,
-                         top.ren, self.system, self.strict_proviso)
+                         system=self.system if self.typed else None)
             fresh._memo, fresh._bodies = memo, self._bodies
             fresh.made = contractum
             return fresh
         out = object.__new__(Scan)
         out.__dict__.update(self.__dict__)
         out._focus, out.made = new, contractum
-        if self.depth is None or self.typed and old.ty is None:
-            # every ancestor is matched again: the rules read unboundedly
-            # deep, or the redex is untypable and its ancestors may not be
-            while out._frames.up is not None:
-                out._up(True)
-            return out
-        out._again = min(self.depth, len(pos))
-        if ren and _free_of(old) != _free_of(new):
-            # a renamed term binder above avoids its body's free
-            # variables, which the step changed: the environments along
-            # the path are read again from the root
-            out.root
+        out._again = len(pos) if self.depth is None else min(self.depth,
+                                                             len(pos))
         return out

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from atomlam import (And, App, Env, FVar, Lam, Proj, RuleId, SystemId, TyApp,
-                     TyLam, Var, alpha_eq, apply_rule, at_term, atomic_nf,
+                     TyLam, Var, apply_rule, at_term, atomic_nf,
                      decompose_delta, decompose_eps, encode_bot, expand_rho,
                      find_redexes, parse_formula, parse_term, replace_at,
                      replay, rp_env, rp_term, simulate_step, step, subterm_at,
@@ -102,8 +102,8 @@ def test_criterion_2_strict_simulation():
                   and {s.rule for s in tr.steps} <= classes
                   and len(tr) > 0
                   and all(s.fine for s in tr.steps)
-                  and alpha_eq(tr.initial, rp_term(t))
-                  and alpha_eq(tr.final, target))
+                  and tr.initial == rp_term(t)
+                  and tr.final == target)
             if not ok:
                 failures.append((t, r.rule, r.position))
     _report(2, "each source step maps to a non-empty fine trace with the "
@@ -118,7 +118,7 @@ def test_criterion_3_comparison_of_maps():
     for env, t in suite:
         renv = rp_env(env)
         nf, _ = atomic_nf(renv, rp_term(t))
-        if not alpha_eq(nf, at_term(t)):
+        if nf != at_term(t):
             failures.append(t)
     _report(3, "the atomic normal form of the full-instantiation image is "
                "the atomic image", failures, len(suite))
@@ -161,7 +161,7 @@ def test_criterion_5_unique_normal_form():
     for env, t in suite:
         results = [atomic_nf(env, t, strategy=s, seed=seed)[0]
                    for s, seed in strategies]
-        if not all(alpha_eq(x, results[0]) for x in results[1:]):
+        if not all(x == results[0] for x in results[1:]):
             failures.append(t)
     _report(5, "five strategies give alpha-equal atomic normal forms",
             failures, len(suite) * len(strategies))
@@ -185,15 +185,15 @@ def test_criterion_6_decompositions():
             if r.rule == RuleId.delta:
                 tr = decompose_delta(env, t, r)
                 want = 5 if isinstance(sub.fun.arg, And) else 3
-                if len(tr) != want or not alpha_eq(tr.final, direct):
+                if len(tr) != want or tr.final != direct:
                     failures.append(("delta", t, r.position))
             elif r.rule in (RuleId.eps_case, RuleId.eps_abort):
                 tr = decompose_eps(env, t, r)
-                if len(tr) != 2 or not alpha_eq(tr.final, direct):
+                if len(tr) != 2 or tr.final != direct:
                     failures.append(("eps", t, r.position))
             else:
                 expansion, tr = expand_rho(env, t, r)
-                if not alpha_eq(tr.final, direct) or not replay(tr):
+                if tr.final != direct or not replay(tr):
                     failures.append(("expand", t, r.position))
     _report(6, "decomposition traces have the prescribed lengths and "
                "endpoints; expansions witness the equalities", failures,
@@ -228,7 +228,7 @@ def test_criterion_7_diagrams():
                 ok = (isinstance(q, TyLam) and isinstance(q.body, Lam)
                       and isinstance(spine, App)
                       and isinstance(spine.fun, TyApp)
-                      and alpha_eq(spine.fun.fun, scrut_at)
+                      and spine.fun.fun == scrut_at
                       and isinstance(spine.arg.fst.body, App)
                       and isinstance(spine.arg.fst.body.fun, Proj)
                       and spine.arg.fst.body.fun.index == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from atomlam import (Env, FVar, RuleId, SystemId, Var, alpha_eq, apply_rule,
+from atomlam import (Env, FVar, RuleId, SystemId, Var, apply_rule,
                      at_term, atomic_nf, check_local_confluence,
                      decompose_delta, decompose_eps, encode_bot, encode_or,
                      expand_rho, find_redexes, formula_size, parse_formula,
@@ -75,7 +75,7 @@ def test_weight_decreases_on_each_fine_step():
 def test_atomic_nf_example():
     env = Env([("z", encode_bot())])
     nf, trace = atomic_nf(env, pt("z [X -> Y]"))
-    assert alpha_eq(nf, pt("fun w:X => z [Y]"))
+    assert nf == pt("fun w:X => z [Y]")
     assert len(trace) == 1
 
 
@@ -94,7 +94,7 @@ def test_atomic_nf_is_strategy_invariant():
             nf, trace = atomic_nf(env, t, strategy=strat, seed=seed)
             assert replay(trace)
             results.append(nf)
-        assert all(alpha_eq(x, results[0]) for x in results)
+        assert all(x == results[0] for x in results)
 
 
 def test_atomic_nf_strategies_choose_their_redexes():
@@ -129,7 +129,7 @@ def test_atomic_nf_of_rp_is_at():
     for env, t in corpus.ipc_corpus(71, 100):
         renv = rp_env(env)
         nf, _ = atomic_nf(renv, rp_term(t))
-        assert alpha_eq(nf, at_term(t))
+        assert nf == at_term(t)
 
 
 # ----------------------------------------------------------- decompositions
@@ -153,7 +153,7 @@ def test_decompose_delta_lengths_and_endpoints():
             assert replay(tr)
             direct = replace_at(t, r.position,
                                 apply_rule(RuleId.delta, subterm_at(t, r.position)))
-            assert alpha_eq(tr.final, direct)
+            assert tr.final == direct
             assert all(s.fine for s in tr.steps)
     assert seen == {"Imp", "And", "Forall"}
 
@@ -170,7 +170,7 @@ def test_decompose_eps_lengths_and_endpoints():
                 assert replay(tr)
                 direct = replace_at(t, r.position,
                                     apply_rule(rule, subterm_at(t, r.position)))
-                assert alpha_eq(tr.final, direct)
+                assert tr.final == direct
                 assert all(s.fine for s in tr.steps)
 
 
@@ -192,7 +192,7 @@ def test_expand_rho_witnesses():
                     for term in frontier:
                         for x in find_redexes(F, env, term, eta_rules):
                             out = step(F, env, term, x)
-                            if alpha_eq(out, t):
+                            if out == t:
                                 reached = True
                             nxt.append(out)
                     if reached:
@@ -202,7 +202,7 @@ def test_expand_rho_witnesses():
                 # and reduces to the direct contractum
                 direct = replace_at(t, r.position,
                                     apply_rule(rule, subterm_at(t, r.position)))
-                assert alpha_eq(tr.final, direct)
+                assert tr.final == direct
                 assert replay(tr)
 
 
@@ -211,9 +211,9 @@ def test_expand_rho_abort_and_example():
     t = pt("m [X1 & X2]")
     [r] = _fine_redexes(env, t, {RuleId.rho_abort})
     expansion, tr = expand_rho(env, t, r)
-    assert alpha_eq(expansion, pt("<(m [X1 & X2]).1, (m [X1 & X2]).2>"))
+    assert expansion == pt("<(m [X1 & X2]).1, (m [X1 & X2]).2>")
     assert len(tr) == 2  # two commuting steps
-    assert alpha_eq(tr.final, pt("<m [X1], m [X2]>"))
+    assert tr.final == pt("<m [X1], m [X2]>")
 
 
 # --------------------------------------------------------------- simulation
@@ -247,8 +247,8 @@ def test_simulation_root_counts():
         assert len(tr) == count, rule
         assert {s.rule for s in tr.steps} <= classes
         assert all(s.fine for s in tr.steps)
-        assert alpha_eq(tr.initial, rp_term(t))
-        assert alpha_eq(tr.final, rp_term(step(IPC, env, t, r)))
+        assert tr.initial == rp_term(t)
+        assert tr.final == rp_term(step(IPC, env, t, r))
 
 
 def test_simulation_nested_redexes():
@@ -258,7 +258,7 @@ def test_simulation_nested_redexes():
         assert len(tr) == count
         assert {s.rule for s in tr.steps} <= classes
         assert all(s.fine for s in tr.steps)
-        assert alpha_eq(tr.final, rp_term(step(IPC, env, t, r)))
+        assert tr.final == rp_term(step(IPC, env, t, r))
         assert replay(tr)
 
 
@@ -400,7 +400,7 @@ def test_normalize_and_atomic_nf_share_the_fixpoint():
     for env, t in corpus.f_corpus(113, 40):
         tr = normalize(F, env, t, RHO)
         nf, _ = atomic_nf(env, t)
-        assert alpha_eq(tr.final, nf)
+        assert tr.final == nf
 
 
 def test_invalid_path():

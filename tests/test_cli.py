@@ -8,7 +8,7 @@ import pytest
 
 from atomlam import cli
 from atomlam.cli import main
-from atomlam import alpha_eq, parse_term
+from atomlam import parse_term
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,7 +70,7 @@ def test_nf_example():
     assert code == 0
     doc = json.loads(out)
     assert len(doc["steps"]) == 1
-    assert alpha_eq(parse_term(doc["result"]), parse_term("fun w:X => z [Y]"))
+    assert parse_term(doc["result"]) == parse_term("fun w:X => z [Y]")
 
 
 def test_simulate_rule_classes():

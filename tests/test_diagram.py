@@ -4,7 +4,7 @@ import random
 import pytest
 
 from atomlam import (Abort, And, Case, Env, FVar, RuleId, SystemId, Var,
-                     alpha_eq, apply_script, at_term, find_redexes,
+                     apply_script, at_term, find_redexes,
                      parse_formula, parse_term, replay, rp_term, step,
                      subterm_at, typecheck)
 import atomlam.diagram
@@ -38,7 +38,7 @@ def test_rejects_shared_connective_rules():
 def test_simple_rules_collapse_midpoints():
     for rule in sorted(SIMPLE, key=lambda r: r.value):
         env, t, r, d = _diagram_for(rule)
-        assert alpha_eq(d.q1, d.m_at) and alpha_eq(d.q2, d.n_at)
+        assert d.q1 == d.m_at and d.q2 == d.n_at
         assert d.legs["m_rp->q1"] is d.legs["m_rp->m_at"]
         assert d.legs["n_rp->q2"] is d.legs["n_rp->n_at"]
         assert len(d.legs["m_at->q1"].steps) == 0
@@ -55,7 +55,7 @@ def test_eta_or_midpoint_matches_display():
     assert isinstance(q1, TyLam) and isinstance(q1.body, Lam)
     spine = q1.body.body
     assert isinstance(spine, App) and isinstance(spine.fun, TyApp)
-    assert alpha_eq(spine.fun.fun, scrut_at)
+    assert spine.fun.fun == scrut_at
     lb, rb = spine.arg.fst, spine.arg.snd
     assert isinstance(lb.body, App) and isinstance(lb.body.fun, Proj)
     assert lb.body.fun.index == 1 and rb.body.fun.index == 2
@@ -64,7 +64,7 @@ def test_eta_or_midpoint_matches_display():
     assert len(leg.steps) == 4 and all(s.admin for s in leg.steps)
     # and q1 -> q2 is the five-step eta leg ending at the scrutinee image
     assert len(d.legs["q1->q2"].steps) == 5
-    assert alpha_eq(d.q2, scrut_at)
+    assert d.q2 == scrut_at
     assert d.verify() == []
 
 
@@ -76,7 +76,7 @@ def test_pi_bot_atomic_annotation_collapses():
     envz = Env(list(env.items()))
     [r] = find_redexes(IPC, envz, t, {RuleId.pi_bot})
     d = build_diagram(envz, t, r)
-    assert alpha_eq(d.q2, d.n_at)
+    assert d.q2 == d.n_at
     assert d.legs["n_rp->q2"] is d.legs["n_rp->n_at"]
     assert d.verify() == []
 
@@ -176,11 +176,11 @@ def test_all_rules_on_nested_corpus():
         problems = d.verify()
         assert problems == [], (r.rule, problems)
         # corners really are the four translations
-        assert alpha_eq(d.m_rp, rp_term(t))
-        assert alpha_eq(d.m_at, at_term(t))
+        assert d.m_rp == rp_term(t)
+        assert d.m_at == at_term(t)
         n = step(IPC, env, t, r)
-        assert alpha_eq(d.n_rp, rp_term(n))
-        assert alpha_eq(d.n_at, at_term(n))
+        assert d.n_rp == rp_term(n)
+        assert d.n_at == at_term(n)
         # fineness on the legs out of the full-instantiation corners
         for name in ("m_rp->m_at", "n_rp->n_at", "m_rp->n_rp",
                      "m_rp->q1", "n_rp->q2"):

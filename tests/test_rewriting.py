@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from atomlam import (Env, FVar, RuleId, SystemId, Var, alpha_eq, apply_rule,
+from atomlam import (Env, FVar, RuleId, SystemId, Var, apply_rule,
                      encode_bot, encode_or, find_redexes, free_vars,
                      match_rule, normalize, parse_formula, parse_term, replay,
                      step, typecheck)
@@ -17,7 +17,7 @@ IPC, F, FAT = SystemId.IPC, SystemId.F, SystemId.FAT
 
 
 def apply_eq(rule, src, expect):
-    assert alpha_eq(apply_rule(rule, pt(src)), pt(expect))
+    assert apply_rule(rule, pt(src)) == pt(expect)
 
 
 # ------------------------------------------------------- rule applications
@@ -212,8 +212,8 @@ def test_capture_avoidance_in_rules():
     # pi_imp pushes n under the branch binders; x free in n forces a rename
     out = apply_rule(RuleId.pi_imp,
                      pt("(case m of { x:X => p ; y:Y => q } : A -> B) x"))
-    assert alpha_eq(out, pt("case m of { v:X => p' x ; y:Y => q x } : B"
-                            .replace("p'", "p")))
+    assert out == pt("case m of { v:X => p' x ; y:Y => q x } : B"
+                     .replace("p'", "p"))
     lbranch = out.lbody
     assert out.lvar != "x"
     # rho_case fresh binder never captures names free in the branches
@@ -263,14 +263,14 @@ def test_step_requires_fine():
     with pytest.raises(NotFine):
         step(F, env, pt("z [X & X]"), r)
     out = step(F, env, pt("z [X & X]"), r, require_fine=False)
-    assert alpha_eq(out, pt("<z [X], z [X]>"))
+    assert out == pt("<z [X], z [X]>")
 
 
 def test_fine_step_under_lambda():
     env = Env([("z", encode_bot())])
     t = pt("fun w:Y => z [X & X]")
     [r] = find_redexes(F, env, t, {RuleId.rho_abort})
-    assert alpha_eq(step(F, env, t, r), pt("fun w:Y => <z [X], z [X]>"))
+    assert step(F, env, t, r) == pt("fun w:Y => <z [X], z [X]>")
 
 
 def test_rules_validated_against_system():
@@ -285,7 +285,7 @@ def test_rules_validated_against_system():
 def test_normalize_single_beta():
     env = Env([("y", FVar("X"))])
     tr = normalize(IPC, env, pt("(fun x:X => x) y"), {RuleId.beta_imp})
-    assert len(tr) == 1 and alpha_eq(tr.final, Var("y"))
+    assert len(tr) == 1 and tr.final == Var("y")
     assert replay(tr)
 
 
@@ -293,7 +293,7 @@ def test_normalize_exhaustive_atomization():
     env = Env([("z", encode_bot())])
     tr = normalize(F, env, pt("z [(X -> X) & X]"), {RuleId.rho_abort})
     assert len(tr) == 2
-    assert alpha_eq(tr.final, pt("<fun w:X => z [X], z [X]>"))
+    assert tr.final == pt("<fun w:X => z [X], z [X]>")
 
 
 def test_normalize_step_cap():
@@ -311,7 +311,7 @@ def test_strategies_reach_alpha_equal_nf():
                         ("random", 1), ("random", 2)):
         finals.append(normalize(F, env, t, {RuleId.rho_abort},
                                 strategy=strat, seed=seed).final)
-    assert all(alpha_eq(f, finals[0]) for f in finals)
+    assert all(f == finals[0] for f in finals)
 
 
 # --------------------------------------------- subject reduction & Eq-style

@@ -7,7 +7,8 @@ above the scan's read depth it carries the changes of W and of the
 fine-redex count up the path without matching again. Each
 stepped scan here is compared with a fresh scan of its term: the root's
 W and fine count, every weight term and every redex with its position,
-rule, fineness and local environment.
+rule, fineness and local environment. The steps that leave that path and
+scan their term afresh are counted (`rescans`).
 """
 
 import random
@@ -26,7 +27,7 @@ from atomlam.analysis import ATOMIZATION_RULES
 from atomlam.errors import (AtomicInstantiation, InternalInvariantViolation,
                             ShapeMismatch)
 from atomlam.rewriting import ReductionTrace, env_at, reduce_scan
-from atomlam.rules import RULES, match_rule, rules_of_system
+from atomlam.rules import F_BETA_ETA, RULES, match_rule, rules_of_system
 from atomlam.syntax import InvalidPath, term_children
 from atomlam.typecheck import Scan
 
@@ -63,20 +64,45 @@ def _check_steps(env, m, rules, strategy="leftmost-outermost", seed=None,
     return len(trace.steps)
 
 
+@pytest.fixture
+def rescans(monkeypatch):
+    """The terms of the scans Scan.after builds afresh, not counting the
+    oracle's own scans: one per step that leaves the incremental path."""
+    out, stepping, init, after = [], [], Scan.__init__, Scan.after
+
+    def counting_init(scan, env, m, *args, **kwargs):
+        if stepping:
+            out.append(m)
+        init(scan, env, m, *args, **kwargs)
+
+    def counting_after(scan, *args):
+        stepping.append(scan)
+        try:
+            return after(scan, *args)
+        finally:
+            stepping.pop()
+
+    monkeypatch.setattr(Scan, "__init__", counting_init)
+    monkeypatch.setattr(Scan, "after", counting_after)
+    return out
+
+
 # ------------------------------------------------------------- the oracle
 
 @pytest.mark.parametrize("d, k, every", [(4, 1, 1), (2, 2, 1), (6, 1, 10),
                                          (4, 2, 50)])
-def test_stepped_scans_are_fresh_scans_on_the_ladder(d, k, every):
+def test_stepped_scans_are_fresh_scans_on_the_ladder(d, k, every, rescans):
     assert _check_steps(rp_env(ENV), rp_term(ladder(d, k)), ATOMIZATION_RULES,
                         every=every) > 0
+    assert rescans == []
 
 
 @pytest.mark.parametrize("strategy, seed", [("leftmost-innermost", None),
                                             ("random", 3), ("random", 8)])
-def test_stepped_scans_are_fresh_scans_in_any_order(strategy, seed):
+def test_stepped_scans_are_fresh_scans_in_any_order(strategy, seed, rescans):
     assert _check_steps(rp_env(ENV), rp_term(ladder(2, 2)), ATOMIZATION_RULES,
                         strategy, seed) > 0
+    assert rescans == []
 
 
 def test_stepped_scans_are_fresh_scans_for_every_f_rule():
@@ -108,18 +134,20 @@ def test_stepped_scans_are_fresh_scans_under_a_capturing_type_binder(
 def test_a_step_that_frees_the_name_a_renamed_type_binder_avoided():
     # tfun X captures the X of z : X and is renamed X'', away from the X'
     # free in its body; once beta drops X', it is renamed X', in the
-    # stepped scan as in a fresh one
-    env, rules = Env([("z", X)]), rules_of_system(SystemId.F)
+    # stepped scan as in a fresh one, whether the scan types or not
+    env = Env([("z", X)])
     t = parse_term("tfun X => (fun d:X' -> X' => fun w:X => (fun v:X => v) w)"
                    " (fun q:X' => q)")
-    scan = Scan(env, t, rules)
-    assert print_formula(scan.root.ty) == "forall X''. X'' -> X''"
-    stepped = scan.after((0,), RuleId.beta_imp)
-    assert print_formula(stepped.root.ty) == "forall X'. X' -> X'"
-    assert _view(stepped) == _view(Scan(env, stepped.root.term, rules))
-    [local] = [local for _, rule, local, _ in stepped.redexes()
-               if rule is RuleId.beta_imp]
-    assert print_formula(local.lookup("w")) == "X'"
+    for rules in rules_of_system(SystemId.F), F_BETA_ETA:
+        scan = Scan(env, t, rules)
+        stepped = scan.after((0,), RuleId.beta_imp)
+        if scan.typed:
+            assert print_formula(scan.root.ty) == "forall X''. X'' -> X''"
+            assert print_formula(stepped.root.ty) == "forall X'. X' -> X'"
+        assert _view(stepped) == _view(Scan(env, stepped.root.term, rules))
+        [local] = [local for _, rule, local, _ in stepped.redexes()
+                   if rule is RuleId.beta_imp]
+        assert print_formula(local.lookup("w")) == "X'"
 
 
 def test_stepped_scans_are_fresh_scans_without_typing():
@@ -137,9 +165,12 @@ def test_stepped_scans_are_fresh_scans_without_typing():
      3),
     ("<w w, s [(X -> X) & X] <fun x:X => <fun a:X => x, x>,"
      " fun y:Y => z [(X -> X) & X]>>", 6)])
-def test_stepped_scans_are_fresh_scans_on_untypable_terms(text, steps):
+def test_stepped_scans_are_fresh_scans_on_untypable_terms(text, steps,
+                                                         rescans):
+    # each step below an untypable node scans its term afresh
     env = Env([("s", encode_or(X, Y)), ("z", encode_bot()), ("w", Y)])
     assert _check_steps(env, parse_term(text), ATOMIZATION_RULES) == steps
+    assert len(rescans) == steps
 
 
 # ------------------------------------------------- reusing copied results
@@ -281,9 +312,9 @@ def test_a_memo_entry_made_below_a_renamed_type_binder_is_refused(
 def test_a_position_off_the_term_is_an_invalid_path():
     scan = Scan(Env(), parse_term("fun x:X => x"), ATOMIZATION_RULES)
     with pytest.raises(InvalidPath, match="no child 3 at Lam"):
-        scan.env_at((3,))
+        scan.at((3,))
     with pytest.raises(InvalidPath, match="no child -1 at Lam"):
-        scan.env_at((-1,))
+        scan.at((-1,))
     with pytest.raises(InvalidPath, match="no child 2 at Var"):
         scan.after((0, 2), RuleId.rho_abort)
 
@@ -344,7 +375,8 @@ def _distinct(t):
     [(4, 1, 156, 333, 90, 16, 290), (2, 2, 143, 268, 64, 16, 177)],
     ids=["4-1", "2-2"])
 def test_atomic_nf_builds_only_the_nodes_its_steps_create(
-        monkeypatch, d, k, builds, matched, steps, contracted, distinct):
+        monkeypatch, rescans, d, k, builds, matched, steps, contracted,
+        distinct):
     # before reuse and the read depth: 1,350 / 3,243 and 839 / 1,863;
     # before the contraction memo: 561 / 738 and 343 / 468, every step
     # contracted, and 425 and 241 distinct objects in the normal form
@@ -360,6 +392,7 @@ def test_atomic_nf_builds_only_the_nodes_its_steps_create(
     # the memo's misses contract, its hits do not
     assert (len(trace.steps), len(made)) == (steps, contracted)
     assert _distinct(nf) == distinct
+    assert rescans == []
 
 
 @pytest.mark.parametrize("d, k, calls, steps", [(4, 1, 398, 90),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from atomlam import (Abort, And, App, AppHole, Bot, Case, Forall, Formula,
                      FVar, Imp, Inj, Lam, Or, Pair, Proj, ProjHole, Term,
-                     TyApp, TyAppHole, TyLam, Var, alpha_eq, encode_bot,
+                     TyApp, TyAppHole, TyLam, Var, encode_bot,
                      encode_or, fill, free_type_vars, free_vars, hole_result,
                      match_encoded_or, parse_formula, parse_term,
                      print_formula, print_term, split, subst_term,
@@ -122,66 +122,66 @@ formulas, terms = node_strategies(names, tnames)
 # ------------------------------------------------------------------ alpha
 
 def test_alpha_eq_renaming():
-    assert alpha_eq(pt("fun x:X => x"), pt("fun y:X => y"))
-    assert alpha_eq(pt("tfun X => fun w:X => w"), pt("tfun Y => fun w:Y => w"))
-    assert not alpha_eq(pt("fun x:X => x"), pt("fun x:Y => x"))
+    assert pt("fun x:X => x") == pt("fun y:X => y")
+    assert pt("tfun X => fun w:X => w") == pt("tfun Y => fun w:Y => w")
+    assert pt("fun x:X => x") != pt("fun x:Y => x")
 
 
 def test_alpha_distinguishes_free_vars():
-    assert not alpha_eq(pt("fun x:X => y"), pt("fun x:X => z"))
-    assert not alpha_eq(pt("x"), pt("y"))
+    assert pt("fun x:X => y") != pt("fun x:X => z")
+    assert pt("x") != pt("y")
 
 
 @settings(max_examples=150)
 @given(terms)
 def test_alpha_reflexive(t):
-    assert alpha_eq(t, t)
+    assert t == t
 
 
 @settings(max_examples=100)
 @given(terms, terms)
 def test_alpha_symmetric(a, b):
-    assert alpha_eq(a, b) == alpha_eq(b, a)
+    assert (a == b) == (b == a)
 
 
 @settings(max_examples=60)
 @given(terms, terms, terms)
 def test_alpha_transitive(a, b, c):
-    if alpha_eq(a, b) and alpha_eq(b, c):
-        assert alpha_eq(a, c)
+    if a == b and b == c:
+        assert a == c
 
 
 # ------------------------------------------------------------ substitution
 
 def test_subst_capture_forces_rename():
     out = subst_term(Var("y"), "x", pt("fun y:X => x"))
-    assert alpha_eq(out, pt("fun w:X => y"))
-    assert not alpha_eq(out, pt("fun y:X => y"))
+    assert out == pt("fun w:X => y")
+    assert out != pt("fun y:X => y")
 
 
 def test_subst_var():
-    assert alpha_eq(subst_term(pt("a b"), "x", Var("x")), pt("a b"))
+    assert subst_term(pt("a b"), "x", Var("x")) == pt("a b")
 
 
 def test_subst_matches_oracle_on_example():
     # [z/x](fun z:X => x z) must rename the binder
     t = pt("fun z:X => x z")
     out = subst_term(Var("z"), "x", t)
-    assert alpha_eq(out, subst_oracle(Var("z"), "x", t))
-    assert alpha_eq(out, pt("fun w:X => z w"))
+    assert out == subst_oracle(Var("z"), "x", t)
+    assert out == pt("fun w:X => z w")
 
 
 @settings(max_examples=150)
 @given(terms, names, terms)
 def test_subst_matches_oracle(n, x, t):
-    assert alpha_eq(subst_term(n, x, t), subst_oracle(n, x, t))
+    assert subst_term(n, x, t) == subst_oracle(n, x, t)
 
 
 @settings(max_examples=100)
 @given(terms, names)
 def test_subst_identity_when_not_free(t, x):
     if x not in free_vars(t):
-        assert alpha_eq(subst_term(Var("q"), x, t), t)
+        assert subst_term(Var("q"), x, t) == t
 
 
 @settings(max_examples=100)
@@ -246,12 +246,12 @@ def test_type_subst_in_formula():
 
 
 def test_type_subst_in_term():
-    assert alpha_eq(subst_type(FVar("Y"), "X", pt("fun w:X => w")),
-                    pt("fun w:Y => w"))
-    assert alpha_eq(subst_type(FVar("Y"), "X", pt("tfun X => fun w:X => w")),
-                    pt("tfun X => fun w:X => w"))
-    assert alpha_eq(subst_type(pf("forall Z. Z"), "X", pt("z [X]")),
-                    pt("z [forall Z. Z]"))
+    assert subst_type(FVar("Y"), "X", pt("fun w:X => w")) == \
+        pt("fun w:Y => w")
+    assert subst_type(FVar("Y"), "X", pt("tfun X => fun w:X => w")) == \
+        pt("tfun X => fun w:X => w")
+    assert subst_type(pf("forall Z. Z"), "X", pt("z [X]")) == \
+        pt("z [forall Z. Z]")
 
 
 # Type substitution against an oracle: rename every type binder (forall,
@@ -479,7 +479,7 @@ def test_redundant_parens_accepted():
 @given(terms)
 def test_parse_print_roundtrip(t):
     from atomlam import print_term
-    assert alpha_eq(parse_term(print_term(t)), t)
+    assert parse_term(print_term(t)) == t
 
 
 @settings(max_examples=200)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from atomlam import (Env, FVar, RuleId, SystemId, Var, alpha_eq, at_term,
+from atomlam import (Env, FVar, RuleId, SystemId, Var, at_term,
                      encode_bot, encode_or, find_redexes, mk_abort,
                      mk_abort_at, mk_case, mk_case_at, mk_in, parse_formula,
                      parse_term, rp_env, rp_formula, rp_term, subst_term,
@@ -31,19 +31,19 @@ def test_rp_formula_rejects_polymorphic_input():
 
 def test_mk_in():
     out = mk_in(1, Var("m"), FVar("Y"), FVar("Z"))
-    assert alpha_eq(out, pt("tfun X => fun w:(Y -> X) & (Z -> X) => w.1 m"))
+    assert out == pt("tfun X => fun w:(Y -> X) & (Z -> X) => w.1 m")
     # derivable introduction typing
     env = Env([("m", FVar("Y"))])
     assert typecheck(F, env, out) == encode_or(FVar("Y"), FVar("Z"))
     # alpha-independence of the fresh variable choice
-    assert alpha_eq(mk_in(1, Var("m"), FVar("X"), FVar("X")),
-                    pt("tfun W => fun w:(X -> W) & (X -> W) => w.1 m"))
+    assert mk_in(1, Var("m"), FVar("X"), FVar("X")) == \
+        pt("tfun W => fun w:(X -> W) & (X -> W) => w.1 m")
 
 
 def test_mk_case_and_abort():
     out = mk_case(Var("m"), "x", FVar("Y"), Var("p"), "y", FVar("Z"), Var("q"),
                   FVar("W"))
-    assert alpha_eq(out, pt("m [W] <fun x:Y => p, fun y:Z => q>"))
+    assert out == pt("m [W] <fun x:Y => p, fun y:Z => q>")
     env = Env([("m", encode_or(FVar("Y"), FVar("Z"))), ("p", FVar("W")),
                ("q", FVar("W"))])
     assert typecheck(F, env, out) == FVar("W")
@@ -66,9 +66,9 @@ def test_mk_case_result_can_be_encoded_bot():
 
 def test_rp_term_examples():
     assert rp_term(Var("x")) == Var("x")
-    assert alpha_eq(rp_term(pt("abort[X] m")), pt("m [X]"))
+    assert rp_term(pt("abort[X] m")) == pt("m [X]")
     got = rp_term(pt("case m of { x:X => p ; y:Y => q } : X & Y"))
-    assert alpha_eq(got, pt("m [X & Y] <fun x:X => p, fun y:Y => q>"))
+    assert got == pt("m [X & Y] <fun x:X => p, fun y:Y => q>")
 
 
 def test_rp_term_rejects_polymorphic_terms():
@@ -79,32 +79,32 @@ def test_rp_term_rejects_polymorphic_terms():
 def test_mk_case_at_clauses():
     m, p, q = Var("m"), Var("p"), Var("q")
     a, b = FVar("A"), FVar("B")
-    assert alpha_eq(mk_case_at(m, "x", a, p, "y", b, q, FVar("Z")),
-                    pt("m [Z] <fun x:A => p, fun y:B => q>"))
-    assert alpha_eq(mk_case_at(m, "x", a, p, "y", b, q, pf("C1 -> C2")),
-                    pt("fun z:C1 => m [C2] <fun x:A => p z, fun y:B => q z>"))
-    assert alpha_eq(mk_case_at(m, "x", a, p, "y", b, q, pf("forall Z. Z")),
-                    pt("tfun Z => m [Z] <fun x:A => p [Z], fun y:B => q [Z]>"))
-    assert alpha_eq(mk_case_at(m, "x", a, p, "y", b, q, pf("C1 & C2")),
-                    pt("<m [C1] <fun x:A => p.1, fun y:B => q.1>,"
-                       "  m [C2] <fun x:A => p.2, fun y:B => q.2>>"))
+    assert mk_case_at(m, "x", a, p, "y", b, q, FVar("Z")) == \
+        pt("m [Z] <fun x:A => p, fun y:B => q>")
+    assert mk_case_at(m, "x", a, p, "y", b, q, pf("C1 -> C2")) == \
+        pt("fun z:C1 => m [C2] <fun x:A => p z, fun y:B => q z>")
+    assert mk_case_at(m, "x", a, p, "y", b, q, pf("forall Z. Z")) == \
+        pt("tfun Z => m [Z] <fun x:A => p [Z], fun y:B => q [Z]>")
+    assert mk_case_at(m, "x", a, p, "y", b, q, pf("C1 & C2")) == \
+        pt("<m [C1] <fun x:A => p.1, fun y:B => q.1>,"
+           "  m [C2] <fun x:A => p.2, fun y:B => q.2>>")
 
 
 def test_mk_abort_at_clauses():
     m = Var("m")
-    assert alpha_eq(mk_abort_at(m, FVar("Z")), pt("m [Z]"))
-    assert alpha_eq(mk_abort_at(m, pf("B -> C")), pt("fun z:B => m [C]"))
-    assert alpha_eq(mk_abort_at(m, pf("X1 & X2")), pt("<m [X1], m [X2]>"))
-    assert alpha_eq(mk_abort_at(m, pf("forall Z. Z -> Z")),
-                    pt("tfun Z => fun z:Z => m [Z]"))
+    assert mk_abort_at(m, FVar("Z")) == pt("m [Z]")
+    assert mk_abort_at(m, pf("B -> C")) == pt("fun z:B => m [C]")
+    assert mk_abort_at(m, pf("X1 & X2")) == pt("<m [X1], m [X2]>")
+    assert mk_abort_at(m, pf("forall Z. Z -> Z")) == \
+        pt("tfun Z => fun z:Z => m [Z]")
 
 
 def test_at_term_examples():
     assert at_term(Var("x")) == Var("x")
-    assert alpha_eq(at_term(pt("abort[X -> Y] m")), pt("fun z:X => m [Y]"))
+    assert at_term(pt("abort[X -> Y] m")) == pt("fun z:X => m [Y]")
     # atomic result annotation: the two translations coincide on case
     t = pt("case m of { x:X => p ; y:Y => q } : Z")
-    assert alpha_eq(at_term(t), rp_term(t))
+    assert at_term(t) == rp_term(t)
 
 
 def test_substitution_commutes_with_translation():
@@ -113,9 +113,9 @@ def test_substitution_commutes_with_translation():
         n = corpus.gen_ipc(rng, env, FVar("X"), 2)
         direct = rp_term(subst_term(n, "a", t))
         staged = subst_term(rp_term(n), "a", rp_term(t))
-        assert alpha_eq(direct, staged)
-        assert alpha_eq(at_term(subst_term(n, "a", t)),
-                        subst_term(at_term(n), "a", at_term(t)))
+        assert direct == staged
+        assert at_term(subst_term(n, "a", t)) == \
+            subst_term(at_term(n), "a", at_term(t))
 
 
 def test_type_soundness_of_both_translations():
