@@ -219,9 +219,9 @@ def apply_script(sys: SystemId, env: Env, m: Term, script,
 def replay(trace: ReductionTrace) -> bool:
     """True iff each recorded step, re-applied at its position to the
     recorded term before it, reproduces the recorded result up to alpha;
-    False also at a position off that term. An engine trace shares what a
-    step leaves with the term before, so each check walks only the step's
-    path and contractum."""
+    False also at a position off that term. A trace shares what a step
+    leaves with the term before, and the rule's row gives back the redex's
+    one contractum (rules._Once), so each check walks only the path."""
     current = trace.initial
     for s in trace.steps:
         try:

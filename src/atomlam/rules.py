@@ -6,7 +6,10 @@ at, its fineness, how deep its matcher reads, a shape matcher (returning a
 payload dict, or None) and a contraction producing the contractum with
 deterministic fresh names: the smallest primed variant of the rule's
 suggested name not free in scope.
-Contractions are pure functions of the redex up to alpha-equivalence.
+A contraction is a pure function of the redex: it reads the redex alone
+and takes its fresh names from it. So each row contracts a redex object
+once (_Once) and every caller shares the contractum; a contraction that
+read more (the environment, say) would have to key the cache on it.
 Every other per-rule table (rules_of_system, matchers_by_class,
 F_BETA_ETA) is derived from the rows.
 
@@ -328,7 +331,7 @@ class Rule(NamedTuple):
     the node classes its left-hand side can be rooted at, its fineness
     ('sum' or 'bot': the redex's head must have the sum or empty encoding;
     'always'), its read depth, its matcher, called only at a root class,
-    and its contraction, called only on a match.
+    and its contraction, called only on a match, once per redex (_Once).
 
     The read depth is that of the deepest node whose class or fields the
     matcher reads, or whose type the fineness reads (the head's); a
@@ -342,6 +345,26 @@ class Rule(NamedTuple):
     depth: int | None
     match: Callable
     contract: Callable
+
+
+class _Once:
+    """A row's contraction `raw`, made once per redex object and kept in
+    the node's `_made` under this row (racing threads make equal ones)."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def __call__(self, t):
+        made = getattr(t, "_made", None)
+        if made is None:
+            made = {}
+            object.__setattr__(t, "_made", made)
+        contractum = made.get(self)
+        if contractum is None:
+            contractum = made[self] = self.raw(t)
+        return contractum
 
 
 _ALL, _IPC, _POLY, _F = ("ipc", "f", "fat"), ("ipc",), ("f", "fat"), ("f",)
@@ -386,6 +409,8 @@ RULES = {
                            _a_eps_abort),
 }
 
+RULES = {rule: row._replace(contract=_Once(row.contract))
+         for rule, row in RULES.items()}
 _OF_SYSTEM = {sys: frozenset(rule for rule, row in RULES.items()
                              if sys in row.systems) for sys in _ALL}
 

@@ -78,7 +78,8 @@ class Forall(Formula):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Term(_Node):
-    __slots__ = ()
+    #: a slot, so a node rebuilt from this one starts empty (rules._Once)
+    __slots__ = ("_made",)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

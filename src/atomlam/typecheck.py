@@ -583,19 +583,18 @@ class Scan:
     term. Moving one scan's focus leaves the scans derived from it
     alone.
 
-    A scan and the scans `after` derives from it share a memo (`_memo`,
-    made on the first step) of the contractions they have made, by redex
-    object and rule. So a lineage contracts each redex object once, and
-    the copies a step makes of a redex stay one shared contractum. They
-    also share the free names of the binders' bodies that shadowing and
-    capturing binders read (`_bodies`, see _body_vars).
+    A step takes its contractum from the rule's row, which contracts each
+    redex object once (rules._Once), so the copies a step makes of a redex
+    stay one shared contractum. A scan and the scans `after` derives from
+    it share a memo (`_memo`) of the results built for the contracta, by
+    contractum object, and the free names of the binders' bodies that
+    shadowing and capturing binders read (`_bodies`, see _body_vars).
 
     `depth` is how deep the results' matches, fineness and pre-redex
     tests read: the largest read depth of its rules' RULES rows and of
     W's pre-redex test, or None if a rule reads unboundedly deep.
     """
 
-    _memo = None
     #: the contractum `after` put at the focus, in the scans it makes
     made = None
     #: the ancestors of the focus, up from it, that the step that made
@@ -613,7 +612,7 @@ class Scan:
         self.strict_proviso = strict_proviso
         depths = [_W_DEPTH] + [_rules.RULES[r].depth for r in self.rules]
         self.depth = None if None in depths else max(depths)
-        self._bodies = ({}, {})
+        self._memo, self._bodies = {}, ({}, {})
         self._focus = self._build(m, env, _ren)
         self._frames = _Frame(None, None, None, (), env, _ren, 1, 0, 0, 0, 0)
 
@@ -948,13 +947,13 @@ class Scan:
         environment in force at `pos`. A subterm it copies from the redex
         (one found among the redex's results down to one below the rule's
         read depth) keeps its result wherever each of its free variables
-        keeps its type. A redex object this scan's lineage has contracted
-        by `rule` before (see the memo in Scan) is not contracted again:
-        its contractum is reused, with its result where _reused accepts
-        it (else the result is built afresh, a contraction being a
-        function of the redex alone). The contractum must have the
-        redex's type (subject reduction), and InternalInvariantViolation
-        is raised if it does not. The ancestors within the scan's depth
+        keeps its type. The contractum is the one the rule's row made for
+        this redex object, if any caller had it contracted before; where
+        this scan's lineage has built its result before (see the memo in
+        Scan), that result is reused where _reused accepts it, and else
+        built afresh. The contractum must have the redex's type (subject
+        reduction), and InternalInvariantViolation is raised if it does
+        not. The ancestors within the scan's depth
         of `pos` (all of them where a rule reads unboundedly deep) are
         matched again, and their frames made anew, on the new scan's
         first read but `term` (_open); the others keep their matches and
@@ -972,19 +971,13 @@ class Scan:
         frames = self._frames
         env, ren = frames.env, frames.ren
         memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
-        # (redex, contractum's result, env, ren); the redex keeps its id
-        key = id(old.term), rule
-        made = memo.get(key)
-        if made:
-            contractum, new = made[1].term, _reused(made[1:], env, ren)
+        if (rule, True) in old.own or (rule, False) in old.own:
+            contractum = _rules.RULES[rule].contract(old.term)
         else:
-            if (rule, True) in old.own or (rule, False) in old.own:
-                contractum = _rules.RULES[rule].contract(old.term)
-            else:
-                contractum = _rules.apply_rule(rule, old.term)
-            new = None
+            contractum = _rules.apply_rule(rule, old.term)
+        # (contractum's result, env, ren); the result keeps the contractum
+        made = memo.get(id(contractum))
+        new = made and _reused(made, env, ren)
         if new is None:
             depth, found = _rules.RULES[rule].depth, None
             if depth is not None:
@@ -993,7 +986,7 @@ class Scan:
             hit = found and found.get(id(contractum))
             new = (hit and _reused(hit, env, ren)
                    or self._build(contractum, env, ren, found))
-            memo[key] = old.term, new, env, ren
+            memo[id(contractum)] = new, env, ren
         if self.typed and old.ty is not None and new.ty != old.ty:
             raise InternalInvariantViolation(
                 f"subject reduction failed: {rule.value} at {list(pos)} "

@@ -4,13 +4,30 @@ on one shared set of terms get exactly what a sequential run gets."""
 import sys
 import threading
 
-from atomlam import (RuleId, SystemId, atomic_nf, check_local_confluence,
-                     normalize, print_formula, print_term, rp_env, rp_term)
+from atomlam import (RuleId, SystemId, atomic_nf, build_diagram,
+                     check_local_confluence, normalize, print_formula,
+                     print_term, rp_env, rp_term)
 from atomlam.cli import build_parser
+from atomlam.diagram import OR_BOT_RULES
 
 import corpus
 
 RHO = {RuleId.rho_case, RuleId.rho_abort}
+
+
+def _in_threads(run, count=4):
+    """run(k) in `count` threads at once, switching often; each finished."""
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
 
 
 def _suite():
@@ -33,9 +50,12 @@ def _work(env, t):
             [(p.left, p.right, p.joined) for p in report.pairs])
 
 
-def test_threads_on_shared_terms_match_a_sequential_run():
-    expected = [_work(env, t) for env, t in _suite()]
-    shared = _suite()
+def _race(work, make):
+    """work(*item) over make()'s items in four threads at once, odd ones in
+    reverse order, against a sequential run over items built afresh; the
+    sequential results."""
+    expected = [work(*item) for item in make()]
+    shared = make()
     results = [[None] * len(shared) for _ in range(4)]
     errors = []
 
@@ -45,24 +65,41 @@ def test_threads_on_shared_terms_match_a_sequential_run():
             order.reverse()
         try:
             for i in order:
-                results[k][i] = _work(*shared[i])
+                results[k][i] = work(*shared[i])
         except Exception as e:  # reported below, with the thread's result
             errors.append(e)
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    _in_threads(run)
     assert errors == []
     for got in results:
         assert got == expected
+    return expected
+
+
+def test_threads_on_shared_terms_match_a_sequential_run():
+    _race(_work, _suite)
+
+
+def _diagrams():
+    # built afresh per call, like _suite: three redexes per disjunction or
+    # absurdity rule, each embedded in a small context
+    return corpus.ipc_redex_corpus(163, 30, OR_BOT_RULES)
+
+
+def _diagram_work(env, t, r):
+    d = build_diagram(env, t, r)
+    return (d.verify(), [print_term(d.corner(name)) for name in
+                         ("m_rp", "n_rp", "m_at", "n_at", "q1", "q2")],
+            sorted((name, len(leg.steps)) for name, leg in d.legs.items()),
+            d.notes)
+
+
+def test_threads_building_diagrams_share_each_contraction():
+    # every thread contracts the same redex objects, and each row keeps
+    # its contractum on the node: the legs and corners are a sequential
+    # run's
+    expected = _race(_diagram_work, _diagrams)
+    assert all(problems == [] for problems, _, _, _ in expected)
 
 
 # command lines over every subcommand and flag kind: choices, appended and
@@ -101,17 +138,7 @@ def test_threads_share_the_cli_parser():
         except Exception as e:  # reported below, with the thread's result
             errors.append(e)
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    _in_threads(run)
     assert errors == []
     for got in results:
         assert len(got) == parses

@@ -11,6 +11,7 @@ import atomlam.diagram
 from atomlam.syntax import InvalidPath, Term
 from atomlam.diagram import (OR_BOT_RULES, at_copy_positions, build_diagram)
 from atomlam.errors import RuleNotApplicable
+from atomlam.rules import RULES
 
 import corpus
 
@@ -123,6 +124,23 @@ def test_verify_replays_each_trace_once(monkeypatch):
     assert d.verify() == []
     assert len(replayed) == len({id(leg) for leg in d.legs.values()}) == 6
     assert len(compared) == len(set(compared))
+
+
+def test_a_diagram_contracts_each_redex_object_once(monkeypatch):
+    # every leg, the bridges run twice and the replays share each rule's
+    # one contractum per redex object: verify contracts nothing
+    made = []
+    for rule, row in RULES.items():
+        once = row.contract
+        monkeypatch.setattr(once, "raw", lambda t, _raw=once.raw, _rule=rule:
+                            made.append((t, _rule)) or _raw(t))
+    for rule in sorted(OR_BOT_RULES, key=lambda r: r.value):
+        del made[:]  # made keeps each redex alive, so ids stay distinct
+        env, t, r, d = _diagram_for(rule)
+        built = len(made)
+        assert built == len({(id(x), rule) for x, rule in made}), rule
+        assert d.verify() == []
+        assert len(made) == built, rule
 
 
 def test_a_broken_shared_leg_is_reported_under_each_of_its_names():

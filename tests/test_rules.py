@@ -2,19 +2,22 @@
 rules, and the fresh names the rules and the atomic translation choose
 where names clash."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from atomlam import (Env, RuleId, SystemId, Var, apply_rule, encode_bot,
-                     encode_or, expand_rho, fill, find_redexes, hole_result,
-                     match_rule, mk_abort_at, mk_case_at, parse_formula,
-                     parse_term, print_term, typecheck)
+from atomlam import (Env, RuleId, SystemId, Var, apply_rule, apply_script,
+                     encode_bot, encode_or, expand_rho, fill, find_redexes,
+                     free_vars, hole_result, match_rule, mk_abort_at,
+                     mk_case_at, parse_formula, parse_term, print_term,
+                     replace_at, step, subst_term, subterm_at, typecheck)
 from atomlam.diagram import OR_BOT_RULES
 from atomlam.rules import (CONNECTIVES, F_BETA_ETA, RULES, Rule, expansion,
                            matchers_by_class, rules_of_system)
-from atomlam.syntax import term_children
+from atomlam.syntax import _SHAPES, _with_child, term_children
+from atomlam.typecheck import Scan
 
 import corpus
 
@@ -170,6 +173,58 @@ CONTRACTA = [
 @pytest.mark.parametrize("rule, redex, contractum", CONTRACTA)
 def test_contractum_names(rule, redex, contractum):
     assert print_term(apply_rule(RuleId(rule), pt(redex))) == contractum
+
+
+# ------------------------------------------ one contraction per redex object
+
+def _rebuilt(t, i, new):
+    """t with child i replaced by `new`, in each way a node is rebuilt."""
+    field = _SHAPES[t.__class__].kid_fields[i]
+    return [_with_child(t, i, new), replace_at(t, (i,), new),
+            dataclasses.replace(t, **{field: new})]
+
+
+def test_a_node_rebuilt_from_a_contracted_redex_contracts_afresh():
+    # each child with a free variable renamed: the rebuilt node starts
+    # with no contractum, so it contracts as a freshly parsed copy does
+    found = (corpus.f_redex_corpus(53, 44, rules_of_system(F))
+             + corpus.ipc_redex_corpus(59, 32))
+    changed = 0
+    for _, t, r in found:
+        sub = subterm_at(t, r.position)
+        stale = apply_rule(r.rule, sub)
+        assert apply_rule(r.rule, sub) is stale
+        for i, kid in enumerate(term_children(sub)):
+            free = sorted(free_vars(kid))
+            if not free:
+                continue
+            new = subst_term(Var("renamed"), free[0], kid)
+            for node in _rebuilt(sub, i, new):
+                fresh = pt(print_term(node))
+                if match_rule(r.rule, fresh) is None:
+                    assert match_rule(r.rule, node) is None
+                    continue
+                got = print_term(apply_rule(r.rule, node))
+                assert got == print_term(apply_rule(r.rule, fresh))
+                changed += got != print_term(stale)
+    assert changed > 100
+
+
+def test_a_patched_row_is_obeyed_on_a_contracted_redex(monkeypatch):
+    env = Env([("y", pf("X")), ("p", pf("X"))])
+    t = pt("(fun x:X => x) y")
+    first = apply_rule(RuleId.beta_imp, t)
+    [r] = find_redexes(F, env, t, {RuleId.beta_imp})
+    row = RULES[RuleId.beta_imp]
+    monkeypatch.setitem(RULES, RuleId.beta_imp,
+                        row._replace(contract=lambda t: Var("p")))
+    assert apply_rule(RuleId.beta_imp, t) == Var("p")
+    assert step(F, env, t, r) == Var("p")
+    assert apply_script(F, env, t, [(RuleId.beta_imp, ())]).final == Var("p")
+    assert Scan(env, t, {RuleId.beta_imp}).after(
+        (), RuleId.beta_imp).root.term == Var("p")
+    monkeypatch.undo()
+    assert apply_rule(RuleId.beta_imp, t) is first
 
 
 CASES_AT = [

@@ -2,10 +2,10 @@
 
 `Scan.after` traverses only the nodes a contraction creates: it reuses the
 results of the subterms the contraction copies where their free variables
-keep their types, contracts each redex object once per scan lineage, and
-above the scan's read depth it carries the changes of W and of the
-fine-redex count up the path without matching again. Each
-stepped scan here is compared with a fresh scan of its term: the root's
+keep their types, takes each redex object's one contractum from the rule's
+row and its result from the lineage's memo, and above the scan's read
+depth it carries the changes of W and of the fine-redex count up the path
+without matching again. Each stepped scan here is compared with a fresh scan of its term: the root's
 W and fine count, every weight term and every redex with its position,
 rule, fineness and local environment. The steps that leave that path and
 scan their term afresh are counted (`rescans`).
@@ -383,13 +383,12 @@ def test_atomic_nf_builds_only_the_nodes_its_steps_create(
     counts = _counted(monkeypatch, "_build", "_finish")
     made = []
     for rule in ATOMIZATION_RULES:
-        row = RULES[rule]
-        monkeypatch.setitem(RULES, rule, row._replace(
-            contract=lambda t, _contract=row.contract: made.append(t)
-            or _contract(t)))
+        once = RULES[rule].contract
+        monkeypatch.setattr(once, "raw", lambda t, _raw=once.raw:
+                            made.append(t) or _raw(t))
     nf, trace = atomic_nf(rp_env(ENV), rp_term(ladder(d, k)))
     assert (counts["_build"], counts["_finish"]) == (builds, matched)
-    # the memo's misses contract, its hits do not
+    # each redex object is contracted once, by the rule's row
     assert (len(trace.steps), len(made)) == (steps, contracted)
     assert _distinct(nf) == distinct
     assert rescans == []
