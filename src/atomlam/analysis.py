@@ -217,10 +217,7 @@ def _ipc_redex(env: Env, m: Term, r: Redex) -> Term:
         typecheck(SystemId.IPC, env, m)
     except TypingError as e:
         raise NotTypable(str(e)) from e
-    sub = subterm_at(m, r.position)
-    if match_rule(r.rule, sub) is None:
-        raise NotARedex(f"no {r.rule.value} redex at {list(r.position)}")
-    return sub
+    return _redex_subterm(m, r, {RuleId(r.rule)})
 
 
 def simulate_step(env: Env, m: Term, r: Redex) -> ReductionTrace:

@@ -10,12 +10,13 @@ its input; traces in either format replay step by step, which --verify
 re-checks before emitting.
 
 Exit codes: 0 ok, 1 type error (including an environment formula outside
-the command's system), 2 parse or usage error (including a malformed
-binding, a step limit that is not positive and a --file or --env-file that
-cannot be read), 3 step cap reached, 4 internal invariant violation, 5
-input nested too deeply for the interpreter's recursion limit, 6 input
-outside a command's domain (a term or formula that is not IPC, a rule the
-command does not cover, or no redex of the requested rule).
+the command's system and a name bound twice), 2 parse or usage error
+(including a malformed binding, a step limit that is not positive and a
+--file or --env-file that cannot be read), 3 step cap reached, 4 internal
+invariant violation, 5 input nested too deeply for the interpreter's
+recursion limit, 6 input outside a command's domain (a term or formula
+that is not IPC, a rule the command does not cover, or no redex of the
+requested rule).
 """
 
 from __future__ import annotations

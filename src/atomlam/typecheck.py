@@ -489,9 +489,10 @@ def _walk(info, pos, env, ren, out, post):
 
 
 def _record(info, env, ren, depth, out):
-    """Record in `out`, by the identity of their subterms, the results
-    below info down to `depth` levels, each with the environment and
-    renaming in force at it when env and ren are in force at info."""
+    """Record in `out`, a lineage's memo, by the identity of their
+    subterms, the results below info down to `depth` levels, each with the
+    environment and renaming in force at it when env and ren are in force
+    at info; a step's copies of them then keep these results."""
     for kid, kid_env, kid_ren in _below(info, env, ren):
         out[id(kid.term)] = kid, kid_env, kid_ren
         if depth > 1 and kid.kids:
@@ -509,7 +510,7 @@ class _Frame:
     `outside` are not in the child's subterm at all. These hold while
     the ancestors keep their matches and pre-redex tests, which a step
     makes sure of by matching again those within the scan's read depth
-    (Scan._open). The root frame has no parent and holds the scan's
+    (Scan.after). The root frame has no parent and holds the scan's
     own environment."""
 
     __slots__ = ("up", "parent", "i", "pos", "env", "ren", "a", "b",
@@ -577,18 +578,20 @@ class Scan:
     parent only if the child has changed. `root` moves the focus to the
     root; `term` builds the scanned term without moving it. A Scan's
     results are never mutated, and the frames are shared: `after`
-    returns a new scan, open at the step's position, that shares every
-    result and frame off the contracted redex's path, and the results of
-    the subterms the contraction copies, or else a fresh scan of the
-    term. Moving one scan's focus leaves the scans derived from it
-    alone.
+    returns a new scan, open at the step's position with the ancestors
+    matched again at once, that shares every result and frame off the
+    contracted redex's path, and the results of the subterms the
+    contraction copies, or else a fresh scan of the term. Moving one
+    scan's focus leaves the scans derived from it alone.
 
     A step takes its contractum from the rule's row, which contracts each
     redex object once (rules._Once), so the copies a step makes of a redex
     stay one shared contractum. A scan and the scans `after` derives from
-    it share a memo (`_memo`) of the results built for the contracta, by
-    contractum object, and the free names of the binders' bodies that
-    shadowing and capturing binders read (`_bodies`, see _body_vars).
+    it (a lineage) keep one map of reusable results by subterm object
+    (`_memo`): each contractum's, and those a step records below its
+    redex (_record). They also share the free names of the binders'
+    bodies that shadowing and capturing binders read (`_bodies`, see
+    _body_vars).
 
     `depth` is how deep the results' matches, fineness and pre-redex
     tests read: the largest read depth of its rules' RULES rows and of
@@ -597,9 +600,6 @@ class Scan:
 
     #: the contractum `after` put at the focus, in the scans it makes
     made = None
-    #: the ancestors of the focus, up from it, that the step that made
-    #: this scan has left to be matched again (see _open)
-    _again = 0
 
     def __init__(self, env: Env, m: Term, rules=frozenset(), _ren=_NO_RENAMES,
                  system=None, strict_proviso=False):
@@ -616,11 +616,11 @@ class Scan:
         self._focus = self._build(m, env, _ren)
         self._frames = _Frame(None, None, None, (), env, _ren, 1, 0, 0, 0, 0)
 
-    def _build(self, t, env, ren, found=None):
-        """t's result in env and ren. With `found` (see _record), a child
-        whose subterm has a result there that _reused accepts keeps it."""
+    def _build(self, t, env, ren):
+        """t's result in env and ren. A child whose subterm has a result
+        in the lineage's memo that _reused accepts keeps it."""
         values, scopes = _SCOPES[t.__class__]
-        vals, kids = values(t), []
+        vals, kids, memo = values(t), [], self._memo
         for j, k, a in scopes:
             c = vals[j]
             if k is None:
@@ -628,10 +628,9 @@ class Scan:
             else:
                 kid_env, kid_ren = _bind(env, ren, vals[k], a and vals[a], c,
                                          self._bodies)
-            kid = found and found.get(id(c))
-            if kid:
-                kid = _reused(kid, kid_env, kid_ren)
-            kids.append(kid or self._build(c, kid_env, kid_ren, found))
+            kid = memo.get(id(c))
+            kids.append(kid and _reused(kid, kid_env, kid_ren)
+                        or self._build(c, kid_env, kid_ren))
         info = _Info()
         info.term, info.kids, info.free, info.tyb = t, tuple(kids), None, None
         info.subs = ren.get(_TY, ())
@@ -767,28 +766,9 @@ class Scan:
 
     # ------------------------------------------------------------ focus
 
-    def _open(self):
-        """The top frame and the focus, once the ancestors the step that
-        made this scan has left (_again) are matched again, bottom up, and
-        their frames made anew, keeping their environments. Every read of
-        the scan but `term` starts here, as till then the matches and
-        frames of those ancestors are stale."""
-        if self._again:
-            again, f, new = [], self._frames, self._focus
-            for _ in range(self._again):
-                new = self._rebuilt(f, new, True)
-                again.append((f, new))
-                f = f.up
-            for g, parent in reversed(again):
-                f = _push(f, parent, g.i, g.env, g.ren)
-            self._frames, self._again = f, 0
-        return self._frames, self._focus
-
     @property
     def root(self):
         """The root's result; the focus moves to the root."""
-        if self._again:
-            self._open()
         while self._frames.up is not None:
             self._up()
         return self._focus
@@ -801,14 +781,13 @@ class Scan:
     @property
     def w(self):
         """The root's W, off the focus."""
-        f, info = self._open()
-        return f.a * info.w + f.b
+        f = self._frames
+        return f.a * self._focus.w + f.b
 
     @property
     def nfine(self):
         """The number of fine redexes in the term, off the focus."""
-        f, info = self._open()
-        return info.nfine + f.outside
+        return self._focus.nfine + self._frames.outside
 
     def _up(self):
         """Move the focus to its parent, rebuilt (_rebuilt) if the child
@@ -845,30 +824,6 @@ class Scan:
         info.nfine = parent.nfine + new.nfine - old.nfine
         return info
 
-    def _at(self, pos):
-        """The result at pos, which becomes the focus: up to the longest
-        prefix pos shares with the focus's position, then down."""
-        here = self._open()[0].pos
-        if here != pos:
-            n = 0
-            for a, b in zip(here, pos):
-                if a != b:
-                    break
-                n += 1
-            while len(self._frames.pos) > n:
-                self._up()
-            f, info = self._frames, self._focus
-            for i in pos[n:]:
-                if not 0 <= i < len(info.kids):
-                    self._frames, self._focus = f, info
-                    raise InvalidPath(
-                        f"no child {i} at {type(info.term).__name__}")
-                kid = info.kids[i]
-                f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, kid))
-                info = kid
-            self._frames, self._focus = f, info
-        return self._focus
-
     # ------------------------------------------------------------ views
 
     def redexes(self) -> list:
@@ -881,7 +836,6 @@ class Scan:
         """(position, rule, local env) of the k-th fine redex in pre-order,
         which is the order of (position, RuleId order): up until the
         focus's subterm holds it, then down."""
-        self._open()
         while not (self._frames.before <= k
                    < self._frames.before + self._focus.nfine
                    ) and self._frames.up is not None:
@@ -909,7 +863,6 @@ class Scan:
         with no fine redex strictly below it: up until a descent from the
         root, which takes the first child with a fine redex, reaches the
         focus, then down."""
-        self._open()
         while (self._frames.left or not self._focus.nfine
                ) and self._frames.up is not None:
             self._up()
@@ -928,8 +881,29 @@ class Scan:
             info = kid
 
     def at(self, pos):
-        """The result at `pos` and the environment in force there."""
-        return self._at(pos), self._frames.env
+        """The result at `pos`, which becomes the focus, and the
+        environment in force there: up to the longest prefix pos shares
+        with the focus's position, then down."""
+        here = self._frames.pos
+        if here != pos:
+            n = 0
+            for a, b in zip(here, pos):
+                if a != b:
+                    break
+                n += 1
+            while len(self._frames.pos) > n:
+                self._up()
+            f, info = self._frames, self._focus
+            for i in pos[n:]:
+                if not 0 <= i < len(info.kids):
+                    self._frames, self._focus = f, info
+                    raise InvalidPath(
+                        f"no child {i} at {type(info.term).__name__}")
+                kid = info.kids[i]
+                f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, kid))
+                info = kid
+            self._frames, self._focus = f, info
+        return self._focus, self._frames.env
 
     def weight_terms(self) -> list:
         """(position, local env, term) of every pre-redex, children first
@@ -944,20 +918,20 @@ class Scan:
         open at pos (its contractum is `made`).
 
         Only the nodes the contraction creates are traversed, in the
-        environment in force at `pos`. A subterm it copies from the redex
-        (one found among the redex's results down to one below the rule's
-        read depth) keeps its result wherever each of its free variables
-        keeps its type. The contractum is the one the rule's row made for
-        this redex object, if any caller had it contracted before; where
-        this scan's lineage has built its result before (see the memo in
-        Scan), that result is reused where _reused accepts it, and else
-        built afresh. The contractum must have the redex's type (subject
-        reduction), and InternalInvariantViolation is raised if it does
-        not. The ancestors within the scan's depth
-        of `pos` (all of them where a rule reads unboundedly deep) are
-        matched again, and their frames made anew, on the new scan's
-        first read but `term` (_open); the others keep their matches and
-        pre-redex tests until the focus moves up past them (_rebuilt).
+        environment in force at `pos`. The contractum is the one the
+        rule's row made for this redex object, if any caller had it
+        contracted before. Where the lineage's memo has no result for it,
+        the redex's results down to one below the rule's read depth are
+        recorded there first (_record). The contractum, and each subterm
+        of it, keeps the result the memo holds for it where _reused
+        accepts it, so a copy keeps its result wherever each of its free
+        variables keeps its type. The contractum must have the redex's
+        type (subject reduction), and InternalInvariantViolation is raised
+        if it does not. The ancestors within the scan's depth of `pos`
+        (all of them where a rule reads unboundedly deep) are matched
+        again at once, and their frames made anew; the others keep their
+        matches and pre-redex tests until the focus moves up past them
+        (_rebuilt).
 
         The refilled term is scanned afresh instead, as this scan was
         built and in its lineage, where the frames would not hold: in a
@@ -967,25 +941,21 @@ class Scan:
         names of its body, which the step changed.
         """
         rule = rule if rule.__class__ is _rules.RuleId else _rules.RuleId(rule)
-        old = self._at(pos)
-        frames = self._frames
-        env, ren = frames.env, frames.ren
-        memo = self._memo
+        old, env = self.at(pos)
+        frames, memo = self._frames, self._memo
+        ren = frames.ren
         if (rule, True) in old.own or (rule, False) in old.own:
             contractum = _rules.RULES[rule].contract(old.term)
         else:
             contractum = _rules.apply_rule(rule, old.term)
-        # (contractum's result, env, ren); the result keeps the contractum
-        made = memo.get(id(contractum))
-        new = made and _reused(made, env, ren)
+        depth = _rules.RULES[rule].depth
+        if depth is not None and id(contractum) not in memo:
+            _record(old, env, ren, depth + 1, memo)
+        # (result, env, ren); the result keeps its subterm, and so its id
+        hit = memo.get(id(contractum))
+        new = hit and _reused(hit, env, ren)
         if new is None:
-            depth, found = _rules.RULES[rule].depth, None
-            if depth is not None:
-                found = {}
-                _record(old, env, ren, depth + 1, found)
-            hit = found and found.get(id(contractum))
-            new = (hit and _reused(hit, env, ren)
-                   or self._build(contractum, env, ren, found))
+            new = self._build(contractum, env, ren)
             memo[id(contractum)] = new, env, ren
         if self.typed and old.ty is not None and new.ty != old.ty:
             raise InternalInvariantViolation(
@@ -999,9 +969,15 @@ class Scan:
             fresh._memo, fresh._bodies = memo, self._bodies
             fresh.made = contractum
             return fresh
+        up, f, info = [], frames, new
+        for _ in range(len(pos) if self.depth is None
+                       else min(self.depth, len(pos))):
+            info = self._rebuilt(f, info, True)
+            up.append((f, info))
+            f = f.up
+        for g, parent in reversed(up):
+            f = _push(f, parent, g.i, g.env, g.ren)
         out = object.__new__(Scan)
         out.__dict__.update(self.__dict__)
-        out._focus, out.made = new, contractum
-        out._again = len(pos) if self.depth is None else min(self.depth,
-                                                             len(pos))
+        out._frames, out._focus, out.made = f, new, contractum
         return out

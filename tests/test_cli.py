@@ -179,6 +179,9 @@ EXIT_CASES = [
     ("diagram_env_forall", ["diagram", "--rule", "varpi_bot", "--env",
                             "u:forall X.X", "abort[X] (abort[bot] u)"], 1,
      "NotInSystem"),
+    ("check_ipc_env_bound_twice", ["check", "--sys", "ipc", "--env", "x:A",
+                                   "--env", "x:B", "x"], 1,
+     "error: DuplicateDeclaration: variable 'x' declared twice\n"),
     ("check_ipc_env_sum", ["check", "--sys", "ipc", "--env", "s:X|Y", "s"], 0, ""),
     ("check_f_env_forall", ["check", "--sys", "f", "--env", "z:forall X.X",
                             "z [X]"], 0, ""),

@@ -1,8 +1,10 @@
 """No module of the package imports a name at module level that it never
-uses. No linter ships with the project, so this is checked with the
-standard library's ast. Exempt: the package's __init__.py, whose imports
-are its public re-exports, `from __future__` imports, and an import
-marked `# noqa: F401`, which some other code reads from that module."""
+uses, and no private name the package defines goes unread. No linter
+ships with the project, so this is checked with the standard library's
+ast. Exempt from the import check: the package's __init__.py, whose
+imports are its public re-exports, `from __future__` imports, and an
+import marked `# noqa: F401`, which some other code reads from that
+module."""
 
 import ast
 from pathlib import Path
@@ -11,8 +13,8 @@ import pytest
 
 import atomlam
 
-MODULES = sorted(p for p in Path(atomlam.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(atomlam.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -45,3 +47,67 @@ def test_the_check_sees_an_unused_import():
               "exit(argv)\n"
               "import json\n")
     assert unused_imports(source) == ["json (line 4)"]
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _defined(node):
+    """The names a module-level or class-body statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def orphaned_privates(sources: dict) -> list:
+    """The private names (not dunders) that a module of `sources`, a map
+    from module name to source, defines at module level or in a class
+    body, and that no module reads: as a loaded name or attribute, a name
+    imported, or a string constant (a dict key, a getattr name)."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            for stmt in [node] + body:
+                defined += [(name, module, stmt.lineno)
+                            for name in _defined(stmt) if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(f"{name} ({module}, line {line})"
+                  for name, module, line in defined if name not in read)
+
+
+def test_no_private_name_goes_unread():
+    assert orphaned_privates({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {"a": ("def _imported(): pass\n"
+                     "def _orphan(): pass\n"
+                     "def __dunder__(): pass\n"
+                     "_KEYED, _unpacked = {'_by_key': 1}, 2\n"
+                     "def _by_key(): pass\n"
+                     "class _C:\n"
+                     "    _slot = 0\n"
+                     "    def _method(self):\n"
+                     "        self._slot = 1\n"
+                     "        return self._called()\n"
+                     "    def _called(self): pass\n"),
+               "b": "from a import _imported, _C, _KEYED\n"}
+    assert orphaned_privates(sources) == [
+        "_method (a, line 8)", "_orphan (a, line 2)", "_slot (a, line 7)",
+        "_unpacked (a, line 4)"]

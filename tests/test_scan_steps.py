@@ -359,6 +359,20 @@ def _counted(monkeypatch, *names):
     return counts
 
 
+@pytest.mark.parametrize("text", ["fun z:A => <fun x:A => x, z>.1",
+                                  "fun z:A => <(fun y:A => y) z, z>.1"])
+def test_a_contractum_that_copies_part_of_its_redex_keeps_its_result(
+        monkeypatch, text):
+    # beta_and gives back the pair's first component, whose result the
+    # step takes from those it records below the redex: no node is built
+    scan = Scan(Env(), parse_term(text), F_BETA_ETA)
+    counts = _counted(monkeypatch, "_build")
+    stepped = scan.after((0,), RuleId.beta_and)
+    assert counts["_build"] == 0
+    assert _result(stepped, (0,)) is _result(scan, (0, 0, 0))
+    assert _view(stepped) == _view(Scan(Env(), stepped.root.term, F_BETA_ETA))
+
+
 def _distinct(t):
     """The number of distinct term objects in t."""
     seen, todo = set(), [t]
