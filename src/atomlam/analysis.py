@@ -103,12 +103,13 @@ def _checked_run(env, m, script, expected, what):
 
 
 def _redex_subterm(m, r, expect_rules):
-    if RuleId(r.rule) not in expect_rules:
+    rule = RuleId(r.rule)
+    if rule not in expect_rules:
         raise NotARedex(f"expected one of {sorted(x.value for x in expect_rules)}, "
-                        f"got {r.rule.value}")
+                        f"got {rule.value}")
     sub = subterm_at(m, r.position)
-    if match_rule(r.rule, sub) is None:
-        raise NotARedex(f"no {r.rule.value} redex at {list(r.position)}")
+    if match_rule(rule, sub) is None:
+        raise NotARedex(f"no {rule.value} redex at {list(r.position)}")
     return sub
 
 

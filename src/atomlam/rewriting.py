@@ -115,12 +115,12 @@ def find_redexes(sys: SystemId, env: Env, m: Term, rules) -> list:
 def step(sys: SystemId, env: Env, m: Term, r: Redex,
          require_fine: bool = True) -> Term:
     """Contract redex r inside m."""
-    sub = subterm_at(m, r.position)
-    if match_rule(r.rule, sub) is None:
-        raise StaleRedex(f"no {r.rule.value} redex at {list(r.position)}")
+    rule, sub = RuleId(r.rule), subterm_at(m, r.position)
+    if match_rule(rule, sub) is None:
+        raise StaleRedex(f"no {rule.value} redex at {list(r.position)}")
     if require_fine and not r.fine:
-        raise NotFine(f"{r.rule.value} redex at {list(r.position)} is not fine")
-    return replace_at(m, r.position, RULES[r.rule].contract(sub))
+        raise NotFine(f"{rule.value} redex at {list(r.position)} is not fine")
+    return replace_at(m, r.position, RULES[rule].contract(sub))
 
 
 def normalize(sys: SystemId, env: Env, m: Term, rules, strategy="leftmost-outermost",

@@ -184,8 +184,9 @@ class _Info:
     has none, its weight `w` and this node's own weight term `pre` (0 if
     the node is no pre-redex). `own` lists the (rule, fine) matches at the
     node in RuleId order; `nfine` counts the fine ones in the subterm.
-    `subs` is the type part of the renaming map it was built in, and
-    `tyb` whether the subterm has a type binder inside (_tyb_of).
+    `subs` is the type part of the renaming map it was built in, `tyb`
+    whether the subterm has a type binder inside (_tyb_of); its free
+    names are in its lineage's free-name memo (_body_vars).
 
     A result depends only on its subterm, on the types of the subterm's
     free variables, on what `subs` does to its free type variables, and
@@ -200,31 +201,10 @@ class _Info:
     """
 
     __slots__ = ("term", "kids", "ty", "why", "w", "pre", "own", "nfine",
-                 "free", "subs", "tyb")
+                 "subs", "tyb")
 
 
 _NO_NAMES = frozenset()
-
-
-def _free_of(info):
-    """The free term variables of info's subterm, kept on info (`free`)
-    once asked for: a renamed binder asks for its body's, and a step for
-    those of each subterm it copies."""
-    free = info.free
-    if free is None:
-        t = info.term
-        if t.__class__ is Var:
-            free = frozenset((t.name,))
-        else:  # a child's own set where it is the only one with names
-            values, scopes = TERM_SCOPES[t.__class__]
-            vals, free = values(t), _NO_NAMES
-            for (_, k, _), kid in zip(scopes, info.kids):
-                below = _free_of(kid)
-                if k is not None and vals[k] in below:
-                    below = below - {vals[k]}
-                free = free | below if free else below
-        info.free = free
-    return free
 
 
 def _tyb_of(info):
@@ -287,12 +267,10 @@ def _renamed(f, subs):
     return f
 
 
-def _bind(env, ren, var, ann, body, memo=None):
-    """Environment and renaming map for a binder's body. `body` is the
-    scoped term, or its scan result, which keeps the term's free variables
-    (_free_of) and, below a type binder (`ann` None), the map's type part;
-    `memo` holds the free names of binders' bodies (_body_vars) that a
-    term body is asked for.
+def _bind(env, ren, var, ann, body, memo):
+    """Environment and renaming map for the term `body` a binder scopes
+    (a type binder where `ann` is None); a renaming reads the body's free
+    names from `memo`, the lineage's free-name memo (_body_vars).
 
     A term binder that shadows a declared variable gets the smallest
     primed variant not declared and not free in the body: the name
@@ -301,15 +279,13 @@ def _bind(env, ren, var, ann, body, memo=None):
     """
     subs = ren.get(_TY, ())
     if ann is None:
-        new = (body.subs if body.__class__ is _Info
-               else _tybind(env, subs, var, body, memo))
+        new = _tybind(env, subs, var, body, memo)
         return env, ren if new is subs else {**ren, _TY: new}
     if subs:
         ann = _renamed(ann, subs)
     if var not in env._map:
         return env.extend(var, ann), ren
-    free = (_free_of(body) if body.__class__ is _Info
-            else _body_vars(body, 0, memo))
+    free = _body_vars(body, 0, memo)
     names, new = env.names(), var
     while new in names or new in free:  # fresh_name, without the union
         new += "'"
@@ -342,40 +318,35 @@ def _tybind(env, subs, var, body, memo):
     return subs if out == subs else out
 
 
-def _body_vars(body, sort, memo):
+def _body_vars(t, sort, memo):
     """The free names of `sort` (0: term variables, 1: type variables) in
-    a binder's body, kept in memo[sort] by id (with the body, so the id
-    stays its own). Walking a body keeps those of the bodies of the
-    binders of that sort inside it, so a chain of binders that ask for
-    them (shadowing term binders, capturing type binders), asked from the
-    outermost down, is walked once."""
-    hit = memo[sort].get(id(body))
-    return _vars(body, sort, memo, True) if hit is None else hit[1]
+    the term t, from a scan lineage's free-name memo: memo[sort] keeps
+    them by id for every term walked (with the term, so the id stays its
+    own). Renaming binders, reuse checks (_reused) and a step's rescan
+    test ask it, so a lineage walks each term at most once."""
+    hit = memo[sort].get(id(t))
+    return _vars(t, sort, memo) if hit is None else hit[1]
 
 
-def _vars(t, sort, memo, kept=False):
-    """The free names of `sort` in the term t, kept in memo if `kept`
-    (t is a binder's body); each binder's body's is read from memo, or
-    walked and kept there."""
+def _vars(t, sort, memo):
+    """_body_vars of t, walked and kept in memo; each child's are read
+    from memo here (one frame per level), or walked and kept there."""
     if t.__class__ is Var:
         out = _NO_NAMES if sort else frozenset((t.name,))
     else:
         values, scopes = _PLANS[sort][t.__class__]
-        vals, out = values(t), _NO_NAMES
+        vals, out, kept = values(t), _NO_NAMES, memo[sort]
         for j, k, _ in scopes:
             v = vals[j]
-            if k is not None:
-                hit = memo[sort].get(id(v))
-                below = _vars(v, sort, memo, True) if hit is None else hit[1]
-                if vals[k] in below:
-                    below = below - {vals[k]}
-            elif isinstance(v, Formula):
+            if k is None and isinstance(v, Formula):
                 below = free_type_vars(v)
             else:
-                below = _vars(v, sort, memo)
+                hit = kept.get(id(v))
+                below = _vars(v, sort, memo) if hit is None else hit[1]
+                if k is not None and vals[k] in below:
+                    below = below - {vals[k]}
             out = out | below if out else below
-    if kept:
-        memo[sort][id(t)] = t, out
+    memo[sort][id(t)] = t, out
     return out
 
 
@@ -384,15 +355,16 @@ def _vars(t, sort, memo, kept=False):
 _SCOPES = {**TERM_SCOPES, TyLam: _PLANS[1][TyLam]}
 
 
-def _scope(t, i, env, ren, kid):
+def _scope(t, i, env, ren, memo):
     """The environment and renaming map in force in t's child i when env
-    and ren are in force at t; `kid` is the child's scan result."""
+    and ren are in force at t (`memo` as in _bind): the one scope step of
+    descend, the views and the focus moves."""
     values, scopes = _SCOPES[t.__class__]
-    _, k, a = scopes[i]
+    j, k, a = scopes[i]
     if k is None:
         return env, ren
     vals = values(t)
-    return _bind(env, ren, vals[k], a and vals[a], kid)
+    return _bind(env, ren, vals[k], a and vals[a], vals[j], memo)
 
 
 def descend(env: Env, m: Term, pos):
@@ -404,10 +376,8 @@ def descend(env: Env, m: Term, pos):
         values, scopes = _SCOPES[m.__class__]
         if not 0 <= i < len(scopes):
             raise InvalidPath(f"no child {i} at {type(m).__name__}")
-        vals, (j, k, a) = values(m), scopes[i]
-        if k is not None:
-            env, ren = _bind(env, ren, vals[k], a and vals[a], vals[j], memo)
-        m = vals[j]
+        env, ren = _scope(m, i, env, ren, memo)
+        m = values(m)[scopes[i][0]]
     return m, env, ren, spine
 
 
@@ -440,63 +410,46 @@ def _pre_size(t, kids):
     return 0
 
 
-def _reused(hit, env, ren):
+def _reused(hit, env, ren, memo):
     """The result of `hit`, a (result, environment, renaming) recorded for
     a subterm by _record, if it stands in env and ren as it stood there:
     each free variable has the same type, the type substitutions, where
     they differ, leave the subterm alone, and the environment has the same
     free type variables where a type binder inside reads them; else
-    None."""
+    None. Its free names are read from the lineage's `memo` (_body_vars)."""
     info, was_env, was_ren = hit
     if env is was_env and ren is was_ren:
         return info
     subs = ren.get(_TY, ())
-    if subs != info.subs and not free_type_vars(info.term).isdisjoint(
+    if subs != info.subs and not _body_vars(info.term, 1, memo).isdisjoint(
             [x for x, _ in subs + info.subs]):
         return None
     if _tyb_of(info) and env.free_type_vars() != was_env.free_type_vars():
         return None
-    for name in _free_of(info):
+    for name in _body_vars(info.term, 0, memo):
         was, ty = _lookup(was_env, was_ren, name), _lookup(env, ren, name)
         if ty is not was and ty != was:
             return None
     return info
 
 
-def _below(info, env, ren):
+def _below(info, env, ren, memo):
     """(result, environment, renaming) of each child of info's subterm, in
-    position order, when env and ren are in force at it."""
+    position order, when env and ren are in force at it (_scope)."""
     t = info.term
-    return [(kid, *_scope(t, i, env, ren, kid))
+    return [(kid, *_scope(t, i, env, ren, memo))
             for i, kid in enumerate(info.kids)]
 
 
-def _walk(info, pos, env, ren, out, post):
-    """`out` with (result, position, environment) appended for info, at
-    pos in env and ren, and for each result below it: in pre-order, or
-    with `post` children first and an application's argument before its
-    function."""
-    kids = list(enumerate(_below(info, env, ren)))
-    if not post:
-        out.append((info, pos, env))
-    elif info.term.__class__ is App:
-        kids.reverse()
-    for i, (kid, kid_env, kid_ren) in kids:
-        _walk(kid, pos + (i,), kid_env, kid_ren, out, post)
-    if post:
-        out.append((info, pos, env))
-    return out
-
-
-def _record(info, env, ren, depth, out):
+def _record(info, env, ren, depth, out, memo):
     """Record in `out`, a lineage's memo, by the identity of their
     subterms, the results below info down to `depth` levels, each with the
     environment and renaming in force at it when env and ren are in force
     at info; a step's copies of them then keep these results."""
-    for kid, kid_env, kid_ren in _below(info, env, ren):
+    for kid, kid_env, kid_ren in _below(info, env, ren, memo):
         out[id(kid.term)] = kid, kid_env, kid_ren
         if depth > 1 and kid.kids:
-            _record(kid, kid_env, kid_ren, depth - 1, out)
+            _record(kid, kid_env, kid_ren, depth - 1, out, memo)
 
 
 class _Frame:
@@ -589,9 +542,9 @@ class Scan:
     stay one shared contractum. A scan and the scans `after` derives from
     it (a lineage) keep one map of reusable results by subterm object
     (`_memo`): each contractum's, and those a step records below its
-    redex (_record). They also share the free names of the binders'
-    bodies that shadowing and capturing binders read (`_bodies`, see
-    _body_vars).
+    redex (_record). They also share one free-name memo (`_bodies`, see
+    _body_vars), which renaming binders, reuse checks and the rescan
+    test read.
 
     `depth` is how deep the results' matches, fineness and pre-redex
     tests read: the largest read depth of its rules' RULES rows and of
@@ -629,10 +582,10 @@ class Scan:
                 kid_env, kid_ren = _bind(env, ren, vals[k], a and vals[a], c,
                                          self._bodies)
             kid = memo.get(id(c))
-            kids.append(kid and _reused(kid, kid_env, kid_ren)
+            kids.append(kid and _reused(kid, kid_env, kid_ren, self._bodies)
                         or self._build(c, kid_env, kid_ren))
         info = _Info()
-        info.term, info.kids, info.free, info.tyb = t, tuple(kids), None, None
+        info.term, info.kids, info.tyb = t, tuple(kids), None
         info.subs = ren.get(_TY, ())
         self._finish(info, self._type(info, env, ren) if self.typed else None)
         return info
@@ -809,7 +762,7 @@ class Scan:
         info = _Info()
         info.term = _with_child(parent.term, i, new.term)
         info.kids = parent.kids[:i] + (new,) + parent.kids[i + 1:]
-        info.free = info.tyb = None
+        info.tyb = None
         info.subs, ty = parent.subs, parent.ty
         if again:
             self._finish(info, ty)
@@ -826,9 +779,25 @@ class Scan:
 
     # ------------------------------------------------------------ views
 
+    def _walk(self, info, pos, env, ren, out, post):
+        """`out` with (result, position, environment) appended for info,
+        at pos in env and ren, and for each result below it: in pre-order,
+        or with `post` children first and an application's argument
+        before its function."""
+        kids = list(enumerate(_below(info, env, ren, self._bodies)))
+        if not post:
+            out.append((info, pos, env))
+        elif info.term.__class__ is App:
+            kids.reverse()
+        for i, (kid, kid_env, kid_ren) in kids:
+            self._walk(kid, pos + (i,), kid_env, kid_ren, out, post)
+        if post:
+            out.append((info, pos, env))
+        return out
+
     def redexes(self) -> list:
         """(position, rule, local env, fine) of every match, pre-order."""
-        return [(pos, rule, env, fine) for info, pos, env in _walk(
+        return [(pos, rule, env, fine) for info, pos, env in self._walk(
             self.root, (), self.env, _NO_RENAMES, [], False)
             for rule, fine in info.own]
 
@@ -840,7 +809,7 @@ class Scan:
                    < self._frames.before + self._focus.nfine
                    ) and self._frames.up is not None:
             self._up()
-        f, info = self._frames, self._focus
+        f, info, memo = self._frames, self._focus, self._bodies
         k -= f.before
         while True:
             for rule, fine in info.own:
@@ -855,7 +824,7 @@ class Scan:
                 k -= kid.nfine
             else:
                 raise IndexError("fewer fine redexes than asked for")
-            f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, kid))
+            f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, memo))
             info = kid
 
     def innermost_fine_redex(self):
@@ -866,7 +835,7 @@ class Scan:
         while (self._frames.left or not self._focus.nfine
                ) and self._frames.up is not None:
             self._up()
-        f, info = self._frames, self._focus
+        f, info, memo = self._frames, self._focus, self._bodies
         while True:
             for i, kid in enumerate(info.kids):
                 if kid.nfine:
@@ -877,7 +846,7 @@ class Scan:
                         self._frames, self._focus = f, info
                         return f.pos, rule, f.env
                 raise IndexError("no fine redex")
-            f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, kid))
+            f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, memo))
             info = kid
 
     def at(self, pos):
@@ -899,16 +868,15 @@ class Scan:
                     self._frames, self._focus = f, info
                     raise InvalidPath(
                         f"no child {i} at {type(info.term).__name__}")
-                kid = info.kids[i]
-                f = _push(f, info, i, *_scope(info.term, i, f.env, f.ren, kid))
-                info = kid
+                scope = _scope(info.term, i, f.env, f.ren, self._bodies)
+                f, info = _push(f, info, i, *scope), info.kids[i]
             self._frames, self._focus = f, info
         return self._focus, self._frames.env
 
     def weight_terms(self) -> list:
         """(position, local env, term) of every pre-redex, children first
         and an application's argument before its function."""
-        return [(pos, env, info.pre) for info, pos, env in _walk(
+        return [(pos, env, info.pre) for info, pos, env in self._walk(
             self.root, (), self.env, _NO_RENAMES, [], True) if info.pre]
 
     # ------------------------------------------------------- one step
@@ -942,7 +910,7 @@ class Scan:
         """
         rule = rule if rule.__class__ is _rules.RuleId else _rules.RuleId(rule)
         old, env = self.at(pos)
-        frames, memo = self._frames, self._memo
+        frames, memo, bodies = self._frames, self._memo, self._bodies
         ren = frames.ren
         if (rule, True) in old.own or (rule, False) in old.own:
             contractum = _rules.RULES[rule].contract(old.term)
@@ -950,10 +918,10 @@ class Scan:
             contractum = _rules.apply_rule(rule, old.term)
         depth = _rules.RULES[rule].depth
         if depth is not None and id(contractum) not in memo:
-            _record(old, env, ren, depth + 1, memo)
+            _record(old, env, ren, depth + 1, memo, bodies)
         # (result, env, ren); the result keeps its subterm, and so its id
         hit = memo.get(id(contractum))
-        new = hit and _reused(hit, env, ren)
+        new = hit and _reused(hit, env, ren, bodies)
         if new is None:
             new = self._build(contractum, env, ren)
             memo[id(contractum)] = new, env, ren
@@ -962,11 +930,13 @@ class Scan:
                 f"subject reduction failed: {rule.value} at {list(pos)} "
                 f"changed the type")
         if self.typed and (old.ty is None or not frames.a) or ren and (
-                _free_of(old) != _free_of(new) or ren.get(_TY) and
-                free_type_vars(old.term) != free_type_vars(contractum)):
+                _body_vars(old.term, 0, bodies)
+                != _body_vars(contractum, 0, bodies) or ren.get(_TY)
+                and _body_vars(old.term, 1, bodies)
+                != _body_vars(contractum, 1, bodies)):
             fresh = Scan(self.env, _refilled(frames, contractum), self.rules,
                          system=self.system if self.typed else None)
-            fresh._memo, fresh._bodies = memo, self._bodies
+            fresh._memo, fresh._bodies = memo, bodies
             fresh.made = contractum
             return fresh
         up, f, info = [], frames, new

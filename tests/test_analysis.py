@@ -409,6 +409,16 @@ def test_invalid_path():
         subterm_at(Var("x"), (0,))
     with pytest.raises(InvalidPath):
         replace_at(pt("fun x:X => x"), (1,), Var("y"))
+    # the scripted path's descent checks each index against the node
+    from atomlam import apply_script
+    from atomlam.rewriting import env_at
+    t = pt("fun x:X => x")
+    for pos, where in (((1,), "1 at Lam"), ((-1,), "-1 at Lam"),
+                       ((0, 0), "0 at Var")):
+        with pytest.raises(InvalidPath, match=f"^no child {where}$"):
+            env_at(Env(), t, pos)
+        with pytest.raises(InvalidPath, match=f"^no child {where}$"):
+            apply_script(F, Env(), t, [(RuleId.beta_imp, pos)])
 
 
 def test_stale_redex_refused():

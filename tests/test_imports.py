@@ -1,5 +1,6 @@
 """No module of the package imports a name at module level that it never
-uses, and no private name the package defines goes unread. No linter
+uses, no private name the package defines goes unread, and the private
+names one module imports from another are the pinned ones. No linter
 ships with the project, so this is checked with the standard library's
 ast. Exempt from the import check: the package's __init__.py, whose
 imports are its public re-exports, `from __future__` imports, and an
@@ -111,3 +112,50 @@ def test_the_check_sees_an_unread_private_name():
     assert orphaned_privates(sources) == [
         "_method (a, line 8)", "_orphan (a, line 2)", "_slot (a, line 7)",
         "_unpacked (a, line 4)"]
+
+
+#: (importer, module, name) of each private name that one module of the
+#: package imports from another; a new one is added here, in the open
+PRIVATE_IMPORTS = {
+    ("analysis", "rewriting", "_later_step"),
+    ("analysis", "rewriting", "_settle"),
+    ("analysis", "rewriting", "_stepped"),
+    ("cli", "rewriting", "_STRATEGY_ALIASES"),
+    ("cli", "surface", "_lex"),
+    ("diagram", "analysis", "_ROOT_SIM"),
+    ("diagram", "analysis", "_ipc_redex"),
+    ("diagram", "analysis", "_simulation"),
+    ("rewriting", "syntax", "_refill"),
+    ("rewriting", "typecheck", "_fine_match"),
+    ("translate", "syntax", "_SHAPES"),
+    ("typecheck", "syntax", "_PLANS"),
+    ("typecheck", "syntax", "_with_child"),
+}
+
+
+def private_imports(sources: dict) -> set:
+    """(importer, module, name) of each private name (not a dunder) that
+    a module of `sources`, a map from module name to source, imports by a
+    relative import, anywhere in the module."""
+    out = set()
+    for importer, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                out |= {(importer, node.module, alias.name)
+                        for alias in node.names if _is_private(alias.name)}
+    return out
+
+
+def test_private_imports_are_the_pinned_ones():
+    assert private_imports({p.stem: p.read_text() for p in PACKAGE}) == \
+        PRIVATE_IMPORTS
+
+
+def test_the_check_sees_a_private_import():
+    sources = {"a": ("from .b import _shared, public, __version__\n"
+                     "from os import _exit\n"
+                     "def f():\n"
+                     "    from .c import _late as late\n"),
+               "b": "from . import c as _c\n"}
+    assert private_imports(sources) == {("a", "b", "_shared"),
+                                        ("a", "c", "_late")}

@@ -111,6 +111,17 @@ def test_rules_by_name():
     for call in (match_rule, apply_rule):
         with pytest.raises(ValueError):
             call("no_such_rule", t)
+    # a Redex that names its rule gets each caller's own error where the
+    # redex does not match
+    from atomlam import Redex, decompose_delta, simulate_step
+    from atomlam.errors import NotARedex, StaleRedex
+    with pytest.raises(StaleRedex, match=r"^no beta_imp redex at \[\]$"):
+        step(F, Env(), pt("s"), Redex((), "beta_imp", Env(), True))
+    with pytest.raises(NotARedex, match=r"got rho_case$"):
+        decompose_delta(Env(), pt("s"), Redex((), "rho_case", Env(), True))
+    with pytest.raises(NotARedex, match=r"^no beta_imp redex at \[\]$"):
+        simulate_step(Env([("x", FVar("X"))]), pt("x"),
+                      Redex((), "beta_imp", Env(), True))
 
 
 def test_delta_rules():

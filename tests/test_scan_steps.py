@@ -18,10 +18,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from atomlam import (Env, FVar, Forall, Imp, Lam, Pair, Proj, RuleId,
-                     SystemId, TyApp, TyLam, Var, atomic_nf, encode_bot,
-                     encode_or, is_fine_redex, normalize, parse_term,
-                     print_formula, print_term, replace_at, replay, rp_env,
-                     rp_term, subterm_at, typecheck)
+                     SystemId, TyApp, TyLam, Var, atomic_nf,
+                     check_local_confluence, encode_bot, encode_or,
+                     is_fine_redex, normalize, parse_term, print_formula,
+                     print_term, replace_at, replay, rp_env, rp_term,
+                     subterm_at, typecheck)
 import atomlam.rules
 from atomlam.analysis import ATOMIZATION_RULES
 from atomlam.errors import (AtomicInstantiation, InternalInvariantViolation,
@@ -123,8 +124,8 @@ def test_stepped_scans_are_fresh_scans_under_a_capturing_type_binder(
     # the map
     tc = sys.modules[Scan.__module__]
     reused, check = [], tc._reused
-    monkeypatch.setattr(tc, "_reused", lambda hit, env, ren: reused.append(
-        ren.get(tc._TY)) or check(hit, env, ren))
+    monkeypatch.setattr(tc, "_reused", lambda hit, env, ren, memo: (
+        reused.append(ren.get(tc._TY)) or check(hit, env, ren, memo)))
     env = Env(list(rp_env(ENV).items()) + [("k", X)])
     assert _check_steps(env, TyLam("X", rp_term(ladder(2, 1))),
                         ATOMIZATION_RULES) == 18
@@ -290,8 +291,8 @@ def test_a_memo_entry_made_below_a_renamed_type_binder_is_refused(
     tc = sys.modules[Scan.__module__]
     refused, check = [], tc._reused
 
-    def reused(hit, env, ren):
-        info = check(hit, env, ren)
+    def reused(hit, env, ren, memo):
+        info = check(hit, env, ren, memo)
         if info is None:
             refused.append(hit[0].term)
         return info
@@ -423,6 +424,27 @@ def test_atomic_nf_rebuilds_only_the_ancestors_the_focus_moves_up_past(
     nf, trace = atomic_nf(rp_env(ENV), rp_term(ladder(d, k)))
     assert (len(count) - 1, len(trace.steps)) == (calls, steps)
     assert len(count) - 1 <= 8 * steps
+
+
+@pytest.mark.parametrize("d, k, normal, confluence", [(4, 1, 123, 91),
+                                                      (2, 2, 92, 34)],
+                         ids=["4-1", "2-2"])
+def test_each_term_s_free_names_are_walked_once_per_lineage(
+        monkeypatch, d, k, normal, confluence):
+    # renaming binders, reuse checks and the rescan test read one
+    # free-name memo per scan lineage, which keeps every term it walks
+    tc = sys.modules[Scan.__module__]
+    walks, walk = [], tc._vars
+    monkeypatch.setattr(tc, "_vars", lambda t, sort, memo: walks.append(
+        (id(memo), sort, id(t))) or walk(t, sort, memo))
+    env, t = rp_env(ENV), rp_term(ladder(d, k))
+    counts = []
+    for run in (atomic_nf, check_local_confluence):
+        del walks[:]
+        run(env, t)
+        assert len(set(walks)) == len(walks)
+        counts.append(len(walks))
+    assert counts == [normal, confluence]
 
 
 @pytest.mark.parametrize("strategy, seed", [("leftmost-outermost", None),
